@@ -22,8 +22,6 @@ from .linalg import herm
 from .precoding import Precoder, ReducedChannel
 from .system import ChannelSet, NoiseModel
 
-_SV_CUTOFF = 1e-12
-
 
 @dataclass(frozen=True)
 class CovarianceModel:
@@ -273,7 +271,7 @@ def reference_ic(reduced: ReducedChannel, scale: float) -> Detector:
     if not scale > 0:
         raise InvalidInputError(f"scale must be > 0, got {scale}")
     for k, b in enumerate(reduced.reducers):
-        if not linalg.is_full_rank(b, rtol=_SV_CUTOFF):
+        if not linalg.is_full_rank(b):
             raise UniquenessError(
                 f"user {k}: reducing map is rank deficient; the interference-"
                 "cancellation detector is not unique"

@@ -3,17 +3,27 @@
 Configs are flat `key = value` text; sweeps average link reports over
 seeded channel draws on a grid of single-user SINR targets and serialize
 to a pinned CSV schema. Output is a pure function of the config: per-trial
-seeds are derived up front and accumulation runs in fixed trial order.
+seeds are derived up front and every row accumulates in fixed trial order.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .metrics import PRECODER_SCHEMES, parse_detector_scheme, su_mu_report
-from .system import Scenario, calibrate_noise, generate_channels
+from .errors import ConfigError, MimoSimError
+from .metrics import (
+    PRECODER_SCHEMES,
+    link_report,
+    make_precoder,
+    parse_detector_scheme,
+    serve,
+    single_user_legs,
+    single_user_se,
+    single_user_services,
+)
+from .system import Scenario, generate_channels, mean_su_layer_power, noise_for_target
 
 CSV_HEADER = (
     "precoder,detector,su_sinr_db,mu_se_mean,su_se_mean,"
@@ -194,41 +204,77 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+@contextmanager
+def _sweep_point(where: str):
+    """Re-raise a numerical failure as the same class, naming the sweep point."""
+    try:
+        yield
+    except MimoSimError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Average su/mu link reports over seeded trials for every scheme pair.
 
     Trials reuse the same derived seeds across grid points and scheme
     pairs, so curves differ only through the scheme and the noise level.
+    Each value is computed once where it stops depending on the loops
+    inside it: per trial the channels, the mean single-user layer power,
+    one multi-user precoder per scheme and the single-user legs; per grid
+    point the noise model and the covariances; per detector the
+    single-user SE, which every precoder shares. The result equals the
+    trial mean of `su_mu_report` at each point.
     """
     seeds = [trial_seed(config.base_seed, i) for i in range(config.trials)]
+    # A scheme listed twice is computed once and its rows repeated.
+    precoder_names = tuple(dict.fromkeys(config.precoders))
+    detector_names = tuple(dict.fromkeys(config.detectors))
+    keys = [
+        (precoder, detector, db)
+        for precoder in config.precoders
+        for detector in config.detectors
+        for db in config.su_sinr_grid_db
+    ]
+    # Per-row accumulators: mu_se, su_se, ratio, interference power.
+    sums = {key: [0.0, 0.0, 0.0, 0.0] for key in keys}
+    all_precoders = "/".join(precoder_names)
+    for trial, seed in enumerate(seeds):
+        scenario = Scenario(config.t, config.users, config.total_power, seed)
+        with _sweep_point(f"trial {trial}"):
+            channels = generate_channels(scenario)
+            su_power = mean_su_layer_power(channels)
+            legs = single_user_legs(channels)
+        precoders = {}
+        for name in precoder_names:
+            with _sweep_point(f"precoder {name}, trial {trial}"):
+                precoders[name] = make_precoder(channels, name, config.total_power)
+        for db in config.su_sinr_grid_db:
+            noise = noise_for_target(scenario, su_power, db)
+            su_services = single_user_services(legs, noise)
+            mu_services = {name: serve(channels, p, noise) for name, p in precoders.items()}
+            for detector in detector_names:
+                with _sweep_point(
+                    f"precoder {all_precoders} (single-user leg), detector {detector}, "
+                    f"su_sinr_db {db:g}, trial {trial}"
+                ):
+                    su_se = single_user_se(su_services, detector)
+                for name, service in mu_services.items():
+                    with _sweep_point(
+                        f"precoder {name}, detector {detector}, su_sinr_db {db:g}, trial {trial}"
+                    ):
+                        report = link_report(service, detector, su_se)
+                    acc = sums[(name, detector, db)]
+                    acc[0] += report.mu_se
+                    acc[1] += report.su_se
+                    acc[2] += report.ratio
+                    acc[3] += float(np.mean(report.interference_power))
+    n = float(config.trials)
     rows = []
-    for precoder in config.precoders:
-        for detector in config.detectors:
-            for db in config.su_sinr_grid_db:
-                mu_acc = su_acc = ratio_acc = leak_acc = 0.0
-                for seed in seeds:
-                    scenario = Scenario(config.t, config.users, config.total_power, seed)
-                    channels = generate_channels(scenario)
-                    noise = calibrate_noise(channels, db)
-                    report = su_mu_report(channels, precoder, detector, noise)
-                    mu_acc += report.mu_se
-                    su_acc += report.su_se
-                    ratio_acc += report.ratio
-                    leak_acc += float(np.mean(report.interference_power))
-                n = float(config.trials)
-                rows.append(
-                    SweepRow(
-                        precoder=precoder,
-                        detector=detector,
-                        su_sinr_db=db,
-                        mu_se_mean=mu_acc / n,
-                        su_se_mean=su_acc / n,
-                        ratio_mean=ratio_acc / n,
-                        interference_power_mean=leak_acc / n,
-                        trials=config.trials,
-                        base_seed=config.base_seed,
-                    )
-                )
+    for key in keys:
+        mu, su, ratio, leak = sums[key]
+        rows.append(
+            SweepRow(*key, mu / n, su / n, ratio / n, leak / n, config.trials, config.base_seed)
+        )
     return rows
 
 

@@ -6,6 +6,12 @@ budget, same noise, same detector scheme). When the joint system suppresses
 inter-user interference the ratio of the two summed spectral efficiencies
 decays toward 1 as the noise floor drops; schemes that leak interference
 saturate and the ratio diverges instead.
+
+Each user's links are one p_k x p row block G_k H_k W of the stacked
+precoder W = [W_1 ... W_K]; user k's own layers are its columns
+start_k .. start_k + p_k, the other columns are cross-user leakage. The
+sweep runner composes the same helpers as `su_mu_report`, but builds each
+precoder, covariance and single-user leg only once per trial or noise level.
 """
 
 import math
@@ -39,9 +45,9 @@ _GEN_LSE_RE = re.compile(r"^gen-lse\(([^)]+)\)$")
 
 @dataclass(frozen=True)
 class LinkReport:
-    """Per-user effective blocks T_kj = G_k H_k W_j plus SINR/SE summaries."""
+    """Per-user stacked links G_k H_k W (p_k x p) plus SINR/SE summaries."""
 
-    blocks: list
+    links: list
     sinr: list
     se: list
     interference_power: list
@@ -50,45 +56,58 @@ class LinkReport:
     ratio: float
 
 
+@dataclass(frozen=True)
+class Service:
+    """A channel set served by one precoder under one noise model.
+
+    `cov` holds the interference-plus-noise covariances that every detector
+    scheme starts from, so the schemes at one noise level share it.
+    """
+
+    channels: ChannelSet
+    precoder: Precoder
+    noise: NoiseModel
+    cov: CovarianceModel
+
+
 def effective_links(
     channels: ChannelSet, precoder: Precoder, detector: Detector
 ) -> list:
-    """All cross blocks: blocks[k][j] = G_k @ H_k @ W_j (p_k x p_j)."""
-    out = []
-    for k, h in enumerate(channels.matrices):
-        g = detector.filters[k]
-        gh = g @ h
-        out.append([gh @ w for w in precoder.blocks])
-    return out
+    """Per-user stacked links: links[k] = G_k @ H_k @ W (p_k x p)."""
+    w = precoder.stacked
+    return [(g @ h) @ w for g, h in zip(detector.filters, channels.matrices)]
 
 
-def sinr_per_layer(blocks_k: list, user: int, g: np.ndarray, l: np.ndarray) -> np.ndarray:
+def _cross_power(power: np.ndarray, start: int) -> np.ndarray:
+    """Per-row power in the other users' columns of a |link|^2 row block.
+
+    Summed over those columns directly: subtracting the own columns from the
+    row total would lose a cross leak ~1e-9 of the signal to cancellation.
+    """
+    stop = start + power.shape[0]
+    return power[:, :start].sum(axis=1) + power[:, stop:].sum(axis=1)
+
+
+def sinr_per_layer(link: np.ndarray, start: int, g: np.ndarray, l: np.ndarray) -> np.ndarray:
     """Post-detection SINR for each layer of one user.
 
-    signal_i = |T_kk[i,i]|^2, against the off-diagonal of the own block,
-    the rows of every cross block, and the noise power ||row_i(G L)||^2.
-    Perfect noiseless layers cap at SINR_CAP; an all-zero layer reports 0.
+    `link` is the user's stacked row block G_k H_k W and its own block
+    T_kk = link[:, start:start + p_k]. signal_i = |T_kk[i,i]|^2, against the
+    off-diagonal of row i of T_kk, the other users' columns of row i, and
+    the noise power ||row_i(G L)||^2. Perfect noiseless layers cap at
+    SINR_CAP; an all-zero layer reports 0.
     """
-    own = blocks_k[user]
-    p = own.shape[0]
-    gl = g @ l
-    out = np.empty(p)
-    for i in range(p):
-        signal = abs(own[i, i]) ** 2
-        self_leak = float(np.sum(np.abs(own[i]) ** 2)) - signal
-        cross = sum(
-            float(np.sum(np.abs(t[i]) ** 2))
-            for j, t in enumerate(blocks_k)
-            if j != user
-        )
-        noise = float(np.sum(np.abs(gl[i]) ** 2))
-        denom = self_leak + cross + noise
-        if signal == 0.0:
-            out[i] = 0.0
-        elif denom <= signal / SINR_CAP:
-            out[i] = SINR_CAP
-        else:
-            out[i] = min(signal / denom, SINR_CAP)
+    p = link.shape[0]
+    power = np.abs(link) ** 2
+    own = power[:, start:start + p]
+    signal = own.diagonal()
+    self_leak = own.sum(axis=1) - signal
+    noise = np.sum(np.abs(g @ l) ** 2, axis=1)
+    denom = self_leak + _cross_power(power, start) + noise
+    out = np.full(p, SINR_CAP)
+    below_cap = denom > signal / SINR_CAP
+    out[below_cap] = np.minimum(signal[below_cap] / denom[below_cap], SINR_CAP)
+    out[signal == 0.0] = 0.0
     return out
 
 
@@ -146,28 +165,71 @@ def make_detector(cov: CovarianceModel, scheme: str, sigma: float) -> Detector:
     return qr_mld_linear(cov)
 
 
-def _service_report(
-    channels: ChannelSet,
-    precoder: Precoder,
-    detector_scheme: str,
-    noise: NoiseModel,
-) -> tuple[list, list, list, list]:
-    cov = build_covariance(channels, precoder, noise)
-    detector = make_detector(cov, detector_scheme, noise.sigma)
-    blocks = effective_links(channels, precoder, detector)
-    sinrs, ses, leaks = [], [], []
-    for k in range(channels.scenario.num_users):
-        s = sinr_per_layer(blocks[k], k, detector.filters[k], noise.factors[k])
+def serve(channels: ChannelSet, precoder: Precoder, noise: NoiseModel) -> Service:
+    """Pair a precoder and noise model with their covariance model."""
+    return Service(channels, precoder, noise, build_covariance(channels, precoder, noise))
+
+
+def _detect(service: Service, detector_scheme: str) -> tuple[list, list, list]:
+    """Stacked links, per-layer SINRs and per-user SE under one detector scheme."""
+    detector = make_detector(service.cov, detector_scheme, service.noise.sigma)
+    links = effective_links(service.channels, service.precoder, detector)
+    sinrs, ses = [], []
+    start = 0
+    for k, link in enumerate(links):
+        s = sinr_per_layer(link, start, detector.filters[k], service.noise.factors[k])
         sinrs.append(s)
         ses.append(spectral_efficiency(s))
-        leaks.append(
-            sum(
-                float(np.linalg.norm(t) ** 2)
-                for j, t in enumerate(blocks[k])
-                if j != k
-            )
-        )
-    return blocks, sinrs, ses, leaks
+        start += link.shape[0]
+    return links, sinrs, ses
+
+
+def single_user_legs(channels: ChannelSet) -> tuple:
+    """Each user alone, as (channels, eigen zero-forcing precoder at P * p_k / p)."""
+    scenario = channels.scenario
+    share = scenario.total_power / scenario.total_layers
+    legs = []
+    for k, (_, p_k) in enumerate(scenario.users):
+        alone = channels.single_user(k)
+        legs.append((alone, rczf_precode(reduce_ezf(alone), share * p_k)))
+    return tuple(legs)
+
+
+def single_user_services(legs: tuple, noise: NoiseModel) -> tuple:
+    """Serve each single-user leg under its own user's noise factor."""
+    return tuple(
+        serve(alone, precoder, NoiseModel((noise.factors[k],), noise.sigma))
+        for k, (alone, precoder) in enumerate(legs)
+    )
+
+
+def single_user_se(services: tuple, detector_scheme: str) -> float:
+    """Spectral efficiency summed over the single-user services."""
+    su_se = 0.0
+    for service in services:
+        su_se += _detect(service, detector_scheme)[2][0]
+    return su_se
+
+
+def link_report(service: Service, detector_scheme: str, su_se: float) -> LinkReport:
+    """Multi-user report of a served channel set against a given SU SE."""
+    links, sinrs, ses = _detect(service, detector_scheme)
+    leaks = []
+    start = 0
+    for link in links:
+        leaks.append(float(np.sum(_cross_power(np.abs(link) ** 2, start))))
+        start += link.shape[0]
+    mu_se = float(sum(ses))
+    ratio = su_se / mu_se if mu_se > 0 else math.inf
+    return LinkReport(
+        links=links,
+        sinr=sinrs,
+        se=ses,
+        interference_power=leaks,
+        mu_se=mu_se,
+        su_se=float(su_se),
+        ratio=float(ratio),
+    )
 
 
 def su_mu_report(
@@ -183,30 +245,8 @@ def su_mu_report(
     and detector scheme, so the SU/MU ratio isolates the cost of sharing
     the channel rather than the power split.
     """
-    scenario = channels.scenario
-    precoder = make_precoder(channels, precoder_scheme, scenario.total_power)
-    blocks, sinrs, ses, leaks = _service_report(
-        channels, precoder, detector_scheme, noise
+    precoder = make_precoder(channels, precoder_scheme, channels.scenario.total_power)
+    su_se = single_user_se(
+        single_user_services(single_user_legs(channels), noise), detector_scheme
     )
-    mu_se = float(sum(ses))
-
-    su_se = 0.0
-    share = scenario.total_power / scenario.total_layers
-    for k in range(scenario.num_users):
-        alone = channels.single_user(k)
-        _, p_k = scenario.users[k]
-        su_precoder = rczf_precode(reduce_ezf(alone), share * p_k)
-        su_noise = NoiseModel((noise.factors[k],), noise.sigma)
-        _, _, su_ses, _ = _service_report(alone, su_precoder, detector_scheme, su_noise)
-        su_se += su_ses[0]
-
-    ratio = su_se / mu_se if mu_se > 0 else math.inf
-    return LinkReport(
-        blocks=blocks,
-        sinr=sinrs,
-        se=ses,
-        interference_power=leaks,
-        mu_se=mu_se,
-        su_se=float(su_se),
-        ratio=float(ratio),
-    )
+    return link_report(serve(channels, precoder, noise), detector_scheme, su_se)

@@ -17,8 +17,6 @@ from .errors import (
 )
 from .system import ChannelSet, Scenario, dump_channels, load_channels
 
-_SV_CUTOFF = 1e-12
-
 
 @dataclass(frozen=True)
 class ReducedChannel:
@@ -90,9 +88,9 @@ def reduce_ezf(channels: ChannelSet) -> ReducedChannel:
     for k, h in enumerate(channels.matrices):
         _, p = channels.scenario.users[k]
         u, s, _ = linalg.svd_reduced(h)
-        if s[p - 1] < _SV_CUTOFF * s[0]:
+        if s[p - 1] < linalg.RANK_RTOL * s[0]:
             raise IllConditionedError(
-                f"user {k}: singular value {p} is below {_SV_CUTOFF:g} * sigma_max"
+                f"user {k}: singular value {p} is below {linalg.RANK_RTOL:g} * sigma_max"
             )
         b = (1.0 / s[:p])[:, np.newaxis] * linalg.herm(u[:, :p])
         matrices.append(b @ h)
@@ -114,7 +112,7 @@ def rczf_precode(reduced: ReducedChannel, total_power: float) -> Precoder:
     the stack means the per-user nulling constraints cannot all be met.
     """
     v = np.vstack(reduced.matrices)
-    if not linalg.is_full_rank(v, rtol=_SV_CUTOFF):
+    if not linalg.is_full_rank(v):
         raise InfeasibleZeroForcingError(
             f"stacked reduced channel ({v.shape[0]} rows, {v.shape[1]} columns) is rank "
             "deficient; too many layers or colinear users"

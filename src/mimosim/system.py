@@ -165,13 +165,17 @@ def mean_su_layer_power(channels: ChannelSet) -> float:
     return float(np.mean(powers))
 
 
-def calibrate_noise(channels: ChannelSet, su_sinr_db: float) -> NoiseModel:
-    """White NoiseModel whose sigma hits the target mean single-user SINR."""
+def noise_for_target(scenario: Scenario, su_layer_power: float, su_sinr_db: float) -> NoiseModel:
+    """White NoiseModel putting `su_layer_power` at `su_sinr_db` above the noise."""
     if not math.isfinite(su_sinr_db):
         raise InvalidInputError(f"su_sinr_db must be finite, got {su_sinr_db}")
-    p_su = mean_su_layer_power(channels)
-    sigma2 = p_su / 10.0 ** (su_sinr_db / 10.0)
-    return NoiseModel.white(channels.scenario, math.sqrt(sigma2))
+    sigma2 = su_layer_power / 10.0 ** (su_sinr_db / 10.0)
+    return NoiseModel.white(scenario, math.sqrt(sigma2))
+
+
+def calibrate_noise(channels: ChannelSet, su_sinr_db: float) -> NoiseModel:
+    """White NoiseModel whose sigma hits the target mean single-user SINR."""
+    return noise_for_target(channels.scenario, mean_su_layer_power(channels), su_sinr_db)
 
 
 def dump_channels(channels: ChannelSet, path) -> None:

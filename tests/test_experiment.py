@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mimosim.cli import main as cli_main
-from mimosim.errors import ConfigError
+from mimosim.errors import ConfigError, NeedsExternalNoiseError, SingularMatrixError
 from mimosim.experiment import (
     CSV_HEADER,
     SweepConfig,
@@ -12,7 +14,10 @@ from mimosim.experiment import (
     trial_seed,
     write_csv,
 )
-from mimosim.system import load_channels
+from mimosim.metrics import su_mu_report
+from mimosim.system import Scenario, calibrate_noise, generate_channels, load_channels
+
+from conftest import CONFIG_DIR
 
 MINIMAL = """
 t = 64
@@ -151,6 +156,94 @@ class TestRunSweep:
         path = tmp_path / "sweep.csv"
         write_csv(rows, path)
         assert path.read_text() == rows_to_csv(rows)
+
+
+    def test_rows_equal_per_point_reports(self):
+        # The sweep builds each precoder, covariance and single-user leg once
+        # and shares them across grid points, detectors and precoders; every
+        # row must still be exactly the trial mean of the per-point API.
+        cfg = SweepConfig(
+            16,
+            ((4, 2),) * 3 + ((2, 1),) * 2,
+            1.0,
+            (5.0, 25.0),
+            ("ezf", "mrt"),
+            ("mmse-irc", "qr-mld", "gen-lse(0.1)"),
+            2,
+            7,
+            "x.csv",
+        )
+        rows = run_sweep(cfg)
+        assert len(rows) == 2 * 3 * 2
+        for row in rows:
+            mu = su = ratio = leak = 0.0
+            for i in range(cfg.trials):
+                scenario = Scenario(cfg.t, cfg.users, cfg.total_power, trial_seed(cfg.base_seed, i))
+                channels = generate_channels(scenario)
+                noise = calibrate_noise(channels, row.su_sinr_db)
+                report = su_mu_report(channels, row.precoder, row.detector, noise)
+                mu += report.mu_se
+                su += report.su_se
+                ratio += report.ratio
+                leak += float(np.mean(report.interference_power))
+            n = float(cfg.trials)
+            assert (row.mu_se_mean, row.su_se_mean, row.ratio_mean, row.interference_power_mean) == (
+                mu / n,
+                su / n,
+                ratio / n,
+                leak / n,
+            ), (row.precoder, row.detector, row.su_sinr_db)
+
+    def test_repeated_scheme_repeats_rows(self):
+        cfg = parse_config(SMALL.replace("precoders = ezf, mrt", "precoders = ezf, mrt, ezf"))
+        rows = run_sweep(cfg)
+        assert [r.precoder for r in rows] == ["ezf", "ezf", "mrt", "mrt", "ezf", "ezf"]
+        assert rows[4:] == rows[:2]
+
+
+class TestFailingSweepPoint:
+    @pytest.fixture(scope="class")
+    def fig3(self):
+        return dataclasses.replace(
+            parse_config((CONFIG_DIR / "fig3.cfg").read_text()), trials=1
+        )
+
+    def test_singular_solve_names_point(self, fig3):
+        with pytest.raises(SingularMatrixError) as info:
+            run_sweep(dataclasses.replace(fig3, su_sinr_grid_db=(120.0,)))
+        exc = info.value
+        assert type(exc) is SingularMatrixError
+        assert type(exc.__cause__) is SingularMatrixError
+        message = str(exc)
+        assert "precoder ezf" in message
+        assert "detector mmse-irc" in message
+        assert "su_sinr_db 120" in message
+        assert "trial 0" in message
+        assert message.endswith(str(exc.__cause__))
+        assert "requires at least q_k=4 layers in total" in message
+
+    def test_missing_noise_names_point(self, fig3):
+        cfg = dataclasses.replace(fig3, su_sinr_grid_db=(130.0,), detectors=("qr-mld",))
+        with pytest.raises(NeedsExternalNoiseError) as info:
+            run_sweep(cfg)
+        assert type(info.value.__cause__) is NeedsExternalNoiseError
+        assert str(info.value).startswith(
+            "precoder ezf, detector qr-mld, su_sinr_db 130, trial 0: "
+        )
+
+    def test_cli_exit_code_and_message(self, tmp_path, capsys):
+        text = (CONFIG_DIR / "fig3.cfg").read_text()
+        text = text.replace("grid = 0:40:5", "grid = 120:120:1").replace(
+            "trials = 100", "trials = 1"
+        )
+        text = text.replace("output = fig3.csv", f"output = {tmp_path / 'out.csv'}")
+        path = tmp_path / "cfg.txt"
+        path.write_text(text)
+        assert cli_main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure: precoder ezf" in err
+        assert "su_sinr_db 120, trial 0" in err
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestCli:

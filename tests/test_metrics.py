@@ -17,6 +17,7 @@ from mimosim.metrics import (
 from mimosim.precoding import mrt_precode, rczf_precode, reduce_ezf
 from mimosim.system import NoiseModel, Scenario, calibrate_noise, generate_channels
 
+from conftest import crandn
 from test_precoding import block_channels
 
 DEFAULT = Scenario(t=64, users=((4, 2),) * 8, total_power=1.0, seed=1)
@@ -27,20 +28,22 @@ class TestEffectiveLinks:
         channels = generate_channels(DEFAULT)
         prec = rczf_precode(reduce_ezf(channels), 1.0)
         det = reference_ic(prec.reduced, prec.scale)
-        blocks = effective_links(channels, prec, det)
+        links = effective_links(channels, prec, det)
         for k in range(8):
             for j in range(8):
                 if j == k:
-                    assert np.linalg.norm(blocks[k][k] - np.eye(2)) < 1e-8
+                    assert np.linalg.norm(links[k][:, 2 * k:2 * k + 2] - np.eye(2)) < 1e-8
                 else:
-                    assert np.linalg.norm(blocks[k][j]) < 1e-8
+                    assert np.linalg.norm(links[k][:, 2 * j:2 * j + 2]) < 1e-8
 
     def test_zero_detector_gives_zero_blocks(self):
         channels = generate_channels(DEFAULT)
         prec = rczf_precode(reduce_ezf(channels), 1.0)
         det = Detector(tuple(np.zeros((2, 4), dtype=complex) for _ in range(8)), "mmse")
-        blocks = effective_links(channels, prec, det)
-        assert all(np.all(blocks[k][j] == 0) for k in range(8) for j in range(8))
+        links = effective_links(channels, prec, det)
+        assert all(
+            np.all(links[k][:, 2 * j:2 * j + 2] == 0) for k in range(8) for j in range(8)
+        )
 
     def test_single_user_pinv_link(self):
         scenario = Scenario(t=16, users=((4, 2),), seed=2)
@@ -48,8 +51,8 @@ class TestEffectiveLinks:
         prec = rczf_precode(reduce_ezf(channels), 1.0)
         g = linalg.pinv(channels.matrices[0] @ prec.blocks[0])
         det = Detector((g,), "mmse")
-        blocks = effective_links(channels, prec, det)
-        assert np.linalg.norm(blocks[0][0] - np.eye(2)) < 1e-10
+        links = effective_links(channels, prec, det)
+        assert np.linalg.norm(links[0][:, 0:2] - np.eye(2)) < 1e-10
 
 
 class TestSinrPerLayer:
@@ -57,20 +60,43 @@ class TestSinrPerLayer:
         t_own = np.eye(2, dtype=complex)
         g = 0.1 * np.eye(2, dtype=complex)  # rows of G L have power 0.01
         l = np.eye(2, dtype=complex)
-        out = sinr_per_layer([t_own], 0, g, l)
+        out = sinr_per_layer(t_own, 0, g, l)
         np.testing.assert_allclose(out, [100.0, 100.0], rtol=1e-12)
 
     def test_perfect_link_caps(self):
         t_own = np.eye(2, dtype=complex)
         g = np.eye(2, dtype=complex)
         l = np.zeros((2, 2), dtype=complex)
-        out = sinr_per_layer([t_own], 0, g, l)
+        out = sinr_per_layer(t_own, 0, g, l)
         np.testing.assert_allclose(out, [SINR_CAP, SINR_CAP])
 
     def test_all_zero_layer_reports_zero(self):
         t_own = np.zeros((2, 2), dtype=complex)
-        out = sinr_per_layer([t_own], 0, np.zeros((2, 4), dtype=complex), np.zeros((4, 4)))
+        out = sinr_per_layer(t_own, 0, np.zeros((2, 4), dtype=complex), np.zeros((4, 4)))
         np.testing.assert_allclose(out, [0.0, 0.0])
+
+    def test_matches_per_layer_loop(self, rng):
+        # Reference: the per-layer loop over p_k x p_j blocks the stacked
+        # form replaced. Summation order differs, so equality is to rtol 1e-12.
+        layers = (2, 3, 1, 2)
+        user, start = 1, 2
+        link = crandn(rng, 3, sum(layers))
+        link[1, start + 1] = 0.0  # all-zero signal on layer 1
+        g, l = crandn(rng, 3, 4), crandn(rng, 4, 4)
+        blocks = np.split(link, np.cumsum(layers)[:-1], axis=1)
+        gl = g @ l
+        expected = []
+        for i in range(3):
+            signal = abs(blocks[user][i, i]) ** 2
+            self_leak = float(np.sum(np.abs(blocks[user][i]) ** 2)) - signal
+            cross = sum(
+                float(np.sum(np.abs(t[i]) ** 2)) for j, t in enumerate(blocks) if j != user
+            )
+            noise = float(np.sum(np.abs(gl[i]) ** 2))
+            expected.append(0.0 if signal == 0.0 else signal / (self_leak + cross + noise))
+        out = sinr_per_layer(link, start, g, l)
+        assert out[1] == 0.0
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0.0)
 
     def test_mrt_has_cross_interference(self):
         scenario = Scenario(t=16, users=((4, 2), (4, 2)), seed=5)
@@ -79,8 +105,8 @@ class TestSinrPerLayer:
         noise = NoiseModel.white(scenario, 0.01)
         cov = build_covariance(channels, prec, noise)
         det = make_detector(cov, "qr-mld", noise.sigma)
-        blocks = effective_links(channels, prec, det)
-        cross = np.linalg.norm(blocks[0][1])
+        links = effective_links(channels, prec, det)
+        cross = np.linalg.norm(links[0][:, 2:4])
         assert cross > 1e-6
 
 
@@ -162,7 +188,7 @@ class TestSuMuReport:
         assert report.mu_se == pytest.approx(sum(report.se))
         assert report.su_se > 0
         assert all(len(s) == 2 for s in report.sinr)
-        assert report.blocks[0][0].shape == (2, 2)
+        assert report.links[0][:, 0:2].shape == (2, 2)
 
     def test_mu_se_non_decreasing_in_target(self):
         # Averaged over a few seeds; the 100-seed version is the fig3 run.
@@ -184,10 +210,14 @@ def test_noiseless_interference_criterion():
     channels = generate_channels(DEFAULT)
     prec = rczf_precode(reduce_ezf(channels), 1.0)
     det = reference_ic(prec.reduced, prec.scale)
-    blocks = effective_links(channels, prec, det)
+    links = effective_links(channels, prec, det)
     for k in range(8):
-        own = blocks[k][k]
+        own = links[k][:, 2 * k:2 * k + 2]
         for i in range(2):
             signal = abs(own[i, i]) ** 2
-            cross = sum(float(np.sum(np.abs(blocks[k][j][i]) ** 2)) for j in range(8) if j != k)
+            cross = sum(
+                float(np.sum(np.abs(links[k][i, 2 * j:2 * j + 2]) ** 2))
+                for j in range(8)
+                if j != k
+            )
             assert cross < 1e-12 * signal

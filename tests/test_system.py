@@ -119,7 +119,7 @@ class TestCalibration:
             cov = build_covariance(alone, prec, NoiseModel((noise.factors[k],), noise.sigma))
             det = mmse_irc(cov)
             t = det.filters[0] @ alone.matrices[0] @ prec.blocks[0]
-            sinrs.extend(sinr_per_layer([t], 0, det.filters[0], noise.factors[k]))
+            sinrs.extend(sinr_per_layer(t, 0, det.filters[0], noise.factors[k]))
         measured_db = 10.0 * math.log10(float(np.mean(sinrs)))
         assert abs(measured_db - 20.0) < 0.1
 
