@@ -58,8 +58,6 @@ from .precoding import (
     Precoder,
     ReducedChannel,
     custom_reduction,
-    dump_precoder_blocks,
-    load_precoder_blocks,
     mrt_precode,
     rczf_precode,
     reduce_ezf,

@@ -19,11 +19,15 @@ from .metrics import (
     make_precoder,
     parse_detector_scheme,
     serve,
-    single_user_legs,
-    single_user_se,
-    single_user_services,
+    su_spectral_efficiency,
 )
-from .system import Scenario, generate_channels, mean_su_layer_power, noise_for_target
+from .system import (
+    Scenario,
+    generate_channels,
+    mean_su_layer_power,
+    noise_for_target,
+    su_layer_gains,
+)
 
 CSV_HEADER = (
     "precoder,detector,su_sinr_db,mu_se_mean,su_se_mean,"
@@ -219,11 +223,11 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     Trials reuse the same derived seeds across grid points and scheme
     pairs, so curves differ only through the scheme and the noise level.
     Each value is computed once where it stops depending on the loops
-    inside it: per trial the channels, the mean single-user layer power,
-    one multi-user precoder per scheme and the single-user legs; per grid
-    point the noise model and the covariances; per detector the
-    single-user SE, which every precoder shares. The result equals the
-    trial mean of `su_mu_report` at each point.
+    inside it: per trial the channels, the single-user layer gains and one
+    multi-user precoder per scheme; per grid point the noise model, the
+    covariances and the closed-form single-user SE, which every detector
+    and precoder shares. The result equals the trial mean of `su_mu_report`
+    at each point.
     """
     seeds = [trial_seed(config.base_seed, i) for i in range(config.trials)]
     # A scheme listed twice is computed once and its rows repeated.
@@ -237,28 +241,22 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     ]
     # Per-row accumulators: mu_se, su_se, ratio, interference power.
     sums = {key: [0.0, 0.0, 0.0, 0.0] for key in keys}
-    all_precoders = "/".join(precoder_names)
     for trial, seed in enumerate(seeds):
         scenario = Scenario(config.t, config.users, config.total_power, seed)
         with _sweep_point(f"trial {trial}"):
             channels = generate_channels(scenario)
-            su_power = mean_su_layer_power(channels)
-            legs = single_user_legs(channels)
+            gains = su_layer_gains(channels)
+        su_power = mean_su_layer_power(gains)
         precoders = {}
         for name in precoder_names:
             with _sweep_point(f"precoder {name}, trial {trial}"):
                 precoders[name] = make_precoder(channels, name, config.total_power)
         for db in config.su_sinr_grid_db:
             noise = noise_for_target(scenario, su_power, db)
-            su_services = single_user_services(legs, noise)
-            mu_services = {name: serve(channels, p, noise) for name, p in precoders.items()}
+            su_se = su_spectral_efficiency(gains, noise.sigma)
+            services = {name: serve(channels, p, noise) for name, p in precoders.items()}
             for detector in detector_names:
-                with _sweep_point(
-                    f"precoder {all_precoders} (single-user leg), detector {detector}, "
-                    f"su_sinr_db {db:g}, trial {trial}"
-                ):
-                    su_se = single_user_se(su_services, detector)
-                for name, service in mu_services.items():
+                for name, service in services.items():
                     with _sweep_point(
                         f"precoder {name}, detector {detector}, su_sinr_db {db:g}, trial {trial}"
                     ):

@@ -1,17 +1,20 @@
 """Effective-link decomposition, post-detection SINR, and spectral efficiency.
 
-The single-user / multi-user report serves every user jointly, then each
-user alone (eigen zero-forcing at its proportional share of the power
-budget, same noise, same detector scheme). When the joint system suppresses
-inter-user interference the ratio of the two summed spectral efficiencies
-decays toward 1 as the noise floor drops; schemes that leak interference
-saturate and the ratio diverges instead.
+The single-user / multi-user report serves every user jointly, against
+each user served alone by eigen zero-forcing at its proportional share of
+the power budget under the same white noise. That leg has orthogonal links,
+so its SE is the closed form sum log2(1 + (P / p) s_i^2 / sigma^2) for every
+detector scheme. When the joint system suppresses inter-user interference
+the ratio of the two summed spectral efficiencies decays toward its
+interference-free floor as the noise floor drops; schemes that leak
+interference saturate and the ratio diverges instead.
 
 Each user's links are one p_k x p row block G_k H_k W of the stacked
 precoder W = [W_1 ... W_K]; user k's own layers are its columns
 start_k .. start_k + p_k, the other columns are cross-user leakage. The
 sweep runner composes the same helpers as `su_mu_report`, but builds each
-precoder, covariance and single-user leg only once per trial or noise level.
+precoder once per trial and each covariance and single-user SE once per
+trial and noise level.
 """
 
 import math
@@ -30,9 +33,9 @@ from .detection import (
     plain_mmse,
     qr_mld_linear,
 )
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInputError
 from .precoding import Precoder, mrt_precode, rczf_precode, reduce_ezf, reduce_full_zf
-from .system import ChannelSet, NoiseModel
+from .system import ChannelSet, NoiseModel, su_layer_gains
 
 # Noiseless perfect links cap here instead of producing infinite SE.
 SINR_CAP = 1e12
@@ -184,30 +187,18 @@ def _detect(service: Service, detector_scheme: str) -> tuple[list, list, list]:
     return links, sinrs, ses
 
 
-def single_user_legs(channels: ChannelSet) -> tuple:
-    """Each user alone, as (channels, eigen zero-forcing precoder at P * p_k / p)."""
-    scenario = channels.scenario
-    share = scenario.total_power / scenario.total_layers
-    legs = []
-    for k, (_, p_k) in enumerate(scenario.users):
-        alone = channels.single_user(k)
-        legs.append((alone, rczf_precode(reduce_ezf(alone), share * p_k)))
-    return tuple(legs)
+def su_spectral_efficiency(gains: tuple, sigma: float) -> float:
+    """Single-user SE at white noise sigma, summed over users in order.
 
-
-def single_user_services(legs: tuple, noise: NoiseModel) -> tuple:
-    """Serve each single-user leg under its own user's noise factor."""
-    return tuple(
-        serve(alone, precoder, NoiseModel((noise.factors[k],), noise.sigma))
-        for k, (alone, precoder) in enumerate(legs)
-    )
-
-
-def single_user_se(services: tuple, detector_scheme: str) -> float:
-    """Spectral efficiency summed over the single-user services."""
+    Each user alone has orthogonal links c U_p S_p, so every detector scheme
+    gives layer i the SINR g_i / sigma^2 for its gain g_i = (P / p) * s_i^2
+    (`system.su_layer_gains`), capped at SINR_CAP like `sinr_per_layer`.
+    """
+    sigma2 = sigma**2
     su_se = 0.0
-    for service in services:
-        su_se += _detect(service, detector_scheme)[2][0]
+    with np.errstate(divide="ignore"):
+        for g in gains:
+            su_se += spectral_efficiency(np.minimum(g / sigma2, SINR_CAP))
     return su_se
 
 
@@ -240,13 +231,19 @@ def su_mu_report(
 ) -> LinkReport:
     """Joint multi-user service versus each user served alone.
 
-    The single-user leg uses the user's own eigen zero-forcing precoder at
-    power P * p_k / p (its share of the budget) with the same noise factor
-    and detector scheme, so the SU/MU ratio isolates the cost of sharing
-    the channel rather than the power split.
+    The single-user leg is each user's own eigen zero-forcing precoder at
+    power P * p_k / p (its share of the budget) under the same white noise:
+    sum_i log2(1 + (P / p) s_i^2 / sigma^2), capped at SINR_CAP, which every
+    detector scheme attains there. The SU/MU ratio therefore isolates the
+    cost of sharing the channel rather than the power split. Noise factors
+    other than sigma * I raise InvalidInputError.
     """
+    for k, (l, q) in enumerate(zip(noise.factors, channels.scenario.antenna_counts)):
+        if not np.array_equal(l, noise.sigma * np.eye(q)):
+            raise InvalidInputError(
+                f"user {k}: the single-user leg needs white noise sigma * I "
+                f"(sigma={noise.sigma:g}, q_k={q})"
+            )
     precoder = make_precoder(channels, precoder_scheme, channels.scenario.total_power)
-    su_se = single_user_se(
-        single_user_services(single_user_legs(channels), noise), detector_scheme
-    )
+    su_se = su_spectral_efficiency(su_layer_gains(channels), noise.sigma)
     return link_report(serve(channels, precoder, noise), detector_scheme, su_se)

@@ -15,7 +15,7 @@ from .errors import (
     IllConditionedError,
     InfeasibleZeroForcingError,
 )
-from .system import ChannelSet, Scenario, dump_channels, load_channels
+from .system import ChannelSet
 
 
 @dataclass(frozen=True)
@@ -125,25 +125,6 @@ def rczf_precode(reduced: ReducedChannel, total_power: float) -> Precoder:
         blocks.append(scale * w0[:, offset:offset + p])
         offset += p
     return Precoder(tuple(blocks), scale, "rczf", float(total_power), reduced)
-
-
-def dump_precoder_blocks(precoder: Precoder, path) -> None:
-    """Write the per-user blocks in the channel text fixture format.
-
-    Blocks are stored transposed (p_k x t rows of `re im` pairs) under a
-    header `t p1 p1 p2 p2 ...`; only the raw scaled blocks are recorded.
-    """
-    t = precoder.blocks[0].shape[0]
-    layers = tuple(w.shape[1] for w in precoder.blocks)
-    scenario = Scenario(t, tuple((p, p) for p in layers), precoder.total_power, 0)
-    as_rows = ChannelSet(scenario, tuple(w.T.copy() for w in precoder.blocks))
-    dump_channels(as_rows, path)
-
-
-def load_precoder_blocks(path) -> tuple[np.ndarray, ...]:
-    """Read blocks written by dump_precoder_blocks; returns t x p_k arrays."""
-    stored = load_channels(path)
-    return tuple(m.T.copy() for m in stored.matrices)
 
 
 def mrt_precode(channels: ChannelSet, total_power: float) -> Precoder:

@@ -148,21 +148,25 @@ def generate_channels(scenario: Scenario) -> ChannelSet:
     return ChannelSet(scenario, tuple(matrices))
 
 
-def mean_su_layer_power(channels: ChannelSet) -> float:
-    """Mean per-layer received signal power under single-user EZF service.
+def su_layer_gains(channels: ChannelSet) -> tuple[np.ndarray, ...]:
+    """Per-user single-user layer gains (P / p) * s_i^2, i <= p_k.
 
-    Each user is served alone at its proportional share P * p_k / p of the
-    power budget; the per-layer received power is then (P / p) * s_i^2 with
-    s_i the i-th singular value of H_k. Averaged over all layers of all users.
+    User k served alone by its own eigen zero-forcing precoder at its
+    proportional share P * p_k / p of the budget receives A_k = H_k W_k =
+    c U_p S_p, whose orthogonal columns carry (P / p) * s_i^2 with s_i the
+    i-th singular value of H_k; one singular-value pass per H_k.
     """
     scenario = channels.scenario
     per_layer = scenario.total_power / scenario.total_layers
-    powers = []
-    for k, h in enumerate(channels.matrices):
-        _, p = scenario.users[k]
-        s = np.linalg.svd(h, compute_uv=False)
-        powers.extend(per_layer * s[:p] ** 2)
-    return float(np.mean(powers))
+    return tuple(
+        per_layer * np.linalg.svd(h, compute_uv=False)[:p] ** 2
+        for h, (_, p) in zip(channels.matrices, scenario.users)
+    )
+
+
+def mean_su_layer_power(gains: tuple[np.ndarray, ...]) -> float:
+    """Mean of the single-user layer gains over all layers of all users."""
+    return float(np.mean(np.concatenate(gains)))
 
 
 def noise_for_target(scenario: Scenario, su_layer_power: float, su_sinr_db: float) -> NoiseModel:
@@ -175,7 +179,8 @@ def noise_for_target(scenario: Scenario, su_layer_power: float, su_sinr_db: floa
 
 def calibrate_noise(channels: ChannelSet, su_sinr_db: float) -> NoiseModel:
     """White NoiseModel whose sigma hits the target mean single-user SINR."""
-    return noise_for_target(channels.scenario, mean_su_layer_power(channels), su_sinr_db)
+    power = mean_su_layer_power(su_layer_gains(channels))
+    return noise_for_target(channels.scenario, power, su_sinr_db)
 
 
 def dump_channels(channels: ChannelSet, path) -> None:

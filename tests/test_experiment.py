@@ -14,8 +14,14 @@ from mimosim.experiment import (
     trial_seed,
     write_csv,
 )
-from mimosim.metrics import su_mu_report
-from mimosim.system import Scenario, calibrate_noise, generate_channels, load_channels
+from mimosim.metrics import su_mu_report, su_spectral_efficiency
+from mimosim.system import (
+    Scenario,
+    calibrate_noise,
+    generate_channels,
+    load_channels,
+    su_layer_gains,
+)
 
 from conftest import CONFIG_DIR
 
@@ -159,7 +165,7 @@ class TestRunSweep:
 
 
     def test_rows_equal_per_point_reports(self):
-        # The sweep builds each precoder, covariance and single-user leg once
+        # The sweep builds each precoder, covariance and single-user SE once
         # and shares them across grid points, detectors and precoders; every
         # row must still be exactly the trial mean of the per-point API.
         cfg = SweepConfig(
@@ -209,18 +215,35 @@ class TestFailingSweepPoint:
         )
 
     def test_singular_solve_names_point(self, fig3):
+        cfg = dataclasses.replace(fig3, su_sinr_grid_db=(130.0,), detectors=("mmse",))
         with pytest.raises(SingularMatrixError) as info:
-            run_sweep(dataclasses.replace(fig3, su_sinr_grid_db=(120.0,)))
+            run_sweep(cfg)
         exc = info.value
         assert type(exc) is SingularMatrixError
         assert type(exc.__cause__) is SingularMatrixError
         message = str(exc)
         assert "precoder ezf" in message
-        assert "detector mmse-irc" in message
-        assert "su_sinr_db 120" in message
+        assert "detector mmse," in message
+        assert "su_sinr_db 130" in message
         assert "trial 0" in message
         assert message.endswith(str(exc.__cause__))
         assert "requires at least q_k=4 layers in total" in message
+
+    def test_mmse_irc_finishes_at_120_db(self, fig3):
+        # The multi-user mmse-irc solves still succeed at 120 dB, and the
+        # closed-form single-user leg has no solve that could raise.
+        rows = run_sweep(
+            dataclasses.replace(fig3, su_sinr_grid_db=(120.0,), detectors=("mmse-irc",))
+        )
+        assert len(rows) == 1
+        row = rows[0]
+        values = (row.mu_se_mean, row.su_se_mean, row.ratio_mean, row.interference_power_mean)
+        assert all(np.isfinite(values))
+        channels = generate_channels(
+            Scenario(fig3.t, fig3.users, fig3.total_power, trial_seed(fig3.base_seed, 0))
+        )
+        sigma = calibrate_noise(channels, 120.0).sigma
+        assert row.su_se_mean == su_spectral_efficiency(su_layer_gains(channels), sigma)
 
     def test_missing_noise_names_point(self, fig3):
         cfg = dataclasses.replace(fig3, su_sinr_grid_db=(130.0,), detectors=("qr-mld",))
@@ -233,16 +256,17 @@ class TestFailingSweepPoint:
 
     def test_cli_exit_code_and_message(self, tmp_path, capsys):
         text = (CONFIG_DIR / "fig3.cfg").read_text()
-        text = text.replace("grid = 0:40:5", "grid = 120:120:1").replace(
+        text = text.replace("grid = 0:40:5", "grid = 130:130:1").replace(
             "trials = 100", "trials = 1"
         )
+        text = text.replace("detectors = mmse-irc, qr-mld", "detectors = mmse")
         text = text.replace("output = fig3.csv", f"output = {tmp_path / 'out.csv'}")
         path = tmp_path / "cfg.txt"
         path.write_text(text)
         assert cli_main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert "numerical failure: precoder ezf" in err
-        assert "su_sinr_db 120, trial 0" in err
+        assert "detector mmse, su_sinr_db 130, trial 0" in err
         assert not (tmp_path / "out.csv").exists()
 
 

@@ -3,21 +3,32 @@ import pytest
 
 from mimosim import linalg
 from mimosim.detection import Detector, build_covariance, reference_ic
-from mimosim.errors import ConfigError
+from mimosim.errors import ConfigError, InvalidInputError
+from mimosim.experiment import parse_config, trial_seed
 from mimosim.metrics import (
+    DETECTOR_SCHEMES,
     SINR_CAP,
     effective_links,
+    link_report,
     make_detector,
     make_precoder,
     parse_detector_scheme,
+    serve,
     sinr_per_layer,
     spectral_efficiency,
     su_mu_report,
+    su_spectral_efficiency,
 )
 from mimosim.precoding import mrt_precode, rczf_precode, reduce_ezf
-from mimosim.system import NoiseModel, Scenario, calibrate_noise, generate_channels
+from mimosim.system import (
+    NoiseModel,
+    Scenario,
+    calibrate_noise,
+    generate_channels,
+    su_layer_gains,
+)
 
-from conftest import crandn
+from conftest import CONFIG_DIR, crandn
 from test_precoding import block_channels
 
 DEFAULT = Scenario(t=64, users=((4, 2),) * 8, total_power=1.0, seed=1)
@@ -203,6 +214,57 @@ class TestSuMuReport:
                 acc += su_mu_report(channels, "ezf", "mmse-irc", noise).mu_se
             means.append(acc / 10)
         assert all(b > a for a, b in zip(means, means[1:]))
+
+
+class TestSingleUserClosedForm:
+    """Each user served alone through the detector route, against the closed form.
+
+    Alone, user k's links c U_p S_p have orthogonal columns, so every
+    detector scheme gives layer i the SINR (P / p) s_i^2 / sigma^2.
+    """
+
+    SCHEMES = DETECTOR_SCHEMES + ("gen-lse(0.1)", "gen-lse(10)")
+
+    @staticmethod
+    def _scenario(name):
+        if name == "mixed":
+            return Scenario(t=32, users=((4, 2), (2, 1), (8, 4)), seed=3)
+        config = parse_config((CONFIG_DIR / "fig3.cfg").read_text())
+        return Scenario(config.t, config.users, config.total_power, trial_seed(config.base_seed, 0))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("name", ["mixed", "fig3"])
+    def test_detector_route_matches(self, name, scheme):
+        scenario = self._scenario(name)
+        channels = generate_channels(scenario)
+        gains = su_layer_gains(channels)
+        share = scenario.total_power / scenario.total_layers
+        for db in np.arange(0.0, 81.0, 10.0):
+            noise = calibrate_noise(channels, db)
+            total = 0.0
+            for k, (_, p_k) in enumerate(scenario.users):
+                alone = channels.single_user(k)
+                precoder = rczf_precode(reduce_ezf(alone), share * p_k)
+                service = serve(alone, precoder, NoiseModel((noise.factors[k],), noise.sigma))
+                se = link_report(service, scheme, 0.0).mu_se
+                np.testing.assert_allclose(
+                    se, su_spectral_efficiency((gains[k],), noise.sigma), rtol=1e-12, atol=0.0
+                )
+                total += se
+            np.testing.assert_allclose(
+                total, su_spectral_efficiency(gains, noise.sigma), rtol=1e-12, atol=0.0
+            )
+
+    def test_su_mu_report_rejects_non_white_noise(self, rng):
+        channels = generate_channels(DEFAULT)
+        white = calibrate_noise(channels, 20.0)
+        coloured = list(white.factors)
+        coloured[3] = white.sigma * (np.eye(4) + 0.1 * crandn(rng, 4, 4))
+        with pytest.raises(InvalidInputError, match="user 3"):
+            su_mu_report(channels, "ezf", "mmse-irc", NoiseModel(coloured, white.sigma))
+        # White factors whose sigma field disagrees would give another SU leg.
+        with pytest.raises(InvalidInputError, match="user 0"):
+            su_mu_report(channels, "ezf", "mmse-irc", NoiseModel(white.factors, 0.0))
 
 
 def test_noiseless_interference_criterion():

@@ -182,19 +182,6 @@ class TestMrt:
         assert np.linalg.norm(prec.stacked) ** 2 == pytest.approx(3.0, rel=1e-9)
 
 
-def test_precoder_block_fixture_roundtrip(tmp_path):
-    channels = generate_channels(Scenario(t=16, users=((4, 2), (3, 1)), seed=8))
-    prec = rczf_precode(reduce_ezf(channels), 1.0)
-    from mimosim.precoding import dump_precoder_blocks, load_precoder_blocks
-
-    path = tmp_path / "precoder.txt"
-    dump_precoder_blocks(prec, path)
-    back = load_precoder_blocks(path)
-    assert len(back) == 2
-    for w, wb in zip(prec.blocks, back):
-        assert np.array_equal(w, wb)
-
-
 @pytest.mark.parametrize("seed", range(1, 6))
 def test_rczf_membership_bullets(seed):
     """The three defining conditions, checked numerically at 1e-8 relative."""

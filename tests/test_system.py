@@ -16,6 +16,7 @@ from mimosim.system import (
     generate_channels,
     load_channels,
     mean_su_layer_power,
+    su_layer_gains,
 )
 
 DEFAULT = Scenario(t=64, users=((4, 2),) * 8, total_power=1.0, seed=1)
@@ -95,7 +96,7 @@ class TestCalibration:
         oracle = float(np.mean(powers))
         noise = calibrate_noise(channels, 0.0)
         assert noise.sigma**2 == pytest.approx(oracle, rel=1e-10)
-        assert mean_su_layer_power(channels) == pytest.approx(oracle, rel=1e-10)
+        assert mean_su_layer_power(su_layer_gains(channels)) == pytest.approx(oracle, rel=1e-10)
 
     def test_ten_db_scales_sigma_squared_by_ten(self):
         channels = generate_channels(DEFAULT)
