@@ -40,9 +40,10 @@ def _default_channels(seed: int) -> ChannelSet:
     return generate_channels(scenario)
 
 
-def _noiseless_cov(channels: ChannelSet, precoder) -> CovarianceModel:
-    zero = NoiseModel.white(channels.scenario, 0.0)
-    return build_covariance(channels, precoder, zero)
+def _default_ezf(seed: int):
+    """The default scenario's channels and their eigen zero-forcing precoder."""
+    channels = _default_channels(seed)
+    return channels, rczf_precode(reduce_ezf(channels), channels.scenario.total_power)
 
 
 def _white_cov(channels: ChannelSet, precoder, sigma: float) -> CovarianceModel:
@@ -59,8 +60,7 @@ def identity_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
     max_diag = 0.0
     max_cross = 0.0
     for seed in seeds:
-        channels = _default_channels(seed)
-        precoder = rczf_precode(reduce_ezf(channels), channels.scenario.total_power)
+        channels, precoder = _default_ezf(seed)
         detector = reference_ic(precoder.reduced, precoder.scale)
         for k, h in enumerate(channels.matrices):
             gh = detector.filters[k] @ h
@@ -118,9 +118,8 @@ def mmse_irc_noiseless_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
     """Noiseless interference-aware MMSE equals the reference detector."""
     worst = 0.0
     for seed in seeds:
-        channels = _default_channels(seed)
-        precoder = rczf_precode(reduce_ezf(channels), channels.scenario.total_power)
-        cov = _noiseless_cov(channels, precoder)
+        channels, precoder = _default_ezf(seed)
+        cov = _white_cov(channels, precoder, 0.0)
         det = mmse_irc(cov)
         ref = reference_ic(precoder.reduced, precoder.scale)
         for g, g0 in zip(det.filters, ref.filters):
@@ -136,8 +135,7 @@ def mmse_irc_rate_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
     """Detector error decays quadratically in the external-noise scale."""
     lo, hi = np.inf, 0.0
     for seed in seeds:
-        channels = _default_channels(seed)
-        precoder = rczf_precode(reduce_ezf(channels), channels.scenario.total_power)
+        channels, precoder = _default_ezf(seed)
         ref = reference_ic(precoder.reduced, precoder.scale)
         errs = {}
         for sigma in (1e-2, 1e-3):
@@ -162,9 +160,8 @@ def lambda_independence_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
     worst = 0.0
     lams = (1e-3, 1.0, 1e3)
     for seed in seeds:
-        channels = _default_channels(seed)
-        precoder = rczf_precode(reduce_ezf(channels), channels.scenario.total_power)
-        cov = _noiseless_cov(channels, precoder)
+        channels, precoder = _default_ezf(seed)
+        cov = _white_cov(channels, precoder, 0.0)
         dets = [gen_lse(cov, lam) for lam in lams]
         for i in range(len(lams)):
             for j in range(i + 1, len(lams)):
@@ -191,15 +188,19 @@ def _single_user_cov(a: np.ndarray, r: np.ndarray) -> CovarianceModel:
     return CovarianceModel((a,), (r,), (l,), noiseless=False)
 
 
-def lse_limit_suite(count: int = 100) -> CheckResult:
-    """gen-lse at lambda = 1e-8 approaches the whitened least-squares limit."""
+def _worst_against_limit(count: int, detector) -> float:
+    """Worst relative deviation of `detector` from `lse_limit` over the synthetic pairs."""
     worst = 0.0
     for seed in range(1, count + 1):
-        a, r = _synthetic_pair(seed)
-        cov = _single_user_cov(a, r)
-        g_lam = gen_lse(cov, 1e-8).filters[0]
+        cov = _single_user_cov(*_synthetic_pair(seed))
         g_lim = lse_limit(cov).filters[0]
-        worst = max(worst, _rel(g_lam - g_lim, g_lim))
+        worst = max(worst, _rel(detector(cov).filters[0] - g_lim, g_lim))
+    return worst
+
+
+def lse_limit_suite(count: int = 100) -> CheckResult:
+    """gen-lse at lambda = 1e-8 approaches the whitened least-squares limit."""
+    worst = _worst_against_limit(count, lambda cov: gen_lse(cov, 1e-8))
     return CheckResult(
         "gen-lse limit approach (lambda = 1e-8)",
         worst < 1e-5,
@@ -209,13 +210,7 @@ def lse_limit_suite(count: int = 100) -> CheckResult:
 
 def qr_factor_identity_suite(count: int = 100) -> CheckResult:
     """QR-detector linear part equals the whitened least-squares limit."""
-    worst = 0.0
-    for seed in range(1, count + 1):
-        a, r = _synthetic_pair(seed)
-        cov = _single_user_cov(a, r)
-        g_qr = qr_mld_linear(cov).filters[0]
-        g_lim = lse_limit(cov).filters[0]
-        worst = max(worst, _rel(g_qr - g_lim, g_lim))
+    worst = _worst_against_limit(count, qr_mld_linear)
     return CheckResult(
         "qr-mld linear part identity",
         worst < 1e-9,
@@ -246,8 +241,7 @@ def qr_mld_limit_suite(seeds=DEFAULT_SCENARIO_SEEDS, sigma: float = 1e-4) -> Che
     """Small external noise: the QR detector approaches the reference."""
     worst = 0.0
     for seed in seeds:
-        channels = _default_channels(seed)
-        precoder = rczf_precode(reduce_ezf(channels), channels.scenario.total_power)
+        channels, precoder = _default_ezf(seed)
         cov = _white_cov(channels, precoder, sigma)
         det = qr_mld_linear(cov)
         ref = reference_ic(precoder.reduced, precoder.scale)

@@ -7,7 +7,6 @@ reference they all converge to under zero-forcing precoding.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import linalg
 from .errors import (
@@ -41,10 +40,6 @@ class CovarianceModel:
         object.__setattr__(self, "covariances", tuple(self.covariances))
         object.__setattr__(self, "noise_factors", tuple(self.noise_factors))
 
-    @property
-    def num_users(self) -> int:
-        return len(self.effective)
-
 
 @dataclass(frozen=True)
 class Detector:
@@ -55,9 +50,6 @@ class Detector:
 
     def __post_init__(self):
         object.__setattr__(self, "filters", tuple(self.filters))
-        for k, g in enumerate(self.filters):
-            if not np.isfinite(g).all():
-                raise InvalidInputError(f"user {k}: detector filter has non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -92,67 +84,154 @@ def constellation_by_name(name: str) -> Constellation:
     return table[name]()
 
 
+@dataclass(frozen=True)
+class UserStack:
+    """The users k = users[i] of one (q_k, p_k) shape under one precoder, stacked.
+
+    links[i] = H_k W (q_k x p) for the stacked precoder W, starts[i] the first
+    own column, effective[i] = A_k = H_k W_k, and interference[i] the noise-
+    free R_int,k = X_k X_k^H, X_k being links[i] with the own columns zeroed.
+    """
+
+    users: tuple[int, ...]
+    starts: np.ndarray
+    links: np.ndarray
+    effective: np.ndarray
+    interference: np.ndarray
+
+
+def _groups(shapes) -> list[list[int]]:
+    """User indices grouped by shape, groups in order of first appearance."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, shape in enumerate(shapes):
+        groups.setdefault(tuple(shape), []).append(k)
+    return list(groups.values())
+
+
+def stack_users(channels: ChannelSet, precoder: Precoder) -> tuple[UserStack, ...]:
+    """Group users by (q_k, p_k), in order of first appearance, and stack each group.
+
+    One H @ W product per group. R_int is built from the other users' columns
+    directly, not as total minus own, so it stays PSD and loses no cross power.
+    """
+    w = precoder.stacked
+    offsets = np.cumsum((0,) + channels.scenario.layer_counts)
+    stacks = []
+    for users in _groups(channels.scenario.users):
+        p = channels.scenario.users[users[0]][1]
+        starts = offsets[users]
+        hw = np.stack([channels.matrices[k] for k in users]) @ w
+        own = starts[:, np.newaxis] + np.arange(p)
+        a = np.take_along_axis(hw, own[:, np.newaxis, :], axis=2)
+        x = hw.copy()
+        np.put_along_axis(x, own[:, np.newaxis, :], 0.0, axis=2)
+        r = x @ herm(x)
+        stacks.append(UserStack(tuple(users), starts, hw, a, 0.5 * (r + herm(r))))
+    return tuple(stacks)
+
+
 def build_covariance(
     channels: ChannelSet, precoder: Precoder, noise: NoiseModel
 ) -> CovarianceModel:
     """Effective links and interference-plus-noise covariances for all users.
 
-    The interference term is assembled as (H C)(H C)^H with C the stack of
-    the other users' precoding blocks, which keeps R_k PSD by construction.
+    R_k = R_int,k + L_k L_k^H, with R_int,k from `stack_users`.
     """
     n = channels.scenario.num_users
     if len(noise.factors) != n:
         raise DimensionMismatchError("noise model and channel set disagree on user count")
-    effective = []
-    covariances = []
-    for k, h in enumerate(channels.matrices):
-        a = h @ precoder.blocks[k]
-        others = [precoder.blocks[j] for j in range(n) if j != k]
-        if others:
-            hc = h @ np.hstack(others)
-            r = hc @ herm(hc)
+    effective, covariances = [None] * n, [None] * n
+    for stack in stack_users(channels, precoder):
+        for k, a, r in zip(stack.users, stack.effective, stack.interference):
+            r = r + noise.factors[k] @ herm(noise.factors[k])
+            effective[k], covariances[k] = a, 0.5 * (r + herm(r))
+    return CovarianceModel(effective, covariances, noise.factors, noise.noiseless)
+
+
+class StackedDetector:
+    """One detector scheme on a user stack, split at the noise power s2.
+
+    R = R0 + s2 I, R0 noise-free (sweep) or the whole covariance with s2 = 0
+    (per-user functions). The s2-free factorization is taken once, here;
+    `filters(s2)` is then a diagonal scaling of its eigenvalues:
+
+    - mmse-irc / gen-lse(lam): eigh(A A^H + lam R0), shifted by lam s2;
+    - mmse: eigh(A A^H), shifted by s2 (the q_k x q_k guard is kept);
+    - lse-limit: eigh(R0), shifted by s2, then the p_k x p_k normal matrix;
+    - qr-mld: Cholesky + positive-diagonal QR of R0 + s2 I (`qr_mld_parts`).
+    """
+
+    def __init__(self, scheme: str, lam: float, users, a: np.ndarray, r0: np.ndarray):
+        self.scheme, self.lam, self.users, self.a, self.r0 = scheme, lam, tuple(users), a, r0
+        if scheme in ("mmse-irc", "gen-lse"):
+            self.eig = linalg.eigh(a @ herm(a) + lam * r0)
+        elif scheme == "mmse":
+            self.eig = linalg.eigh(a @ herm(a))
+        elif scheme == "lse-limit":
+            self.eig = linalg.eigh(r0)
+
+    def filters(self, s2: float) -> np.ndarray:
+        """Stacked filters G (n x p_k x q_k) at noise power s2."""
+        a, (q, p) = self.a, self.a.shape[-2:]
+        if self.scheme == "qr-mld":
+            g = qr_mld_parts(a, self.r0 + s2 * np.eye(q), users=self.users)[3]
+        elif self.scheme == "lse-limit":
+            rinv_a = self._solve(
+                a, s2, NeedsExternalNoiseError,
+                "covariance is singular; non-zero external noise is required for the "
+                "whitened limit",
+            )
+            names = [f"user {k} normal matrix" for k in self.users]
+            g = linalg.solve_shifted(linalg.eigh(herm(a) @ rinv_a), herm(rinv_a), names=names)
+        elif self.scheme == "mmse":
+            g = herm(self._solve(
+                a, s2, SingularMatrixError,
+                f"signal-plus-noise covariance A A^H + sigma^2 I is singular: the link has "
+                f"rank p_k={p} in q_k={q} dimensions and sigma^2={s2:.3g} is too small to "
+                "fill the rest",
+            ))
         else:
-            r = np.zeros((h.shape[0], h.shape[0]), dtype=np.complex128)
-        l = noise.factors[k]
-        r = r + l @ herm(l)
-        effective.append(a)
-        covariances.append(0.5 * (r + herm(r)))
-    return CovarianceModel(
-        tuple(effective), tuple(covariances), noise.factors, noise.noiseless
-    )
+            g = herm(self._solve(
+                a, self.lam * s2, SingularMatrixError,
+                "signal-plus-noise covariance is singular; invertibility requires at least "
+                f"q_k={q} layers in total across users",
+            ))
+        finite = np.isfinite(g).all(axis=(-2, -1))
+        if not finite.all():
+            k = self.users[int(np.argmin(finite))]
+            raise InvalidInputError(f"user {k}: detector filter has non-finite entries")
+        return g
+
+    def _solve(self, b, shift, error, why) -> np.ndarray:
+        """`linalg.solve_shifted` on `eig`; a guard trip re-raises as `error`, naming the user."""
+        try:
+            return linalg.solve_shifted(self.eig, b, shift, [f"user {k}" for k in self.users])
+        except SingularMatrixError as exc:
+            bad = ~(linalg.shifted_condition(self.eig[0], shift) < linalg.CONDITION_LIMIT)
+            raise error(f"user {self.users[int(np.argmax(bad))]}: {why}") from exc
 
 
-def _regularized_filter(a: np.ndarray, r: np.ndarray, lam: float, user: int) -> np.ndarray:
-    """A^H (A A^H + lam * R)^{-1} with the shared condition guard."""
-    m = a @ herm(a) + lam * r
-    try:
-        x = linalg.solve_hermitian(m, a, context=f"user {user}")
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            f"user {user}: signal-plus-noise covariance is singular; invertibility "
-            f"requires at least q_k={a.shape[0]} layers in total across users"
-        ) from exc
-    return herm(x)
+def _per_user(cov: CovarianceModel, scheme: str, lam: float = 1.0, s2: float = 0.0) -> tuple:
+    """Run a scheme's stacked core on each (q_k, p_k) group of a covariance model."""
+    filters = [None] * len(cov.effective)
+    for users in _groups(a.shape for a in cov.effective):
+        a = np.stack([cov.effective[k] for k in users])
+        r = np.stack([cov.covariances[k] for k in users])
+        for k, g in zip(users, StackedDetector(scheme, lam, users, a, r).filters(s2)):
+            filters[k] = g
+    return tuple(filters)
 
 
 def mmse_irc(cov: CovarianceModel) -> Detector:
     """Interference-aware MMSE filters G_k = A_k^H (A_k A_k^H + R_k)^{-1}."""
-    filters = tuple(
-        _regularized_filter(a, r, 1.0, k)
-        for k, (a, r) in enumerate(zip(cov.effective, cov.covariances))
-    )
-    return Detector(filters, "mmse-irc")
+    return Detector(_per_user(cov, "mmse-irc"), "mmse-irc")
 
 
 def plain_mmse(cov: CovarianceModel, sigma: float) -> Detector:
     """White-noise MMSE: ignores the interference part of the covariance."""
     if sigma < 0:
         raise InvalidInputError(f"sigma must be >= 0, got {sigma}")
-    filters = []
-    for k, a in enumerate(cov.effective):
-        eye = np.eye(a.shape[0], dtype=np.complex128)
-        filters.append(_regularized_filter(a, sigma**2 * eye, 1.0, k))
-    return Detector(tuple(filters), "mmse")
+    return Detector(_per_user(cov, "mmse", s2=sigma**2), "mmse")
 
 
 def gen_lse(cov: CovarianceModel, lam: float) -> Detector:
@@ -163,42 +242,31 @@ def gen_lse(cov: CovarianceModel, lam: float) -> Detector:
     """
     if not lam > 0:
         raise InvalidInputError(f"lam must be > 0, got {lam}")
-    filters = tuple(
-        _regularized_filter(a, r, lam, k)
-        for k, (a, r) in enumerate(zip(cov.effective, cov.covariances))
-    )
-    return Detector(filters, f"gen-lse({lam:g})")
+    return Detector(_per_user(cov, "gen-lse", lam), f"gen-lse({lam:g})")
 
 
 def lse_limit(cov: CovarianceModel) -> Detector:
     """Whitened least-squares limit G_k = (A_k^H R_k^{-1} A_k)^{-1} A_k^H R_k^{-1}."""
-    filters = []
-    for k, (a, r) in enumerate(zip(cov.effective, cov.covariances)):
-        if linalg.cond(r) >= linalg.CONDITION_LIMIT:
-            raise NeedsExternalNoiseError(
-                f"user {k}: covariance is singular; non-zero external noise is "
-                "required for the whitened limit"
-            )
-        rinv_a = linalg.solve_hermitian(r, a, context=f"user {k} covariance")
-        m = herm(a) @ rinv_a
-        x = linalg.solve_hermitian(m, herm(rinv_a), context=f"user {k} normal matrix")
-        filters.append(x)
-    return Detector(tuple(filters), "lse-limit")
+    return Detector(_per_user(cov, "lse-limit"), "lse-limit")
 
 
 def qr_mld_parts(
-    a: np.ndarray, r: np.ndarray, whitener: np.ndarray | None = None
+    a: np.ndarray, r: np.ndarray, whitener: np.ndarray | None = None, users=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Factor one user's QR-based detector; returns (whitener, Q, T, G).
+    """Factor the QR-based detector; returns (whitener, Q, T, G).
 
     The whitener F satisfies F F^H = R (lower Cholesky by default, but any
     F U with U unitary yields the same filter); (Q, T) is the positive-
     diagonal QR of F^{-1} A, and G = T^{-1} Q^H F^{-1} is the linear part.
+    `a`, `r` (and `whitener`) may be stacks over a leading axis; `users`
+    then names the stack's users in a guard error.
     """
     a = linalg.as_cmatrix(a, "effective link")
-    if linalg.cond(r) >= linalg.CONDITION_LIMIT:
+    bad = ~(linalg.shifted_condition(np.linalg.eigvalsh(r)) < linalg.CONDITION_LIMIT)
+    if bad.any():
+        who = f"user {users[int(np.argmax(bad))]}: " if users is not None else ""
         raise NeedsExternalNoiseError(
-            "covariance is singular; non-zero external noise is required before whitening"
+            f"{who}covariance is singular; non-zero external noise is required before whitening"
         )
     if whitener is None:
         try:
@@ -207,25 +275,18 @@ def qr_mld_parts(
             raise NeedsExternalNoiseError(
                 "covariance is not positive definite; add external noise"
             ) from exc
-        white_a = solve_triangular(whitener, a, lower=True)
-        white_inv = solve_triangular(
-            whitener, np.eye(whitener.shape[0], dtype=np.complex128), lower=True
-        )
     else:
         whitener = linalg.as_cmatrix(whitener, "whitener")
-        white_a = np.linalg.solve(whitener, a)
-        white_inv = np.linalg.inv(whitener)
+    white_a = np.linalg.solve(whitener, a)
+    white_inv = np.linalg.inv(whitener)
     q, t = linalg.qr(white_a)
-    g = solve_triangular(t, herm(q) @ white_inv, lower=False)
+    g = np.linalg.solve(t, herm(q) @ white_inv)
     return whitener, q, t, g
 
 
 def qr_mld_linear(cov: CovarianceModel) -> Detector:
     """Linear part of the QR detector, G_k = T_k^{-1} Q_k^H F_k^{-1}."""
-    filters = tuple(
-        qr_mld_parts(a, r)[3] for a, r in zip(cov.effective, cov.covariances)
-    )
-    return Detector(filters, "qr-mld-linear")
+    return Detector(_per_user(cov, "qr-mld"), "qr-mld-linear")
 
 
 def qr_mld_detect(
@@ -252,7 +313,7 @@ def qr_mld_detect(
             f"received vector length {y.shape[0]} does not match q_k={a.shape[0]}"
         )
     whitener, q, t, _ = qr_mld_parts(a, r)
-    z = herm(q) @ solve_triangular(whitener, y, lower=True)
+    z = herm(q) @ np.linalg.solve(whitener, y)
     p = t.shape[0]
     s_hat = np.zeros((p, y.shape[1]), dtype=np.complex128)
     for i in range(p - 1, -1, -1):

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, MimoSimError
+from .detection import stack_users
 from .metrics import (
     PRECODER_SCHEMES,
-    link_report,
     make_precoder,
+    mu_report,
     parse_detector_scheme,
-    serve,
+    stacked_detectors,
     su_spectral_efficiency,
 )
 from .system import (
@@ -223,11 +224,12 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     Trials reuse the same derived seeds across grid points and scheme
     pairs, so curves differ only through the scheme and the noise level.
     Each value is computed once where it stops depending on the loops
-    inside it: per trial the channels, the single-user layer gains and one
-    multi-user precoder per scheme; per grid point the noise model, the
-    covariances and the closed-form single-user SE, which every detector
-    and precoder shares. The result equals the trial mean of `su_mu_report`
-    at each point.
+    inside it: per trial the channels, the single-user layer gains, one
+    multi-user precoder per scheme with its users stacked by shape, and one
+    noise-free factorization per detector and stack; per grid point the
+    noise level and the closed-form single-user SE. Each report only
+    rescales that factorization by the noise power, on the route
+    `su_mu_report` takes, so the result equals its trial mean at each point.
     """
     seeds = [trial_seed(config.base_seed, i) for i in range(config.trials)]
     # A scheme listed twice is computed once and its rows repeated.
@@ -247,20 +249,22 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
             channels = generate_channels(scenario)
             gains = su_layer_gains(channels)
         su_power = mean_su_layer_power(gains)
-        precoders = {}
+        stacks, cores = {}, {}
         for name in precoder_names:
             with _sweep_point(f"precoder {name}, trial {trial}"):
-                precoders[name] = make_precoder(channels, name, config.total_power)
-        for db in config.su_sinr_grid_db:
-            noise = noise_for_target(scenario, su_power, db)
-            su_se = su_spectral_efficiency(gains, noise.sigma)
-            services = {name: serve(channels, p, noise) for name, p in precoders.items()}
+                precoder = make_precoder(channels, name, config.total_power)
+            stacks[name] = stack_users(channels, precoder)
             for detector in detector_names:
-                for name, service in services.items():
+                cores[(name, detector)] = stacked_detectors(stacks[name], detector)
+        for db in config.su_sinr_grid_db:
+            sigma = noise_for_target(scenario, su_power, db).sigma
+            su_se = su_spectral_efficiency(gains, sigma)
+            for detector in detector_names:
+                for name in precoder_names:
                     with _sweep_point(
                         f"precoder {name}, detector {detector}, su_sinr_db {db:g}, trial {trial}"
                     ):
-                        report = link_report(service, detector, su_se)
+                        report = mu_report(stacks[name], cores[(name, detector)], sigma, su_se)
                     acc = sums[(name, detector, db)]
                     acc[0] += report.mu_se
                     acc[1] += report.su_se

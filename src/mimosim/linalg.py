@@ -22,18 +22,18 @@ CONDITION_LIMIT = 1e12
 
 
 def as_cmatrix(m, name: str = "matrix") -> np.ndarray:
-    """Validate and convert input to a finite 2-D complex128 array."""
+    """Validate and convert input to a finite complex128 matrix or stack (..., m, n)."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2:
-        raise InvalidInputError(f"{name} must be 2-D, got ndim={a.ndim}")
+    if a.ndim < 2:
+        raise InvalidInputError(f"{name} must be at least 2-D, got ndim={a.ndim}")
     if not np.isfinite(a).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return a
 
 
 def herm(m: np.ndarray) -> np.ndarray:
-    """Hermitian transpose."""
-    return m.conj().T
+    """Hermitian transpose of a matrix or of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -52,44 +52,46 @@ def qr(m) -> tuple[np.ndarray, np.ndarray]:
     """Reduced QR with the diagonal of R forced strictly positive real.
 
     The phase of each column of Q is absorbed so that the factor pair is
-    unique; rank-deficient input raises RankDeficiencyError.
+    unique; rank-deficient input raises RankDeficiencyError. A stack
+    (..., m, n) is factored, and checked, matrix by matrix.
     """
     a = as_cmatrix(m)
-    if a.shape[0] < a.shape[1]:
+    if a.shape[-2] < a.shape[-1]:
         raise RankDeficiencyError(
-            f"matrix of shape {a.shape} cannot have full column rank"
+            f"matrix of shape {a.shape[-2:]} cannot have full column rank"
         )
     q, r = np.linalg.qr(a, mode="reduced")
-    d = np.diagonal(r)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     mags = np.abs(d)
-    if mags.size == 0 or np.min(mags) <= RANK_RTOL * max(np.max(mags), 0.0) or np.max(mags) == 0.0:
+    if mags.size == 0 or np.any(mags.min(axis=-1) <= RANK_RTOL * mags.max(axis=-1)):
         raise RankDeficiencyError(
-            f"matrix of shape {a.shape} is rank deficient; QR requires full column rank"
+            f"matrix of shape {a.shape[-2:]} is rank deficient; QR requires full column rank"
         )
     phases = d / mags
-    q = q * phases[np.newaxis, :]
-    r = r * phases.conj()[:, np.newaxis]
+    q = q * phases[..., np.newaxis, :]
+    r = r * phases.conj()[..., :, np.newaxis]
     # Kill rounding residue on the diagonal's imaginary part.
-    n = r.shape[0]
-    r[np.arange(n), np.arange(n)] = mags
+    n = r.shape[-1]
+    r[..., np.arange(n), np.arange(n)] = mags
     return q, r
 
 
 def cholesky(r) -> np.ndarray:
-    """Lower-triangular Cholesky factor L with L @ herm(L) = R."""
+    """Lower-triangular Cholesky factor L with L @ herm(L) = R.
+
+    A stack (..., n, n) is factored, and checked, matrix by matrix.
+    """
     a = as_cmatrix(r)
-    if a.shape[0] != a.shape[1]:
-        raise DecompositionError(f"Cholesky input must be square, got {a.shape}")
-    scale = np.linalg.norm(a)
-    if np.linalg.norm(a - herm(a)) > 1e-10 * max(scale, 1e-300):
+    if a.shape[-2] != a.shape[-1]:
+        raise DecompositionError(f"Cholesky input must be square, got {a.shape[-2:]}")
+    scale = np.linalg.norm(a, axis=(-2, -1))
+    if np.any(np.linalg.norm(a - herm(a), axis=(-2, -1)) > 1e-10 * np.maximum(scale, 1e-300)):
         raise DecompositionError("Cholesky input is not Hermitian")
     sym = 0.5 * (a + herm(a))
     try:
         return np.linalg.cholesky(sym)
     except np.linalg.LinAlgError as exc:
-        raise DecompositionError(
-            "matrix is not positive definite (pivot <= 0)"
-        ) from exc
+        raise DecompositionError("matrix is not positive definite (pivot <= 0)") from exc
 
 
 def pinv(m) -> np.ndarray:
@@ -114,13 +116,42 @@ def is_full_rank(m, rtol: float = RANK_RTOL) -> bool:
     return bool(s[-1] > rtol * s[0])
 
 
+def eigh(m) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (e ascending, U) of the Hermitian part of each matrix in a stack."""
+    a = np.asarray(m, dtype=np.complex128)
+    return np.linalg.eigh(0.5 * (a + herm(a)))
+
+
+def shifted_condition(e: np.ndarray, shift: float = 0.0) -> np.ndarray:
+    """Condition number max|e + c| / min|e + c| of each S + cI, from S's eigenvalues.
+
+    For Hermitian S these are its singular values, so this is the 2-norm
+    condition number; a singular matrix gives inf.
+    """
+    mags = np.abs(e + shift)
+    low = mags.min(axis=-1)
+    return np.divide(mags.max(axis=-1), low, out=np.full(low.shape, np.inf), where=low > 0)
+
+
+def solve_shifted(eig, b: np.ndarray, shift: float = 0.0, names=None) -> np.ndarray:
+    """(S + cI)^{-1} B = U diag(1 / (e + c)) U^H B for each Hermitian S of a stack.
+
+    `eig` is `eigh(S)`, so every shift c reuses one eigendecomposition. The
+    guard is the condition-number limit on S + cI; a trip raises
+    SingularMatrixError naming the first failing matrix by `names[i]`.
+    """
+    e, u = eig
+    c = shifted_condition(e, shift)
+    bad = ~(c < CONDITION_LIMIT)
+    if bad.any():
+        i = int(np.argmax(bad.reshape(-1)))
+        where = f" ({names[i]})" if names else ""
+        raise SingularMatrixError(
+            f"matrix is singular or near-singular (condition number {c.reshape(-1)[i]:.3g}){where}"
+        )
+    return u @ ((herm(u) @ b) / (e + shift)[..., :, np.newaxis])
+
+
 def solve_hermitian(m: np.ndarray, b: np.ndarray, context: str = "") -> np.ndarray:
     """Solve M X = B for Hermitian M, guarded by the condition-number limit."""
-    sym = 0.5 * (m + herm(m))
-    c = cond(sym)
-    if not np.isfinite(c) or c >= CONDITION_LIMIT:
-        where = f" ({context})" if context else ""
-        raise SingularMatrixError(
-            f"matrix is singular or near-singular (condition number {c:.3g}){where}"
-        )
-    return np.linalg.solve(sym, b)
+    return solve_shifted(eigh(m), b, names=(context,) if context else None)

@@ -12,9 +12,9 @@ interference saturate and the ratio diverges instead.
 Each user's links are one p_k x p row block G_k H_k W of the stacked
 precoder W = [W_1 ... W_K]; user k's own layers are its columns
 start_k .. start_k + p_k, the other columns are cross-user leakage. The
-sweep runner composes the same helpers as `su_mu_report`, but builds each
-precoder once per trial and each covariance and single-user SE once per
-trial and noise level.
+multi-user leg runs on users stacked by shape (`detection.stack_users`),
+one detector core, G @ H W product and `sinr_per_layer` call per group;
+`su_mu_report` and the sweep share it, the sweep factoring once per trial.
 """
 
 import math
@@ -26,12 +26,14 @@ import numpy as np
 from .detection import (
     CovarianceModel,
     Detector,
-    build_covariance,
+    StackedDetector,
+    UserStack,
     gen_lse,
     lse_limit,
     mmse_irc,
     plain_mmse,
     qr_mld_linear,
+    stack_users,
 )
 from .errors import ConfigError, InvalidInputError
 from .precoding import Precoder, mrt_precode, rczf_precode, reduce_ezf, reduce_full_zf
@@ -59,55 +61,43 @@ class LinkReport:
     ratio: float
 
 
-@dataclass(frozen=True)
-class Service:
-    """A channel set served by one precoder under one noise model.
-
-    `cov` holds the interference-plus-noise covariances that every detector
-    scheme starts from, so the schemes at one noise level share it.
-    """
-
-    channels: ChannelSet
-    precoder: Precoder
-    noise: NoiseModel
-    cov: CovarianceModel
-
-
-def effective_links(
-    channels: ChannelSet, precoder: Precoder, detector: Detector
-) -> list:
+def effective_links(channels: ChannelSet, precoder: Precoder, detector: Detector) -> list:
     """Per-user stacked links: links[k] = G_k @ H_k @ W (p_k x p)."""
     w = precoder.stacked
     return [(g @ h) @ w for g, h in zip(detector.filters, channels.matrices)]
 
 
-def _cross_power(power: np.ndarray, start: int) -> np.ndarray:
-    """Per-row power in the other users' columns of a |link|^2 row block.
+def _cross_power(power: np.ndarray, start) -> np.ndarray:
+    """Per-row power in the other users' columns of |link|^2 row blocks.
 
     Summed over those columns directly: subtracting the own columns from the
     row total would lose a cross leak ~1e-9 of the signal to cancellation.
     """
-    stop = start + power.shape[0]
-    return power[:, :start].sum(axis=1) + power[:, stop:].sum(axis=1)
+    cols = np.arange(power.shape[-1])
+    start = np.asarray(start)[..., np.newaxis]
+    others = (cols < start) | (cols >= start + power.shape[-2])
+    return np.sum(power * others[..., np.newaxis, :], axis=-1)
 
 
-def sinr_per_layer(link: np.ndarray, start: int, g: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """Post-detection SINR for each layer of one user.
+def sinr_per_layer(link: np.ndarray, start, g: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """Post-detection SINR for each layer of one user, or of each user in a stack.
 
     `link` is the user's stacked row block G_k H_k W and its own block
     T_kk = link[:, start:start + p_k]. signal_i = |T_kk[i,i]|^2, against the
     off-diagonal of row i of T_kk, the other users' columns of row i, and
     the noise power ||row_i(G L)||^2. Perfect noiseless layers cap at
-    SINR_CAP; an all-zero layer reports 0.
+    SINR_CAP; an all-zero layer reports 0. With a leading stack axis on
+    `link` and `g` (and optionally `l`), `start` holds one offset per entry.
     """
-    p = link.shape[0]
+    p = link.shape[-2]
     power = np.abs(link) ** 2
-    own = power[:, start:start + p]
-    signal = own.diagonal()
-    self_leak = own.sum(axis=1) - signal
-    noise = np.sum(np.abs(g @ l) ** 2, axis=1)
+    own_cols = np.asarray(start)[..., np.newaxis] + np.arange(p)
+    own = np.take_along_axis(power, own_cols[..., np.newaxis, :], axis=-1)
+    signal = np.diagonal(own, axis1=-2, axis2=-1)
+    self_leak = own.sum(axis=-1) - signal
+    noise = np.sum(np.abs(g @ l) ** 2, axis=-1)
     denom = self_leak + _cross_power(power, start) + noise
-    out = np.full(p, SINR_CAP)
+    out = np.full(signal.shape, SINR_CAP)
     below_cap = denom > signal / SINR_CAP
     out[below_cap] = np.minimum(signal[below_cap] / denom[below_cap], SINR_CAP)
     out[signal == 0.0] = 0.0
@@ -157,34 +147,39 @@ def make_precoder(channels: ChannelSet, scheme: str, total_power: float) -> Prec
 def make_detector(cov: CovarianceModel, scheme: str, sigma: float) -> Detector:
     """Build a named detector from a covariance model."""
     base, lam = parse_detector_scheme(scheme)
-    if base == "mmse-irc":
-        return mmse_irc(cov)
     if base == "mmse":
         return plain_mmse(cov, sigma)
     if base == "gen-lse":
         return gen_lse(cov, lam)
-    if base == "lse-limit":
-        return lse_limit(cov)
-    return qr_mld_linear(cov)
+    return {"mmse-irc": mmse_irc, "lse-limit": lse_limit, "qr-mld": qr_mld_linear}[base](cov)
 
 
-def serve(channels: ChannelSet, precoder: Precoder, noise: NoiseModel) -> Service:
-    """Pair a precoder and noise model with their covariance model."""
-    return Service(channels, precoder, noise, build_covariance(channels, precoder, noise))
+def stacked_detectors(stacks: tuple[UserStack, ...], scheme: str) -> list[StackedDetector]:
+    """A named detector scheme on each user stack, with its noise-free part factored."""
+    base, lam = parse_detector_scheme(scheme)
+    return [StackedDetector(base, lam, s.users, s.effective, s.interference) for s in stacks]
 
 
-def _detect(service: Service, detector_scheme: str) -> tuple[list, list, list]:
-    """Stacked links, per-layer SINRs and per-user SE under one detector scheme."""
-    detector = make_detector(service.cov, detector_scheme, service.noise.sigma)
-    links = effective_links(service.channels, service.precoder, detector)
-    sinrs, ses = [], []
-    start = 0
-    for k, link in enumerate(links):
-        s = sinr_per_layer(link, start, detector.filters[k], service.noise.factors[k])
-        sinrs.append(s)
-        ses.append(spectral_efficiency(s))
-        start += link.shape[0]
-    return links, sinrs, ses
+def mu_report(stacks: tuple, detectors: list, sigma: float, su_se: float) -> LinkReport:
+    """Multi-user report at white noise sigma against a given SU SE.
+
+    Per stack: the filters from its detector core, the links as one batched
+    G @ H W product, and the per-layer SINRs in one `sinr_per_layer` call.
+    Per-user results are laid out in user order.
+    """
+    n = sum(len(s.users) for s in stacks)
+    links, sinrs, ses, leaks = [None] * n, [None] * n, [None] * n, [None] * n
+    for stack, detector in zip(stacks, detectors):
+        g = detector.filters(sigma**2)
+        link = g @ stack.links
+        sinr = sinr_per_layer(link, stack.starts, g, sigma * np.eye(g.shape[-1]))
+        se = np.sum(np.log2(1.0 + sinr), axis=-1)
+        leak = np.sum(_cross_power(np.abs(link) ** 2, stack.starts), axis=-1)
+        for i, k in enumerate(stack.users):
+            links[k], sinrs[k], ses[k], leaks[k] = link[i], sinr[i], float(se[i]), float(leak[i])
+    mu_se = float(sum(ses))
+    ratio = su_se / mu_se if mu_se > 0 else math.inf
+    return LinkReport(links, sinrs, ses, leaks, mu_se, float(su_se), float(ratio))
 
 
 def su_spectral_efficiency(gains: tuple, sigma: float) -> float:
@@ -200,27 +195,6 @@ def su_spectral_efficiency(gains: tuple, sigma: float) -> float:
         for g in gains:
             su_se += spectral_efficiency(np.minimum(g / sigma2, SINR_CAP))
     return su_se
-
-
-def link_report(service: Service, detector_scheme: str, su_se: float) -> LinkReport:
-    """Multi-user report of a served channel set against a given SU SE."""
-    links, sinrs, ses = _detect(service, detector_scheme)
-    leaks = []
-    start = 0
-    for link in links:
-        leaks.append(float(np.sum(_cross_power(np.abs(link) ** 2, start))))
-        start += link.shape[0]
-    mu_se = float(sum(ses))
-    ratio = su_se / mu_se if mu_se > 0 else math.inf
-    return LinkReport(
-        links=links,
-        sinr=sinrs,
-        se=ses,
-        interference_power=leaks,
-        mu_se=mu_se,
-        su_se=float(su_se),
-        ratio=float(ratio),
-    )
 
 
 def su_mu_report(
@@ -246,4 +220,5 @@ def su_mu_report(
             )
     precoder = make_precoder(channels, precoder_scheme, channels.scenario.total_power)
     su_se = su_spectral_efficiency(su_layer_gains(channels), noise.sigma)
-    return link_report(serve(channels, precoder, noise), detector_scheme, su_se)
+    stacks = stack_users(channels, precoder)
+    return mu_report(stacks, stacked_detectors(stacks, detector_scheme), noise.sigma, su_se)

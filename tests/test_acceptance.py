@@ -66,16 +66,22 @@ def fig4_rows():
 
 
 @pytest.fixture(scope="module")
-def fig5_rows():
-    return run_sweep(parse_config((CONFIG_DIR / "fig5.cfg").read_text()))
+def fig5_sweep():
+    """fig5 with the interference-aware baseline in the same sweep: same
+    scenario, grid, seed and trials, so both curves share every channel draw."""
+    cfg = parse_config((CONFIG_DIR / "fig5.cfg").read_text())
+    return run_sweep(dataclasses.replace(cfg, detectors=("mmse", "mmse-irc")))
 
 
 @pytest.fixture(scope="module")
-def fig5_irc_rows():
+def fig5_rows(fig5_sweep):
+    return [r for r in fig5_sweep if r.detector == "mmse"]
+
+
+@pytest.fixture(scope="module")
+def fig5_irc_rows(fig5_sweep):
     """Interference-aware baseline at fig5's exact scenario/grid/seed."""
-    cfg = parse_config((CONFIG_DIR / "fig5.cfg").read_text())
-    cfg = dataclasses.replace(cfg, precoders=("ezf",), detectors=("mmse-irc",))
-    return run_sweep(cfg)
+    return [r for r in fig5_sweep if r.precoder == "ezf" and r.detector == "mmse-irc"]
 
 
 def test_criterion_01_identity_suite():

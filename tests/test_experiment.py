@@ -227,7 +227,7 @@ class TestFailingSweepPoint:
         assert "su_sinr_db 130" in message
         assert "trial 0" in message
         assert message.endswith(str(exc.__cause__))
-        assert "requires at least q_k=4 layers in total" in message
+        assert "the link has rank p_k=2 in q_k=4 dimensions" in message
 
     def test_mmse_irc_finishes_at_120_db(self, fig3):
         # The multi-user mmse-irc solves still succeed at 120 dB, and the
@@ -268,6 +268,62 @@ class TestFailingSweepPoint:
         assert "numerical failure: precoder ezf" in err
         assert "detector mmse, su_sinr_db 130, trial 0" in err
         assert not (tmp_path / "out.csv").exists()
+
+
+class TestHighSnrEdge:
+    """fig3 trial 0, ezf, over 100:130:5 dB, one grid point per sweep.
+
+    The condition guard trips only where a matrix really is singular to
+    working precision: plain MMSE's q_k x q_k matrix A A^H + sigma^2 I (rank
+    p_k = 2 in 4 dimensions) from 125 dB, the covariance that qr-mld and
+    lse-limit whiten at 130 dB, the regularized filters nowhere. Every other
+    point is finite.
+    """
+
+    GRID = tuple(float(db) for db in range(100, 131, 5))
+    TRIPS = {
+        "mmse": {125.0: SingularMatrixError, 130.0: SingularMatrixError},
+        "mmse-irc": {},
+        "gen-lse(0.1)": {},
+        "qr-mld": {130.0: NeedsExternalNoiseError},
+        "lse-limit": {130.0: NeedsExternalNoiseError},
+    }
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        fig3 = dataclasses.replace(parse_config((CONFIG_DIR / "fig3.cfg").read_text()), trials=1)
+        out = {}
+        for detector in self.TRIPS:
+            for db in self.GRID:
+                cfg = dataclasses.replace(fig3, su_sinr_grid_db=(db,), detectors=(detector,))
+                try:
+                    out[(detector, db)] = run_sweep(cfg)[0]
+                except SingularMatrixError as exc:
+                    out[(detector, db)] = exc
+        return out
+
+    @pytest.mark.parametrize("detector", list(TRIPS))
+    def test_guard_trips_where_it_did(self, points, detector):
+        for db in self.GRID:
+            got = points[(detector, db)]
+            if db in self.TRIPS[detector]:
+                assert type(got) is self.TRIPS[detector][db], (detector, db, got)
+                assert str(got).startswith(f"precoder ezf, detector {detector}, su_sinr_db {db:g}")
+            else:
+                assert not isinstance(got, Exception), (detector, db, got)
+                values = (got.mu_se_mean, got.su_se_mean, got.ratio_mean, got.interference_power_mean)
+                assert all(np.isfinite(values)), (detector, db)
+
+    def test_lse_limit_tracks_qr_mld(self, points):
+        # The whitened limit applies R^{-1} through eigh(R_int) shifted by
+        # sigma^2. An LU solve of R instead loses R^{-1} A's accuracy at high
+        # SINR, and the normal equations then part from the QR route.
+        for db in self.GRID[:-1]:
+            lse, qr = points[("lse-limit", db)], points[("qr-mld", db)]
+            np.testing.assert_allclose(
+                [lse.mu_se_mean, lse.ratio_mean], [qr.mu_se_mean, qr.ratio_mean],
+                rtol=1e-9, atol=0.0, err_msg=f"{db} dB",
+            )
 
 
 class TestCli:

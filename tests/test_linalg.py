@@ -174,3 +174,53 @@ def test_cond_and_rank_helpers(rng):
     assert linalg.is_full_rank(crandn(rng, 3, 8))
     col = crandn(rng, 4, 1)
     assert not linalg.is_full_rank(np.hstack([col, col]))
+
+
+class TestStacks:
+    def test_qr_and_cholesky_factor_each_matrix(self, rng):
+        m = crandn(rng, 3, 5, 2)
+        q, r = linalg.qr(m)
+        h = m @ linalg.herm(m) + 0.1 * np.eye(5)
+        l = linalg.cholesky(h)
+        for i in range(3):
+            qi, ri = linalg.qr(m[i])
+            np.testing.assert_allclose(q[i], qi, atol=1e-12)
+            np.testing.assert_allclose(r[i], ri, atol=1e-12)
+            np.testing.assert_allclose(l[i], linalg.cholesky(h[i]), atol=1e-12)
+
+    def test_every_matrix_is_checked(self, rng):
+        m = crandn(rng, 3, 4, 2)
+        m[1, :, 1] = m[1, :, 0]
+        with pytest.raises(RankDeficiencyError):
+            linalg.qr(m)
+        h = np.stack([np.eye(2), np.diag([1.0, -1.0]), np.eye(2)]).astype(complex)
+        with pytest.raises(DecompositionError, match="positive definite"):
+            linalg.cholesky(h)
+        h[1] = crandn(rng, 2, 2)
+        with pytest.raises(DecompositionError, match="Hermitian"):
+            linalg.cholesky(h)
+
+    def test_solve_shifted_matches_solve(self, rng):
+        c = crandn(rng, 4, 3, 3)
+        s = c @ linalg.herm(c)
+        b = crandn(rng, 4, 3, 2)
+        eig = linalg.eigh(s)
+        for shift in (0.0, 0.5):
+            expected = np.linalg.solve(s + shift * np.eye(3), b)
+            got = linalg.solve_shifted(eig, b, shift)
+            assert np.linalg.norm(got - expected) < 1e-10 * np.linalg.norm(expected)
+
+    def test_shifted_guard_names_the_failing_matrix(self):
+        s = np.stack([np.eye(2), np.diag([1.0, 1e-13])])
+        eig = linalg.eigh(s)
+        with pytest.raises(SingularMatrixError, match=r"condition number 1e\+13\) \(user 7\)"):
+            linalg.solve_shifted(eig, np.ones((2, 2, 1)), names=["user 3", "user 7"])
+        np.testing.assert_allclose(
+            linalg.solve_shifted(eig, np.ones((2, 2, 1)), 1e-3)[1, :, 0], [1 / 1.001, 1 / 1e-3]
+        )
+        assert np.isinf(linalg.shifted_condition(np.zeros(2)))
+
+
+def test_solve_hermitian_rejects_zero_matrix():
+    with pytest.raises(SingularMatrixError):
+        linalg.solve_hermitian(np.zeros((2, 2)), np.ones((2, 1)))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,9 @@ from mimosim.metrics import (
     DETECTOR_SCHEMES,
     SINR_CAP,
     effective_links,
-    link_report,
     make_detector,
     make_precoder,
     parse_detector_scheme,
-    serve,
     sinr_per_layer,
     spectral_efficiency,
     su_mu_report,
@@ -21,6 +21,7 @@ from mimosim.metrics import (
 )
 from mimosim.precoding import mrt_precode, rczf_precode, reduce_ezf
 from mimosim.system import (
+    ChannelSet,
     NoiseModel,
     Scenario,
     calibrate_noise,
@@ -243,10 +244,13 @@ class TestSingleUserClosedForm:
             noise = calibrate_noise(channels, db)
             total = 0.0
             for k, (_, p_k) in enumerate(scenario.users):
-                alone = channels.single_user(k)
-                precoder = rczf_precode(reduce_ezf(alone), share * p_k)
-                service = serve(alone, precoder, NoiseModel((noise.factors[k],), noise.sigma))
-                se = link_report(service, scheme, 0.0).mu_se
+                # User k alone, with its own EZF precoder at power share * p_k.
+                solo = channels.single_user(k)
+                alone = ChannelSet(
+                    dataclasses.replace(solo.scenario, total_power=share * p_k), solo.matrices
+                )
+                noise_k = NoiseModel((noise.factors[k],), noise.sigma)
+                se = su_mu_report(alone, "ezf", scheme, noise_k).mu_se
                 np.testing.assert_allclose(
                     se, su_spectral_efficiency((gains[k],), noise.sigma), rtol=1e-12, atol=0.0
                 )
