@@ -4,8 +4,16 @@ Each suite runs over seeded random scenarios (or synthetic well-conditioned
 link/covariance pairs), returns the worst residual observed, and compares
 it against the pinned threshold. The CLI `check` command prints one line
 per suite; the acceptance tests assert the same results.
+
+The suites share their inputs through pools: the default EZF scenarios of
+all seeds as one stack of users, and the synthetic pairs as one stack.
+`run_all_checks` builds each pool once and drops it when it returns; a
+suite called on its own builds its own. Detectors run on slices of at most
+`BATCH_USERS` pooled users, each slice one call of the public detector
+function with one `CovarianceModel` entry per user.
 """
 
+import contextvars
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,19 +21,25 @@ import numpy as np
 from . import linalg
 from .detection import (
     CovarianceModel,
-    build_covariance,
     gen_lse,
     lse_limit,
     mmse_irc,
     qr_mld_linear,
     qr_mld_parts,
     reference_ic,
+    stack_users,
 )
 from .linalg import herm
 from .precoding import mrt_precode, rczf_precode, reduce_ezf
-from .system import ChannelSet, NoiseModel, Scenario, generate_channels
+from .system import ChannelSet, Scenario, generate_channels
 
 DEFAULT_SCENARIO_SEEDS = tuple(range(1, 101))
+_DEFAULT_USERS = ((4, 2),) * 8
+# Users per detector call: the detectors' temporaries, and so peak memory, grow with it.
+BATCH_USERS = 200
+
+# The pools of the run_all_checks() call in progress, by key; None outside one.
+_RUN_POOLS = contextvars.ContextVar("run_pools", default=None)
 
 
 @dataclass(frozen=True)
@@ -35,42 +49,124 @@ class CheckResult:
     detail: str
 
 
+def _batches(n: int) -> list[slice]:
+    """Row slices of at most BATCH_USERS rows covering n pooled rows in order."""
+    return [slice(i, min(i + BATCH_USERS, n)) for i in range(0, n, BATCH_USERS)]
+
+
+def _pooled(key, build):
+    """`build()`, made once per run_all_checks() call for each `key`."""
+    pools = _RUN_POOLS.get()
+    if pools is None:
+        return build()
+    if key not in pools:
+        pools[key] = build()
+    return pools[key]
+
+
 def _default_channels(seed: int) -> ChannelSet:
-    scenario = Scenario(t=64, users=((4, 2),) * 8, total_power=1.0, seed=seed)
+    scenario = Scenario(t=64, users=_DEFAULT_USERS, total_power=1.0, seed=seed)
     return generate_channels(scenario)
 
 
-def _default_ezf(seed: int):
-    """The default scenario's channels and their eigen zero-forcing precoder."""
-    channels = _default_channels(seed)
-    return channels, rczf_precode(reduce_ezf(channels), channels.scenario.total_power)
+@dataclass(frozen=True)
+class _ScenarioPool:
+    """The default scenarios of some seeds under EZF, all users of all seeds stacked.
+
+    Row i is user i % users of the (i // users)-th seed: its own link
+    A = H W_k, noise-free interference covariance R_int, reference filter
+    G0 = B / scale, G0 H W over every layer, and ||H||. w_norms[s, j] is
+    ||W_j|| of the s-th seed.
+    """
+
+    users: int
+    effective: np.ndarray
+    interference: np.ndarray
+    reference: np.ndarray
+    reference_links: np.ndarray
+    h_norms: np.ndarray
+    w_norms: np.ndarray
+
+    @classmethod
+    def build(cls, seeds) -> "_ScenarioPool":
+        m, (q, p) = len(_DEFAULT_USERS), _DEFAULT_USERS[0]
+        n = len(seeds) * m
+        pool = cls(
+            m,
+            np.empty((n, q, p), np.complex128),
+            np.empty((n, q, q), np.complex128),
+            np.empty((n, p, q), np.complex128),
+            np.empty((n, p, m * p), np.complex128),
+            np.empty(n),
+            np.empty((len(seeds), m)),
+        )
+        for s, seed in enumerate(seeds):
+            channels = _default_channels(seed)
+            precoder = rczf_precode(reduce_ezf(channels), channels.scenario.total_power)
+            ref = reference_ic(precoder.reduced, precoder.scale)
+            (stack,) = stack_users(channels, precoder)  # one group: every user is 4x2
+            rows = slice(s * m, (s + 1) * m)
+            pool.effective[rows] = stack.effective
+            pool.interference[rows] = stack.interference
+            pool.reference[rows] = ref.filters
+            pool.reference_links[rows] = pool.reference[rows] @ stack.links
+            pool.h_norms[rows] = np.linalg.norm(np.stack(channels.matrices), axis=(-2, -1))
+            pool.w_norms[s] = np.linalg.norm(np.stack(precoder.blocks), axis=(-2, -1))
+        return pool
+
+    def covariance(self, rows: slice, sigma: float) -> CovarianceModel:
+        """The users in `rows` with white external noise L = sigma I."""
+        a = self.effective[rows]
+        factor = sigma * np.eye(a.shape[-2], dtype=np.complex128)
+        r = self.interference[rows] + factor @ herm(factor)
+        r = 0.5 * (r + herm(r))
+        return CovarianceModel(tuple(a), tuple(r), (factor,) * len(a), noiseless=sigma == 0)
 
 
-def _white_cov(channels: ChannelSet, precoder, sigma: float) -> CovarianceModel:
-    noise = NoiseModel.white(channels.scenario, sigma)
-    return build_covariance(channels, precoder, noise)
+def _scenario_pool(seeds) -> _ScenarioPool:
+    seeds = tuple(seeds)
+    return _pooled(("scenarios", seeds), lambda: _ScenarioPool.build(seeds))
 
 
-def _rel(diff: np.ndarray, ref: np.ndarray) -> float:
-    return float(np.linalg.norm(diff) / np.linalg.norm(ref))
+def _filters(detector) -> np.ndarray:
+    return np.stack(detector.filters)
+
+
+def _rel_rows(diff: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Relative Frobenius norm of each matrix of a stack."""
+    return np.linalg.norm(diff, axis=(-2, -1)) / np.linalg.norm(ref, axis=(-2, -1))
+
+
+def _deviations(pool: _ScenarioPool, sigma: float, detector) -> np.ndarray:
+    """||G - G0|| per pooled user, G from `detector` at external noise sigma."""
+    return np.concatenate([
+        np.linalg.norm(
+            _filters(detector(pool.covariance(rows, sigma))) - pool.reference[rows],
+            axis=(-2, -1),
+        )
+        for rows in _batches(len(pool.effective))
+    ])
+
+
+def _worst_against_reference(pool: _ScenarioPool, sigma: float, detector) -> float:
+    """Worst relative deviation of `detector` from the reference filters at noise sigma."""
+    ref_norms = np.linalg.norm(pool.reference, axis=(-2, -1))
+    return float((_deviations(pool, sigma, detector) / ref_norms).max())
 
 
 def identity_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
     """Zero-forcing + reference detector: own links are I, cross links vanish."""
-    max_diag = 0.0
-    max_cross = 0.0
-    for seed in seeds:
-        channels, precoder = _default_ezf(seed)
-        detector = reference_ic(precoder.reduced, precoder.scale)
-        for k, h in enumerate(channels.matrices):
-            gh = detector.filters[k] @ h
-            for j, w in enumerate(precoder.blocks):
-                t = gh @ w
-                if j == k:
-                    max_diag = max(max_diag, float(np.linalg.norm(t - np.eye(t.shape[0]))))
-                else:
-                    denom = np.linalg.norm(h) * np.linalg.norm(w)
-                    max_cross = max(max_cross, float(np.linalg.norm(t) / denom))
+    pool = _scenario_pool(seeds)
+    m, p = pool.users, pool.reference.shape[1]
+    # t[s, k, j] = G0 H W_j for user k of seed s; all blocks are p x p here.
+    t = pool.reference_links.reshape(-1, m, p, m, p).swapaxes(2, 3)
+    own = np.arange(m)
+    diag = t[:, own, own] - np.eye(p)
+    max_diag = float(np.linalg.norm(diag, axis=(-2, -1)).max())
+    denom = pool.h_norms.reshape(-1, m, 1) * pool.w_norms[:, np.newaxis, :]
+    cross = np.linalg.norm(t, axis=(-2, -1)) / denom
+    cross[:, own, own] = 0.0
+    max_cross = float(cross.max())
     passed = max_diag < 1e-8 and max_cross < 1e-8
     return CheckResult(
         "identity (zero-forcing cancels interference)",
@@ -116,14 +212,7 @@ def necessity_suite(seeds=tuple(range(1, 21))) -> CheckResult:
 
 def mmse_irc_noiseless_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
     """Noiseless interference-aware MMSE equals the reference detector."""
-    worst = 0.0
-    for seed in seeds:
-        channels, precoder = _default_ezf(seed)
-        cov = _white_cov(channels, precoder, 0.0)
-        det = mmse_irc(cov)
-        ref = reference_ic(precoder.reduced, precoder.scale)
-        for g, g0 in zip(det.filters, ref.filters):
-            worst = max(worst, _rel(g - g0, g0))
+    worst = _worst_against_reference(_scenario_pool(seeds), 0.0, mmse_irc)
     return CheckResult(
         "mmse-irc noiseless equality",
         worst < 1e-7,
@@ -133,19 +222,14 @@ def mmse_irc_noiseless_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
 
 def mmse_irc_rate_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
     """Detector error decays quadratically in the external-noise scale."""
-    lo, hi = np.inf, 0.0
-    for seed in seeds:
-        channels, precoder = _default_ezf(seed)
-        ref = reference_ic(precoder.reduced, precoder.scale)
-        errs = {}
-        for sigma in (1e-2, 1e-3):
-            cov = _white_cov(channels, precoder, sigma)
-            det = mmse_irc(cov)
-            errs[sigma] = max(
-                float(np.linalg.norm(g - g0)) for g, g0 in zip(det.filters, ref.filters)
-            )
-        ratio = errs[1e-2] / errs[1e-3]
-        lo, hi = min(lo, ratio), max(hi, ratio)
+    pool = _scenario_pool(seeds)
+    # Per seed: the worst user's error at each sigma.
+    err = [
+        _deviations(pool, sigma, mmse_irc).reshape(-1, pool.users).max(axis=1)
+        for sigma in (1e-2, 1e-3)
+    ]
+    ratio = err[0] / err[1]
+    lo, hi = float(ratio.min()), float(ratio.max())
     passed = lo >= 50.0 and hi <= 200.0
     return CheckResult(
         "mmse-irc quadratic convergence rate",
@@ -157,16 +241,15 @@ def mmse_irc_rate_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
 
 def lambda_independence_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
     """Noiseless generalized LSE does not depend on the regularizer weight."""
+    pool = _scenario_pool(seeds)
     worst = 0.0
     lams = (1e-3, 1.0, 1e3)
-    for seed in seeds:
-        channels, precoder = _default_ezf(seed)
-        cov = _white_cov(channels, precoder, 0.0)
-        dets = [gen_lse(cov, lam) for lam in lams]
+    for rows in _batches(len(pool.effective)):
+        cov = pool.covariance(rows, 0.0)
+        gs = [_filters(gen_lse(cov, lam)) for lam in lams]
         for i in range(len(lams)):
             for j in range(i + 1, len(lams)):
-                for gi, gj in zip(dets[i].filters, dets[j].filters):
-                    worst = max(worst, _rel(gi - gj, gj))
+                worst = max(worst, float(_rel_rows(gs[i] - gs[j], gs[j]).max()))
     return CheckResult(
         "gen-lse lambda independence (noiseless)",
         worst < 1e-7,
@@ -183,18 +266,41 @@ def _synthetic_pair(seed: int, q: int = 4, p: int = 2) -> tuple[np.ndarray, np.n
     return a, 0.5 * (r + herm(r))
 
 
-def _single_user_cov(a: np.ndarray, r: np.ndarray) -> CovarianceModel:
-    l = linalg.cholesky(r)
-    return CovarianceModel((a,), (r,), (l,), noiseless=False)
+@dataclass(frozen=True)
+class _SyntheticPool:
+    """The synthetic pairs of seeds 1..count stacked: links A, covariances R, Cholesky L."""
+
+    effective: np.ndarray
+    covariances: np.ndarray
+    whiteners: np.ndarray
+
+    @classmethod
+    def build(cls, count: int) -> "_SyntheticPool":
+        pairs = [_synthetic_pair(seed) for seed in range(1, count + 1)]
+        r = np.stack([pair[1] for pair in pairs])
+        return cls(np.stack([pair[0] for pair in pairs]), r, linalg.cholesky(r))
+
+    def covariance(self, rows: slice) -> CovarianceModel:
+        return CovarianceModel(
+            tuple(self.effective[rows]),
+            tuple(self.covariances[rows]),
+            tuple(self.whiteners[rows]),
+            noiseless=False,
+        )
+
+
+def _synthetic_pool(count: int) -> _SyntheticPool:
+    return _pooled(("synthetic", count), lambda: _SyntheticPool.build(count))
 
 
 def _worst_against_limit(count: int, detector) -> float:
     """Worst relative deviation of `detector` from `lse_limit` over the synthetic pairs."""
+    pool = _synthetic_pool(count)
     worst = 0.0
-    for seed in range(1, count + 1):
-        cov = _single_user_cov(*_synthetic_pair(seed))
-        g_lim = lse_limit(cov).filters[0]
-        worst = max(worst, _rel(detector(cov).filters[0] - g_lim, g_lim))
+    for rows in _batches(count):
+        cov = pool.covariance(rows)
+        g_lim = _filters(lse_limit(cov))
+        worst = max(worst, float(_rel_rows(_filters(detector(cov)) - g_lim, g_lim).max()))
     return worst
 
 
@@ -218,18 +324,23 @@ def qr_factor_identity_suite(count: int = 100) -> CheckResult:
     )
 
 
+def _rotation_seed_matrix(seed: int) -> np.ndarray:
+    """Seeded complex Gaussian 4 x 4 matrix; its QR factor Q is a random unitary."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 7))))
+    return rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+
+
 def whitener_invariance_suite(count: int = 100) -> CheckResult:
     """The QR filter is unchanged when the whitener is rotated by a unitary."""
+    pool = _synthetic_pool(count)
     worst = 0.0
-    for seed in range(1, count + 1):
-        a, r = _synthetic_pair(seed)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 7))))
-        z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        u, _ = linalg.qr(z)
-        l = linalg.cholesky(r)
-        _, _, _, g_default = qr_mld_parts(a, r)
-        _, _, _, g_rotated = qr_mld_parts(a, r, whitener=l @ u)
-        worst = max(worst, _rel(g_rotated - g_default, g_default))
+    for rows in _batches(count):
+        a, r, l = pool.effective[rows], pool.covariances[rows], pool.whiteners[rows]
+        seeds = range(rows.start + 1, rows.stop + 1)
+        u, _ = linalg.qr(np.stack([_rotation_seed_matrix(seed) for seed in seeds]))
+        g_default = qr_mld_parts(a, r)[3]
+        g_rotated = qr_mld_parts(a, r, whitener=l @ u)[3]
+        worst = max(worst, float(_rel_rows(g_rotated - g_default, g_default).max()))
     return CheckResult(
         "qr-mld whitener-rotation invariance",
         worst < 1e-9,
@@ -239,14 +350,7 @@ def whitener_invariance_suite(count: int = 100) -> CheckResult:
 
 def qr_mld_limit_suite(seeds=DEFAULT_SCENARIO_SEEDS, sigma: float = 1e-4) -> CheckResult:
     """Small external noise: the QR detector approaches the reference."""
-    worst = 0.0
-    for seed in seeds:
-        channels, precoder = _default_ezf(seed)
-        cov = _white_cov(channels, precoder, sigma)
-        det = qr_mld_linear(cov)
-        ref = reference_ic(precoder.reduced, precoder.scale)
-        for g, g0 in zip(det.filters, ref.filters):
-            worst = max(worst, _rel(g - g0, g0))
+    worst = _worst_against_reference(_scenario_pool(seeds), sigma, qr_mld_linear)
     return CheckResult(
         f"qr-mld limit at sigma = {sigma:g}",
         worst < 1e-6,
@@ -268,4 +372,9 @@ ALL_SUITES = (
 
 
 def run_all_checks() -> list[CheckResult]:
-    return [suite() for suite in ALL_SUITES]
+    """Every suite in ALL_SUITES order; the pools they share live for this call only."""
+    token = _RUN_POOLS.set({})
+    try:
+        return [suite() for suite in ALL_SUITES]
+    finally:
+        _RUN_POOLS.reset(token)
