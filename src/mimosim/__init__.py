@@ -8,8 +8,6 @@ and a deterministic seeded sweep runner.
 
 from .detection import (
     Constellation,
-    CovarianceModel,
-    Detector,
     build_covariance,
     constellation_by_name,
     gen_lse,
@@ -48,7 +46,6 @@ from .experiment import (
 from .metrics import (
     LinkReport,
     effective_links,
-    make_detector,
     make_precoder,
     sinr_per_layer,
     spectral_efficiency,

@@ -9,8 +9,8 @@ The suites share their inputs through pools: the default EZF scenarios of
 all seeds as one stack of users, and the synthetic pairs as one stack.
 `run_all_checks` builds each pool once and drops it when it returns; a
 suite called on its own builds its own. Detectors run on slices of at most
-`BATCH_USERS` pooled users, each slice one call of the public detector
-function with one `CovarianceModel` entry per user.
+`BATCH_USERS` pooled users, each slice passed as one stack to one call of
+the public detector function.
 """
 
 import contextvars
@@ -20,14 +20,13 @@ import numpy as np
 
 from . import linalg
 from .detection import (
-    CovarianceModel,
+    build_covariance,
     gen_lse,
     lse_limit,
     mmse_irc,
     qr_mld_linear,
     qr_mld_parts,
     reference_ic,
-    stack_users,
 )
 from .linalg import herm
 from .precoding import mrt_precode, rczf_precode, reduce_ezf
@@ -104,32 +103,27 @@ class _ScenarioPool:
             channels = _default_channels(seed)
             precoder = rczf_precode(reduce_ezf(channels), channels.scenario.total_power)
             ref = reference_ic(precoder.reduced, precoder.scale)
-            (stack,) = stack_users(channels, precoder)  # one group: every user is 4x2
+            (stack,) = build_covariance(channels, precoder)  # one group: every user is 4x2
             rows = slice(s * m, (s + 1) * m)
             pool.effective[rows] = stack.effective
             pool.interference[rows] = stack.interference
-            pool.reference[rows] = ref.filters
+            pool.reference[rows] = ref
             pool.reference_links[rows] = pool.reference[rows] @ stack.links
             pool.h_norms[rows] = np.linalg.norm(np.stack(channels.matrices), axis=(-2, -1))
             pool.w_norms[s] = np.linalg.norm(np.stack(precoder.blocks), axis=(-2, -1))
         return pool
 
-    def covariance(self, rows: slice, sigma: float) -> CovarianceModel:
-        """The users in `rows` with white external noise L = sigma I."""
+    def covariance(self, rows: slice, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+        """Links A and covariances R of the users in `rows` at white noise L = sigma I."""
         a = self.effective[rows]
         factor = sigma * np.eye(a.shape[-2], dtype=np.complex128)
         r = self.interference[rows] + factor @ herm(factor)
-        r = 0.5 * (r + herm(r))
-        return CovarianceModel(tuple(a), tuple(r), (factor,) * len(a), noiseless=sigma == 0)
+        return a, 0.5 * (r + herm(r))
 
 
 def _scenario_pool(seeds) -> _ScenarioPool:
     seeds = tuple(seeds)
     return _pooled(("scenarios", seeds), lambda: _ScenarioPool.build(seeds))
-
-
-def _filters(detector) -> np.ndarray:
-    return np.stack(detector.filters)
 
 
 def _rel_rows(diff: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -141,7 +135,7 @@ def _deviations(pool: _ScenarioPool, sigma: float, detector) -> np.ndarray:
     """||G - G0|| per pooled user, G from `detector` at external noise sigma."""
     return np.concatenate([
         np.linalg.norm(
-            _filters(detector(pool.covariance(rows, sigma))) - pool.reference[rows],
+            detector(*pool.covariance(rows, sigma)) - pool.reference[rows],
             axis=(-2, -1),
         )
         for rows in _batches(len(pool.effective))
@@ -221,7 +215,7 @@ def mmse_irc_noiseless_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
 
 
 def mmse_irc_rate_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
-    """Detector error decays quadratically in the external-noise scale."""
+    """The MMSE-IRC filter error decays quadratically in the external-noise scale."""
     pool = _scenario_pool(seeds)
     # Per seed: the worst user's error at each sigma.
     err = [
@@ -245,8 +239,8 @@ def lambda_independence_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
     worst = 0.0
     lams = (1e-3, 1.0, 1e3)
     for rows in _batches(len(pool.effective)):
-        cov = pool.covariance(rows, 0.0)
-        gs = [_filters(gen_lse(cov, lam)) for lam in lams]
+        a, r = pool.covariance(rows, 0.0)
+        gs = [gen_lse(a, r, lam) for lam in lams]
         for i in range(len(lams)):
             for j in range(i + 1, len(lams)):
                 worst = max(worst, float(_rel_rows(gs[i] - gs[j], gs[j]).max()))
@@ -280,14 +274,6 @@ class _SyntheticPool:
         r = np.stack([pair[1] for pair in pairs])
         return cls(np.stack([pair[0] for pair in pairs]), r, linalg.cholesky(r))
 
-    def covariance(self, rows: slice) -> CovarianceModel:
-        return CovarianceModel(
-            tuple(self.effective[rows]),
-            tuple(self.covariances[rows]),
-            tuple(self.whiteners[rows]),
-            noiseless=False,
-        )
-
 
 def _synthetic_pool(count: int) -> _SyntheticPool:
     return _pooled(("synthetic", count), lambda: _SyntheticPool.build(count))
@@ -298,15 +284,15 @@ def _worst_against_limit(count: int, detector) -> float:
     pool = _synthetic_pool(count)
     worst = 0.0
     for rows in _batches(count):
-        cov = pool.covariance(rows)
-        g_lim = _filters(lse_limit(cov))
-        worst = max(worst, float(_rel_rows(_filters(detector(cov)) - g_lim, g_lim).max()))
+        a, r = pool.effective[rows], pool.covariances[rows]
+        g_lim = lse_limit(a, r)
+        worst = max(worst, float(_rel_rows(detector(a, r) - g_lim, g_lim).max()))
     return worst
 
 
 def lse_limit_suite(count: int = 100) -> CheckResult:
     """gen-lse at lambda = 1e-8 approaches the whitened least-squares limit."""
-    worst = _worst_against_limit(count, lambda cov: gen_lse(cov, 1e-8))
+    worst = _worst_against_limit(count, lambda a, r: gen_lse(a, r, 1e-8))
     return CheckResult(
         "gen-lse limit approach (lambda = 1e-8)",
         worst < 1e-5,

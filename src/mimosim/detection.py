@@ -19,37 +19,7 @@ from .errors import (
 )
 from .linalg import herm
 from .precoding import Precoder, ReducedChannel
-from .system import ChannelSet, NoiseModel
-
-
-@dataclass(frozen=True)
-class CovarianceModel:
-    """Per-user effective link A_k = H_k @ W_k plus interference-and-noise data.
-
-    covariances[k] is R_k = H_k (sum_{j!=k} W_j W_j^H) H_k^H + L_k L_k^H;
-    with all L_k = 0 the model is flagged `noiseless` (interference-only).
-    """
-
-    effective: tuple[np.ndarray, ...]
-    covariances: tuple[np.ndarray, ...]
-    noise_factors: tuple[np.ndarray, ...]
-    noiseless: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "effective", tuple(self.effective))
-        object.__setattr__(self, "covariances", tuple(self.covariances))
-        object.__setattr__(self, "noise_factors", tuple(self.noise_factors))
-
-
-@dataclass(frozen=True)
-class Detector:
-    """Per-user linear detection filters G_k (p_k x q_k) with a provenance tag."""
-
-    filters: tuple[np.ndarray, ...]
-    scheme: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "filters", tuple(self.filters))
+from .system import ChannelSet
 
 
 @dataclass(frozen=True)
@@ -108,11 +78,12 @@ def _groups(shapes) -> list[list[int]]:
     return list(groups.values())
 
 
-def stack_users(channels: ChannelSet, precoder: Precoder) -> tuple[UserStack, ...]:
+def build_covariance(channels: ChannelSet, precoder: Precoder) -> tuple[UserStack, ...]:
     """Group users by (q_k, p_k), in order of first appearance, and stack each group.
 
     One H @ W product per group. R_int is built from the other users' columns
     directly, not as total minus own, so it stays PSD and loses no cross power.
+    A user's covariance under external noise L_k is R_int,k + L_k L_k^H.
     """
     w = precoder.stacked
     offsets = np.cumsum((0,) + channels.scenario.layer_counts)
@@ -130,30 +101,12 @@ def stack_users(channels: ChannelSet, precoder: Precoder) -> tuple[UserStack, ..
     return tuple(stacks)
 
 
-def build_covariance(
-    channels: ChannelSet, precoder: Precoder, noise: NoiseModel
-) -> CovarianceModel:
-    """Effective links and interference-plus-noise covariances for all users.
-
-    R_k = R_int,k + L_k L_k^H, with R_int,k from `stack_users`.
-    """
-    n = channels.scenario.num_users
-    if len(noise.factors) != n:
-        raise DimensionMismatchError("noise model and channel set disagree on user count")
-    effective, covariances = [None] * n, [None] * n
-    for stack in stack_users(channels, precoder):
-        for k, a, r in zip(stack.users, stack.effective, stack.interference):
-            r = r + noise.factors[k] @ herm(noise.factors[k])
-            effective[k], covariances[k] = a, 0.5 * (r + herm(r))
-    return CovarianceModel(effective, covariances, noise.factors, noise.noiseless)
-
-
 class StackedDetector:
     """One detector scheme on a user stack, split at the noise power s2.
 
     R = R0 + s2 I, R0 noise-free (sweep) or the whole covariance with s2 = 0
-    (per-user functions). The s2-free factorization is taken once, here;
-    `filters(s2)` is then a diagonal scaling of its eigenvalues:
+    (the detector functions below). The s2-free factorization is taken once,
+    here; `filters(s2)` is then a diagonal scaling of its eigenvalues:
 
     - mmse-irc / gen-lse(lam): eigh(A A^H + lam R0), shifted by lam s2;
     - mmse: eigh(A A^H), shifted by s2 (the q_k x q_k guard is kept);
@@ -211,30 +164,24 @@ class StackedDetector:
             raise error(f"user {self.users[int(np.argmax(bad))]}: {why}") from exc
 
 
-def _per_user(cov: CovarianceModel, scheme: str, lam: float = 1.0, s2: float = 0.0) -> tuple:
-    """Run a scheme's stacked core on each (q_k, p_k) group of a covariance model."""
-    filters = [None] * len(cov.effective)
-    for users in _groups(a.shape for a in cov.effective):
-        a = np.stack([cov.effective[k] for k in users])
-        r = np.stack([cov.covariances[k] for k in users])
-        for k, g in zip(users, StackedDetector(scheme, lam, users, a, r).filters(s2)):
-            filters[k] = g
-    return tuple(filters)
+# The detector functions take one same-shape user stack, links A (n x q x p)
+# and covariances R (n x q x q), and return the filter stack G (n x p x q);
+# a single user is a stack of one. A guard error names the stack entry.
 
 
-def mmse_irc(cov: CovarianceModel) -> Detector:
+def mmse_irc(a: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Interference-aware MMSE filters G_k = A_k^H (A_k A_k^H + R_k)^{-1}."""
-    return Detector(_per_user(cov, "mmse-irc"), "mmse-irc")
+    return StackedDetector("mmse-irc", 1.0, range(len(a)), a, r).filters(0.0)
 
 
-def plain_mmse(cov: CovarianceModel, sigma: float) -> Detector:
-    """White-noise MMSE: ignores the interference part of the covariance."""
+def plain_mmse(a: np.ndarray, sigma: float) -> np.ndarray:
+    """White-noise MMSE G_k = A_k^H (A_k A_k^H + sigma^2 I)^{-1}: no interference term."""
     if sigma < 0:
         raise InvalidInputError(f"sigma must be >= 0, got {sigma}")
-    return Detector(_per_user(cov, "mmse", s2=sigma**2), "mmse")
+    return StackedDetector("mmse", 1.0, range(len(a)), a, None).filters(sigma**2)
 
 
-def gen_lse(cov: CovarianceModel, lam: float) -> Detector:
+def gen_lse(a: np.ndarray, r: np.ndarray, lam: float) -> np.ndarray:
     """One-parameter family G_k = A_k^H (A_k A_k^H + lam * R_k)^{-1}, lam > 0.
 
     At lam = 1 this is exactly the interference-aware MMSE filter; in the
@@ -242,12 +189,12 @@ def gen_lse(cov: CovarianceModel, lam: float) -> Detector:
     """
     if not lam > 0:
         raise InvalidInputError(f"lam must be > 0, got {lam}")
-    return Detector(_per_user(cov, "gen-lse", lam), f"gen-lse({lam:g})")
+    return StackedDetector("gen-lse", lam, range(len(a)), a, r).filters(0.0)
 
 
-def lse_limit(cov: CovarianceModel) -> Detector:
+def lse_limit(a: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Whitened least-squares limit G_k = (A_k^H R_k^{-1} A_k)^{-1} A_k^H R_k^{-1}."""
-    return Detector(_per_user(cov, "lse-limit"), "lse-limit")
+    return StackedDetector("lse-limit", 1.0, range(len(a)), a, r).filters(0.0)
 
 
 def qr_mld_parts(
@@ -284,15 +231,15 @@ def qr_mld_parts(
     return whitener, q, t, g
 
 
-def qr_mld_linear(cov: CovarianceModel) -> Detector:
+def qr_mld_linear(a: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Linear part of the QR detector, G_k = T_k^{-1} Q_k^H F_k^{-1}."""
-    return Detector(_per_user(cov, "qr-mld"), "qr-mld-linear")
+    return StackedDetector("qr-mld", 1.0, range(len(a)), a, r).filters(0.0)
 
 
 def qr_mld_detect(
-    y: np.ndarray, cov: CovarianceModel, constellation: Constellation, user: int = 0
+    y: np.ndarray, a: np.ndarray, r: np.ndarray, constellation: Constellation
 ) -> np.ndarray:
-    """Symbol-wise successive-cancellation detection for one user.
+    """Symbol-wise successive-cancellation detection for one user, link a, covariance r.
 
     Whiten and rotate the received vector to z = Q^H F^{-1} y, then slice
     layers last-to-first, subtracting the strictly upper-triangular
@@ -302,8 +249,6 @@ def qr_mld_detect(
 
     `y` may be a single length-q_k vector or a (q_k, n) batch of columns.
     """
-    a = cov.effective[user]
-    r = cov.covariances[user]
     y = np.asarray(y, dtype=np.complex128)
     single = y.ndim == 1
     if single:
@@ -322,12 +267,13 @@ def qr_mld_detect(
     return s_hat[:, 0] if single else s_hat
 
 
-def reference_ic(reduced: ReducedChannel, scale: float) -> Detector:
-    """The unique interference-cancellation detector for a matching precoder.
+def reference_ic(reduced: ReducedChannel, scale: float) -> tuple[np.ndarray, ...]:
+    """The unique interference-cancellation filters for a matching precoder.
 
-    G_k = B_k / scale, valid when every reducing map B_k has full row rank;
-    paired with the zero-forcing precoder built from `reduced` at power
-    scale `scale`, it gives G_k H_k W_k = I and G_k H_k W_j = 0 exactly.
+    G_k = B_k / scale for each user in order, valid when every reducing map
+    B_k has full row rank; paired with the zero-forcing precoder built from
+    `reduced` at power scale `scale`, it gives G_k H_k W_k = I and
+    G_k H_k W_j = 0 exactly.
     """
     if not scale > 0:
         raise InvalidInputError(f"scale must be > 0, got {scale}")
@@ -337,5 +283,4 @@ def reference_ic(reduced: ReducedChannel, scale: float) -> Detector:
                 f"user {k}: reducing map is rank deficient; the interference-"
                 "cancellation detector is not unique"
             )
-    filters = tuple(b / scale for b in reduced.reducers)
-    return Detector(filters, "reference-ic")
+    return tuple(b / scale for b in reduced.reducers)

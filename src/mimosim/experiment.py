@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, MimoSimError
-from .detection import stack_users
+from .detection import build_covariance
 from .metrics import (
     PRECODER_SCHEMES,
     make_precoder,
@@ -253,7 +253,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         for name in precoder_names:
             with _sweep_point(f"precoder {name}, trial {trial}"):
                 precoder = make_precoder(channels, name, config.total_power)
-            stacks[name] = stack_users(channels, precoder)
+            stacks[name] = build_covariance(channels, precoder)
             for detector in detector_names:
                 cores[(name, detector)] = stacked_detectors(stacks[name], detector)
         for db in config.su_sinr_grid_db:

@@ -36,12 +36,6 @@ def herm(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full SVD, M = U @ diag(S) @ Vh with S sorted descending."""
-    a = as_cmatrix(m)
-    return np.linalg.svd(a, full_matrices=True)
-
-
 def svd_reduced(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Economy SVD, U: m x k, S: k, Vh: k x n with k = min(m, n)."""
     a = as_cmatrix(m)

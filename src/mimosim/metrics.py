@@ -12,8 +12,8 @@ interference saturate and the ratio diverges instead.
 Each user's links are one p_k x p row block G_k H_k W of the stacked
 precoder W = [W_1 ... W_K]; user k's own layers are its columns
 start_k .. start_k + p_k, the other columns are cross-user leakage. The
-multi-user leg runs on users stacked by shape (`detection.stack_users`),
-one detector core, G @ H W product and `sinr_per_layer` call per group;
+multi-user leg runs on users stacked by shape (`detection.build_covariance`),
+one detector core, `effective_links` product and `sinr_per_layer` call per group;
 `su_mu_report` and the sweep share it, the sweep factoring once per trial.
 """
 
@@ -23,18 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import (
-    CovarianceModel,
-    Detector,
-    StackedDetector,
-    UserStack,
-    gen_lse,
-    lse_limit,
-    mmse_irc,
-    plain_mmse,
-    qr_mld_linear,
-    stack_users,
-)
+from .detection import StackedDetector, UserStack, build_covariance
 from .errors import ConfigError, InvalidInputError
 from .precoding import Precoder, mrt_precode, rczf_precode, reduce_ezf, reduce_full_zf
 from .system import ChannelSet, NoiseModel, su_layer_gains
@@ -61,10 +50,9 @@ class LinkReport:
     ratio: float
 
 
-def effective_links(channels: ChannelSet, precoder: Precoder, detector: Detector) -> list:
-    """Per-user stacked links: links[k] = G_k @ H_k @ W (p_k x p)."""
-    w = precoder.stacked
-    return [(g @ h) @ w for g, h in zip(detector.filters, channels.matrices)]
+def effective_links(stack: UserStack, g: np.ndarray) -> np.ndarray:
+    """Links of a user stack under its filters: links[i] = G_i H_k W (p_k x p), k = users[i]."""
+    return g @ stack.links
 
 
 def _cross_power(power: np.ndarray, start) -> np.ndarray:
@@ -144,16 +132,6 @@ def make_precoder(channels: ChannelSet, scheme: str, total_power: float) -> Prec
     )
 
 
-def make_detector(cov: CovarianceModel, scheme: str, sigma: float) -> Detector:
-    """Build a named detector from a covariance model."""
-    base, lam = parse_detector_scheme(scheme)
-    if base == "mmse":
-        return plain_mmse(cov, sigma)
-    if base == "gen-lse":
-        return gen_lse(cov, lam)
-    return {"mmse-irc": mmse_irc, "lse-limit": lse_limit, "qr-mld": qr_mld_linear}[base](cov)
-
-
 def stacked_detectors(stacks: tuple[UserStack, ...], scheme: str) -> list[StackedDetector]:
     """A named detector scheme on each user stack, with its noise-free part factored."""
     base, lam = parse_detector_scheme(scheme)
@@ -171,7 +149,7 @@ def mu_report(stacks: tuple, detectors: list, sigma: float, su_se: float) -> Lin
     links, sinrs, ses, leaks = [None] * n, [None] * n, [None] * n, [None] * n
     for stack, detector in zip(stacks, detectors):
         g = detector.filters(sigma**2)
-        link = g @ stack.links
+        link = effective_links(stack, g)
         sinr = sinr_per_layer(link, stack.starts, g, sigma * np.eye(g.shape[-1]))
         se = np.sum(np.log2(1.0 + sinr), axis=-1)
         leak = np.sum(_cross_power(np.abs(link) ** 2, stack.starts), axis=-1)
@@ -220,5 +198,5 @@ def su_mu_report(
             )
     precoder = make_precoder(channels, precoder_scheme, channels.scenario.total_power)
     su_se = su_spectral_efficiency(su_layer_gains(channels), noise.sigma)
-    stacks = stack_users(channels, precoder)
+    stacks = build_covariance(channels, precoder)
     return mu_report(stacks, stacked_detectors(stacks, detector_scheme), noise.sigma, su_se)

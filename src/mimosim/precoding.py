@@ -109,15 +109,17 @@ def rczf_precode(reduced: ReducedChannel, total_power: float) -> Precoder:
     """Zero-forcing precoder: pseudo-inverse of the stacked reduced channel.
 
     The single scale makes trace(W @ W^H) = total_power; rank deficiency of
-    the stack means the per-user nulling constraints cannot all be met.
+    the stack means the per-user nulling constraints cannot all be met. One
+    SVD V = U S Vh serves both the rank check and W0 = Vh^H S^{-1} U^H.
     """
     v = np.vstack(reduced.matrices)
-    if not linalg.is_full_rank(v):
+    u, s, vh = linalg.svd_reduced(v)
+    if s[-1] <= linalg.RANK_RTOL * s[0]:
         raise InfeasibleZeroForcingError(
             f"stacked reduced channel ({v.shape[0]} rows, {v.shape[1]} columns) is rank "
             "deficient; too many layers or colinear users"
         )
-    w0 = linalg.pinv(v)
+    w0 = linalg.herm(vh) @ ((1.0 / s)[:, np.newaxis] * linalg.herm(u))
     scale = float(np.sqrt(total_power) / np.linalg.norm(w0))
     blocks = []
     offset = 0

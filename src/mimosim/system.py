@@ -107,10 +107,6 @@ class NoiseModel:
         if self.sigma < 0:
             raise InvalidInputError(f"sigma must be >= 0, got {self.sigma}")
 
-    @property
-    def noiseless(self) -> bool:
-        return all(np.linalg.norm(l) == 0.0 for l in self.factors)
-
     @classmethod
     def white(cls, scenario: Scenario, sigma: float) -> "NoiseModel":
         """Isotropic noise L_k = sigma * I for every user."""

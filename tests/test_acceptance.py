@@ -26,12 +26,7 @@ import numpy as np
 import pytest
 
 from mimosim import checks
-from mimosim.detection import (
-    CovarianceModel,
-    build_covariance,
-    qpsk,
-    qr_mld_detect,
-)
+from mimosim.detection import build_covariance, qpsk, qr_mld_detect
 from mimosim.experiment import (
     parse_config,
     rows_to_csv,
@@ -234,7 +229,8 @@ def test_criterion_09_qr_mld_sic_end_to_end():
     channels = generate_channels(scenario)
     noise = calibrate_noise(channels, 30.0)
     prec = rczf_precode(reduce_ezf(channels), 1.0)
-    cov = build_covariance(channels, prec, noise)
+    (stack,) = build_covariance(channels, prec)
+    r = stack.interference + noise.sigma**2 * np.eye(4)
     c = qpsk()
     rng = np.random.default_rng(2024)
     n_vec = 10_000
@@ -244,7 +240,7 @@ def test_criterion_09_qr_mld_sic_end_to_end():
     errors = 0
     for k, h in enumerate(channels.matrices):
         y = h @ x + noise.sigma * crandn(rng, 4, n_vec)
-        out = qr_mld_detect(y, cov, c, user=k)
+        out = qr_mld_detect(y, stack.effective[k], r[k], c)
         errors += int(np.sum(~np.isclose(out, sent[2 * k:2 * k + 2], atol=1e-9)))
     ser = errors / (16 * n_vec)
 
@@ -253,14 +249,13 @@ def test_criterion_09_qr_mld_sic_end_to_end():
     # against a decision distance of 1/sqrt(2)), so c > 1 is required for a
     # non-vacuous one-shot comparison.
     t = np.array([[1.0, 1.2], [0.0, 1.0]], dtype=complex)
-    toy = CovarianceModel((t,), (np.eye(2, dtype=complex),),
-                          (np.eye(2, dtype=complex),), noiseless=False)
+    eye = np.eye(2, dtype=complex)
     one_shot_failures = 0
     for s1 in c.points:
         for s2 in c.points:
             s = np.array([s1, s2])
             y = t @ s
-            np.testing.assert_allclose(qr_mld_detect(y, toy, c), s, atol=1e-9)
+            np.testing.assert_allclose(qr_mld_detect(y, t, eye, c), s, atol=1e-9)
             if not np.allclose(c.nearest(y), s, atol=1e-9):
                 one_shot_failures += 1
 

@@ -8,8 +8,7 @@ the pool must fail the suites that read it), and what `mimosim check`
 prints and returns.
 """
 
-import dataclasses
-
+import numpy as np
 import pytest
 
 from mimosim import checks
@@ -21,19 +20,21 @@ USERS_PER_SEED = 8
 
 
 def _perturb_nth_filter(fn, n: int):
-    """`fn` with the n-th filter it returns, counted over all its calls, scaled by 1 + 1e-3."""
+    """`fn` with the n-th filter it returns, counted over all its calls, scaled by 1 + 1e-3.
+
+    A call's filters come as a stack or a tuple; the perturbed call returns a stack.
+    """
     seen = 0
 
     def wrapper(*args, **kwargs):
         nonlocal seen
-        det = fn(*args, **kwargs)
+        filters = fn(*args, **kwargs)
         i = n - 1 - seen
-        seen += len(det.filters)
-        if 0 <= i < len(det.filters):
-            filters = list(det.filters)
-            filters[i] = filters[i] * (1.0 + 1e-3)
-            det = dataclasses.replace(det, filters=tuple(filters))
-        return det
+        seen += len(filters)
+        if 0 <= i < len(filters):
+            filters = np.array(filters)
+            filters[i] *= 1.0 + 1e-3
+        return filters
 
     return wrapper
 

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from mimosim import linalg
-from mimosim.detection import Detector, build_covariance, reference_ic
+from mimosim.detection import build_covariance, reference_ic
 from mimosim.errors import ConfigError, InvalidInputError
 from mimosim.experiment import parse_config, trial_seed
 from mimosim.metrics import (
     DETECTOR_SCHEMES,
     SINR_CAP,
     effective_links,
-    make_detector,
     make_precoder,
     parse_detector_scheme,
     sinr_per_layer,
     spectral_efficiency,
+    stacked_detectors,
     su_mu_report,
     su_spectral_efficiency,
 )
@@ -39,8 +39,8 @@ class TestEffectiveLinks:
     def test_reference_detector_gives_identity_blocks(self):
         channels = generate_channels(DEFAULT)
         prec = rczf_precode(reduce_ezf(channels), 1.0)
-        det = reference_ic(prec.reduced, prec.scale)
-        links = effective_links(channels, prec, det)
+        (stack,) = build_covariance(channels, prec)
+        links = effective_links(stack, np.stack(reference_ic(prec.reduced, prec.scale)))
         for k in range(8):
             for j in range(8):
                 if j == k:
@@ -51,8 +51,8 @@ class TestEffectiveLinks:
     def test_zero_detector_gives_zero_blocks(self):
         channels = generate_channels(DEFAULT)
         prec = rczf_precode(reduce_ezf(channels), 1.0)
-        det = Detector(tuple(np.zeros((2, 4), dtype=complex) for _ in range(8)), "mmse")
-        links = effective_links(channels, prec, det)
+        (stack,) = build_covariance(channels, prec)
+        links = effective_links(stack, np.zeros((8, 2, 4), dtype=complex))
         assert all(
             np.all(links[k][:, 2 * j:2 * j + 2] == 0) for k in range(8) for j in range(8)
         )
@@ -62,8 +62,8 @@ class TestEffectiveLinks:
         channels = generate_channels(scenario)
         prec = rczf_precode(reduce_ezf(channels), 1.0)
         g = linalg.pinv(channels.matrices[0] @ prec.blocks[0])
-        det = Detector((g,), "mmse")
-        links = effective_links(channels, prec, det)
+        (stack,) = build_covariance(channels, prec)
+        links = effective_links(stack, g[np.newaxis])
         assert np.linalg.norm(links[0][:, 0:2] - np.eye(2)) < 1e-10
 
 
@@ -114,10 +114,9 @@ class TestSinrPerLayer:
         scenario = Scenario(t=16, users=((4, 2), (4, 2)), seed=5)
         channels = generate_channels(scenario)
         prec = mrt_precode(channels, 1.0)
-        noise = NoiseModel.white(scenario, 0.01)
-        cov = build_covariance(channels, prec, noise)
-        det = make_detector(cov, "qr-mld", noise.sigma)
-        links = effective_links(channels, prec, det)
+        stacks = build_covariance(channels, prec)
+        (core,) = stacked_detectors(stacks, "qr-mld")
+        links = effective_links(stacks[0], core.filters(0.01**2))
         cross = np.linalg.norm(links[0][:, 2:4])
         assert cross > 1e-6
 
@@ -151,10 +150,10 @@ class TestSchemeDispatch:
         channels = generate_channels(DEFAULT)
         noise = calibrate_noise(channels, 20.0)
         prec = make_precoder(channels, "ezf", 1.0)
-        cov = build_covariance(channels, prec, noise)
+        stacks = build_covariance(channels, prec)
         for name in ("mmse-irc", "mmse", "gen-lse", "gen-lse(0.1)", "lse-limit", "qr-mld"):
-            det = make_detector(cov, name, noise.sigma)
-            assert len(det.filters) == 8
+            cores = stacked_detectors(stacks, name)
+            assert sum(len(core.filters(noise.sigma**2)) for core in cores) == 8
 
     def test_unknown_precoder_rejected(self):
         channels = generate_channels(DEFAULT)
@@ -275,8 +274,8 @@ def test_noiseless_interference_criterion():
     """Zero-forcing + reference detector: cross power below 1e-12 of signal."""
     channels = generate_channels(DEFAULT)
     prec = rczf_precode(reduce_ezf(channels), 1.0)
-    det = reference_ic(prec.reduced, prec.scale)
-    links = effective_links(channels, prec, det)
+    (stack,) = build_covariance(channels, prec)
+    links = effective_links(stack, np.stack(reference_ic(prec.reduced, prec.scale)))
     for k in range(8):
         own = links[k][:, 2 * k:2 * k + 2]
         for i in range(2):

@@ -10,7 +10,7 @@ user with `np.linalg.solve`; it uses nothing from `mimosim.detection`.
 import numpy as np
 import pytest
 
-from mimosim.detection import stack_users
+from mimosim.detection import build_covariance
 from mimosim.metrics import (
     DETECTOR_SCHEMES,
     make_precoder,
@@ -65,7 +65,7 @@ def test_stacked_core_matches_per_user_oracle(precoder_name, scheme):
     precoder = make_precoder(channels, precoder_name, SCENARIO.total_power)
     blocks, w = precoder.blocks, precoder.stacked
     starts = np.cumsum((0,) + SCENARIO.layer_counts)
-    stacks = stack_users(channels, precoder)
+    stacks = build_covariance(channels, precoder)
     assert [len(s.users) for s in stacks] == [3, 2, 1]
     cores = stacked_detectors(stacks, scheme)
     for db in GRID_DB:

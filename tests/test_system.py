@@ -117,10 +117,11 @@ class TestCalibration:
             prec = rczf_precode(reduce_ezf(alone), share * p)
             from mimosim.detection import build_covariance, mmse_irc
 
-            cov = build_covariance(alone, prec, NoiseModel((noise.factors[k],), noise.sigma))
-            det = mmse_irc(cov)
-            t = det.filters[0] @ alone.matrices[0] @ prec.blocks[0]
-            sinrs.extend(sinr_per_layer(t, 0, det.filters[0], noise.factors[k]))
+            (stack,) = build_covariance(alone, prec)
+            l = noise.factors[k]
+            (g,) = mmse_irc(stack.effective, stack.interference + l @ l.conj().T)
+            t = g @ alone.matrices[0] @ prec.blocks[0]
+            sinrs.extend(sinr_per_layer(t, 0, g, l))
         measured_db = 10.0 * math.log10(float(np.mean(sinrs)))
         assert abs(measured_db - 20.0) < 0.1
 
@@ -140,10 +141,6 @@ class TestNoiseModel:
         noise = NoiseModel.white(DEFAULT, 0.5)
         assert len(noise.factors) == 8
         np.testing.assert_allclose(noise.factors[0], 0.5 * np.eye(4))
-        assert not noise.noiseless
-
-    def test_noiseless_flag(self):
-        assert NoiseModel.white(DEFAULT, 0.0).noiseless
 
     def test_psd_products(self):
         noise = NoiseModel.white(DEFAULT, 0.3)
