@@ -10,7 +10,10 @@ all seeds as one stack of users, and the synthetic pairs as one stack.
 `run_all_checks` builds each pool once and drops it when it returns; a
 suite called on its own builds its own. Detectors run on slices of at most
 `BATCH_USERS` pooled users, each slice passed as one stack to one call of
-the public detector function.
+the public detector function. Every scenario's channels are decomposed once
+(`ChannelSet.svd`), and that decomposition serves the channel rank check and
+the eigen reduction. The necessity suite builds its own MRT scenarios, one
+seed at a time, with one stacked SVD of the users' cross links per seed.
 """
 
 import contextvars
@@ -175,24 +178,27 @@ def necessity_suite(seeds=tuple(range(1, 21))) -> CheckResult:
 
     For each user, restrict G to the left null space of the stacked cross
     links, then least-squares fit G H W_k to I; the residual stays large.
+    Per seed, the links come from `build_covariance` and the cross links of
+    all users are decomposed in one stacked SVD.
     """
     min_resid = np.inf
     for seed in seeds:
         channels = _default_channels(seed)
         precoder = mrt_precode(channels, channels.scenario.total_power)
-        n = channels.scenario.num_users
-        for k, h in enumerate(channels.matrices):
-            a = h @ precoder.blocks[k]
-            cross = np.hstack([h @ precoder.blocks[j] for j in range(n) if j != k])
-            q = h.shape[0]
-            u, s, _ = np.linalg.svd(cross, full_matrices=True)
-            rank = int(np.sum(s > 1e-12 * s[0]))
-            p = a.shape[1]
+        (stack,) = build_covariance(channels, precoder)  # one group: every user is 4x2
+        q, p = stack.effective.shape[-2:]
+        # Column j of user i's cross links is link column j, or j + p past its own block.
+        cols = np.arange(stack.links.shape[-1] - p)
+        other = cols + p * (cols >= stack.starts[:, np.newaxis])
+        cross = np.take_along_axis(stack.links, other[:, np.newaxis, :], axis=2)
+        u, s, _ = np.linalg.svd(cross, full_matrices=True)
+        ranks = np.sum(s > 1e-12 * s[:, :1], axis=1)
+        for i, rank in enumerate(ranks):
             if rank >= q:
                 resid = float(np.sqrt(p))
             else:
-                basis = u[:, rank:]
-                na = herm(basis) @ a
+                basis = u[i, :, rank:]
+                na = herm(basis) @ stack.effective[i]
                 proj = linalg.pinv(na) @ na
                 resid = float(np.linalg.norm(proj - np.eye(p)))
             min_resid = min(min_resid, resid)

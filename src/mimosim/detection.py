@@ -19,7 +19,7 @@ from .errors import (
 )
 from .linalg import herm
 from .precoding import Precoder, ReducedChannel
-from .system import ChannelSet
+from .system import ChannelSet, shape_groups
 
 
 @dataclass(frozen=True)
@@ -70,14 +70,6 @@ class UserStack:
     interference: np.ndarray
 
 
-def _groups(shapes) -> list[list[int]]:
-    """User indices grouped by shape, groups in order of first appearance."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for k, shape in enumerate(shapes):
-        groups.setdefault(tuple(shape), []).append(k)
-    return list(groups.values())
-
-
 def build_covariance(channels: ChannelSet, precoder: Precoder) -> tuple[UserStack, ...]:
     """Group users by (q_k, p_k), in order of first appearance, and stack each group.
 
@@ -88,7 +80,7 @@ def build_covariance(channels: ChannelSet, precoder: Precoder) -> tuple[UserStac
     w = precoder.stacked
     offsets = np.cumsum((0,) + channels.scenario.layer_counts)
     stacks = []
-    for users in _groups(channels.scenario.users):
+    for users in shape_groups(channels.scenario.users):
         p = channels.scenario.users[users[0]][1]
         starts = offsets[users]
         hw = np.stack([channels.matrices[k] for k in users]) @ w
@@ -273,14 +265,21 @@ def reference_ic(reduced: ReducedChannel, scale: float) -> tuple[np.ndarray, ...
     G_k = B_k / scale for each user in order, valid when every reducing map
     B_k has full row rank; paired with the zero-forcing precoder built from
     `reduced` at power scale `scale`, it gives G_k H_k W_k = I and
-    G_k H_k W_j = 0 exactly.
+    G_k H_k W_j = 0 exactly. The rank is checked with one stacked
+    `linalg.is_full_rank` per reducer shape; an error names the first
+    deficient user.
     """
     if not scale > 0:
         raise InvalidInputError(f"scale must be > 0, got {scale}")
-    for k, b in enumerate(reduced.reducers):
-        if not linalg.is_full_rank(b):
-            raise UniquenessError(
-                f"user {k}: reducing map is rank deficient; the interference-"
-                "cancellation detector is not unique"
-            )
-    return tuple(b / scale for b in reduced.reducers)
+    reducers = reduced.reducers
+    deficient = [
+        group[i]
+        for group in shape_groups(b.shape for b in reducers)
+        for i in np.flatnonzero(~linalg.is_full_rank(np.stack([reducers[k] for k in group])))
+    ]
+    if deficient:
+        raise UniquenessError(
+            f"user {min(deficient)}: reducing map is rank deficient; the interference-"
+            "cancellation detector is not unique"
+        )
+    return tuple(b / scale for b in reducers)

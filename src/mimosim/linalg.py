@@ -102,12 +102,17 @@ def cond(m) -> float:
     return float(s[0] / s[-1])
 
 
-def is_full_rank(m, rtol: float = RANK_RTOL) -> bool:
-    """True when min(shape) singular values exceed rtol * sigma_max."""
+def is_full_rank(m, rtol: float = RANK_RTOL):
+    """True when min(shape) singular values exceed rtol * sigma_max.
+
+    A stack (..., m, n) gives one boolean per matrix; a single matrix a bool.
+    """
     s = np.linalg.svd(np.asarray(m, dtype=np.complex128), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return False
-    return bool(s[-1] > rtol * s[0])
+    if s.shape[-1] == 0:
+        full = np.zeros(s.shape[:-1], dtype=bool)
+    else:
+        full = s[..., -1] > rtol * s[..., 0]
+    return bool(full) if full.ndim == 0 else full
 
 
 def eigh(m) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ from .errors import (
     IllConditionedError,
     InfeasibleZeroForcingError,
 )
-from .system import ChannelSet
+from .system import ChannelSet, shape_groups
 
 
 @dataclass(frozen=True)
@@ -81,20 +81,26 @@ def reduce_ezf(channels: ChannelSet) -> ReducedChannel:
     """Eigen reduction: B_k inverts the top p_k singular directions of H_k.
 
     B_k = diag(1/s_1..1/s_p) @ U[:, :p]^H, so V_k = B_k @ H_k equals the
-    dominant p_k right-singular rows of H_k.
+    dominant p_k right-singular rows of H_k. U_k and s_k come from the
+    channel set's shared decomposition (`ChannelSet.svd`); B_k and V_k are
+    formed for each (q_k, p_k) group in one stacked product.
     """
-    matrices = []
-    reducers = []
-    for k, h in enumerate(channels.matrices):
-        _, p = channels.scenario.users[k]
-        u, s, _ = linalg.svd_reduced(h)
+    users = channels.scenario.users
+    for k, ((_, s), (_, p)) in enumerate(zip(channels.svd, users)):
         if s[p - 1] < linalg.RANK_RTOL * s[0]:
             raise IllConditionedError(
                 f"user {k}: singular value {p} is below {linalg.RANK_RTOL:g} * sigma_max"
             )
-        b = (1.0 / s[:p])[:, np.newaxis] * linalg.herm(u[:, :p])
-        matrices.append(b @ h)
-        reducers.append(b)
+    matrices = [None] * len(users)
+    reducers = [None] * len(users)
+    for group in shape_groups(users):
+        p = users[group[0]][1]
+        u = np.stack([channels.svd[k][0][:, :p] for k in group])
+        s = np.stack([channels.svd[k][1][:p] for k in group])
+        b = (1.0 / s)[..., np.newaxis] * linalg.herm(u)
+        v = b @ np.stack([channels.matrices[k] for k in group])
+        for i, k in enumerate(group):
+            matrices[k], reducers[k] = v[i], b[i]
     return ReducedChannel(tuple(matrices), tuple(reducers), kind="ezf")
 
 

@@ -8,6 +8,7 @@ hits a requested dB target.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +92,22 @@ class ChannelSet:
     def single_user(self, k: int) -> "ChannelSet":
         return ChannelSet(self.scenario.single_user(k), (self.matrices[k],))
 
+    @cached_property
+    def svd(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Economy SVD factors (U_k, s_k) of each H_k, in user order.
+
+        U_k is q_k x q_k and s_k holds the q_k singular values, descending.
+        Computed on first use with one stacked `linalg.svd_reduced` per
+        antenna-count group, then shared by the rank check, the single-user
+        gains and the eigen reduction.
+        """
+        factors = [None] * len(self.matrices)
+        for users in shape_groups(self.scenario.antenna_counts):
+            u, s, _ = linalg.svd_reduced(np.stack([self.matrices[k] for k in users]))
+            for i, k in enumerate(users):
+                factors[k] = (u[i], s[i])
+        return tuple(factors)
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -114,34 +131,49 @@ class NoiseModel:
         return cls(factors, float(sigma))
 
 
+def shape_groups(keys) -> list[list[int]]:
+    """Indices grouped by equal key, such as (q_k, p_k); groups in order of first appearance."""
+    groups: dict = {}
+    for k, key in enumerate(keys):
+        groups.setdefault(key, []).append(k)
+    return list(groups.values())
+
+
 def _user_rng(seed: int, user: int, attempt: int = 0) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(user, attempt))
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _draw_user(scenario: Scenario, k: int, attempt: int) -> np.ndarray:
+    """User k's q_k x t channel from its (seed, k, attempt) substream, real parts first."""
+    z = _user_rng(scenario.seed, k, attempt).standard_normal((2, scenario.users[k][0], scenario.t))
+    return (z[0] + 1j * z[1]) / np.sqrt(2.0)
+
+
 def generate_channels(scenario: Scenario) -> ChannelSet:
     """Draw the per-user Rayleigh channels for a scenario.
 
-    Deterministic in (seed, user index); each H_k is checked for full rank
-    and redrawn from a perturbed substream if the check fails (practically
+    Deterministic in (seed, user index). Each H_k is checked for full rank
+    from the channel set's shared singular values, and only the users that
+    fail are redrawn, from the next substream attempt (practically
     unreachable for Gaussian entries).
     """
-    matrices = []
-    for k, (q, _) in enumerate(scenario.users):
-        for attempt in range(_GENERATION_RETRIES + 1):
-            rng = _user_rng(scenario.seed, k, attempt)
-            h = (
-                rng.standard_normal((q, scenario.t))
-                + 1j * rng.standard_normal((q, scenario.t))
-            ) / np.sqrt(2.0)
-            if linalg.is_full_rank(h):
-                matrices.append(h)
-                break
-        else:
+    matrices = [_draw_user(scenario, k, 0) for k in range(scenario.num_users)]
+    attempt = 0
+    while True:
+        channels = ChannelSet(scenario, matrices)
+        deficient = [
+            k for k, (_, s) in enumerate(channels.svd) if not s[-1] > linalg.RANK_RTOL * s[0]
+        ]
+        if not deficient:
+            return channels
+        attempt += 1
+        if attempt > _GENERATION_RETRIES:
             raise ChannelGenerationError(
-                f"user {k}: no full-rank channel after {_GENERATION_RETRIES + 1} draws"
+                f"user {deficient[0]}: no full-rank channel after {_GENERATION_RETRIES + 1} draws"
             )
-    return ChannelSet(scenario, tuple(matrices))
+        for k in deficient:
+            matrices[k] = _draw_user(scenario, k, attempt)
 
 
 def su_layer_gains(channels: ChannelSet) -> tuple[np.ndarray, ...]:
@@ -150,13 +182,12 @@ def su_layer_gains(channels: ChannelSet) -> tuple[np.ndarray, ...]:
     User k served alone by its own eigen zero-forcing precoder at its
     proportional share P * p_k / p of the budget receives A_k = H_k W_k =
     c U_p S_p, whose orthogonal columns carry (P / p) * s_i^2 with s_i the
-    i-th singular value of H_k; one singular-value pass per H_k.
+    i-th singular value of H_k, read from the shared `ChannelSet.svd`.
     """
     scenario = channels.scenario
     per_layer = scenario.total_power / scenario.total_layers
     return tuple(
-        per_layer * np.linalg.svd(h, compute_uv=False)[:p] ** 2
-        for h, (_, p) in zip(channels.matrices, scenario.users)
+        per_layer * s[:p] ** 2 for (_, s), (_, p) in zip(channels.svd, scenario.users)
     )
 
 

@@ -22,7 +22,13 @@ from mimosim.errors import (
     SingularMatrixError,
     UniquenessError,
 )
-from mimosim.precoding import mrt_precode, rczf_precode, reduce_ezf, reduce_full_zf
+from mimosim.precoding import (
+    custom_reduction,
+    mrt_precode,
+    rczf_precode,
+    reduce_ezf,
+    reduce_full_zf,
+)
 from mimosim.system import Scenario, generate_channels
 
 from conftest import crandn
@@ -358,6 +364,36 @@ class TestReferenceIc:
         broken = ReducedChannel(red.matrices, bad, kind="custom")
         with pytest.raises(UniquenessError):
             reference_ic(broken, prec.scale)
+
+    @staticmethod
+    def _reducers(rng, users, deficient):
+        """Random p_k x q_k reducers; those of the `deficient` users repeat their first row."""
+        reducers = []
+        for k, (q, p) in enumerate(users):
+            b = crandn(rng, p, q)
+            if k in deficient:
+                b[-1] = b[0] if p > 1 else 0.0
+            reducers.append(b)
+        return reducers
+
+    @pytest.mark.parametrize(
+        "users, deficient, named",
+        [
+            (((4, 2),) * 3, {1}, 1),
+            (((4, 2), (2, 1), (8, 4), (4, 2), (2, 1)), {2}, 2),
+            # The first shape group holds users 0 and 3; the error still names user 2.
+            (((4, 2), (2, 1), (8, 4), (4, 2), (2, 1)), {2, 3}, 2),
+            (((4, 2), (2, 1), (8, 4), (4, 2), (2, 1)), {1}, 1),
+        ],
+    )
+    def test_names_the_first_rank_deficient_user(self, rng, users, deficient, named):
+        channels = generate_channels(Scenario(t=32, users=users, seed=4))
+        full = custom_reduction(channels, self._reducers(rng, users, set()))
+        assert len(reference_ic(full, 1.0)) == len(users)
+        broken = custom_reduction(channels, self._reducers(rng, users, deficient))
+        message = rf"^user {named}: reducing map is rank deficient"
+        with pytest.raises(UniquenessError, match=message):
+            reference_ic(broken, 1.0)
 
 
 def test_necessity_no_detector_for_mrt():

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mimosim import linalg
 from mimosim.cli import main as cli_main
 from mimosim.errors import ConfigError, NeedsExternalNoiseError, SingularMatrixError
 from mimosim.experiment import (
@@ -45,6 +46,32 @@ trials = 2
 seed = 3
 output = out.csv
 """
+
+
+FIG5_SHAPED = """
+t = 64
+users = 4x2 *16
+grid = 0:40:20
+precoders = ezf, mrt
+detectors = mmse
+trials = 1
+"""
+
+
+def test_each_channel_is_decomposed_once_per_trial(monkeypatch):
+    # One stacked SVD for the 16 channels (one antenna count) and one in
+    # rczf_precode; MRT and the single-user gains reuse the channels' SVD.
+    calls = {"svd_reduced": 0, "is_full_rank": 0}
+    for name in calls:
+        original = getattr(linalg, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, name, counting)
+    run_sweep(parse_config(FIG5_SHAPED))
+    assert calls == {"svd_reduced": 2, "is_full_rank": 0}
 
 
 class TestParseConfig:

@@ -178,6 +178,16 @@ def test_cond_and_rank_helpers(rng):
     assert not linalg.is_full_rank(np.hstack([col, col]))
 
 
+def test_is_full_rank_on_a_stack(rng):
+    good = crandn(rng, 3, 8)
+    deficient = np.vstack([good[:2], good[:1]])
+    flags = linalg.is_full_rank(np.stack([good, deficient, good, np.zeros((3, 8))]))
+    assert flags.dtype == bool and flags.tolist() == [True, False, True, False]
+    assert type(linalg.is_full_rank(good)) is bool
+    assert type(linalg.is_full_rank(deficient)) is bool
+    assert linalg.is_full_rank(deficient[np.newaxis]).shape == (1,)
+
+
 class TestStacks:
     def test_qr_and_cholesky_factor_each_matrix(self, rng):
         m = crandn(rng, 3, 5, 2)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mimosim import linalg
-from mimosim.errors import InvalidInputError
+from mimosim import linalg, system
+from mimosim.errors import ChannelGenerationError, InvalidInputError
 from mimosim.metrics import sinr_per_layer
 from mimosim.precoding import rczf_precode, reduce_ezf
 from mimosim.system import (
@@ -78,6 +78,87 @@ class TestGeneration:
     def test_channel_set_shape_validation(self):
         with pytest.raises(InvalidInputError):
             ChannelSet(DEFAULT, tuple(np.zeros((4, 8), dtype=complex) for _ in range(8)))
+
+
+class TestSharedDecomposition:
+    MIXED = Scenario(t=64, users=((4, 2), (2, 1), (8, 4), (4, 2), (2, 1)), seed=5)
+
+    def test_matches_each_users_svd_in_user_order(self):
+        channels = generate_channels(self.MIXED)
+        assert len(channels.svd) == self.MIXED.num_users
+        for h, (u, s), (q, _) in zip(channels.matrices, channels.svd, self.MIXED.users):
+            assert u.shape == (q, q) and s.shape == (q,)
+            np.testing.assert_allclose(s, np.linalg.svd(h, compute_uv=False), rtol=1e-13)
+            gram = h @ h.conj().T
+            np.testing.assert_allclose(
+                (u * s**2) @ u.conj().T, gram, atol=1e-12 * np.linalg.norm(gram)
+            )
+
+    def test_one_stacked_svd_per_antenna_count(self, monkeypatch):
+        calls = []
+        svd_reduced = linalg.svd_reduced
+
+        def counting(m):
+            calls.append(np.shape(m))
+            return svd_reduced(m)
+
+        monkeypatch.setattr(linalg, "svd_reduced", counting)
+        channels = generate_channels(self.MIXED)
+        su_layer_gains(channels)
+        reduce_ezf(channels)
+        assert calls == [(2, 4, 64), (2, 2, 64), (1, 8, 64)]
+        assert channels.svd is channels.svd
+        assert "svd" not in repr(channels)
+
+
+def _two_call_draw(seed, k, attempt, shape=(4, 64)):
+    """User k's channel drawn as real parts, then imaginary parts, from its substream."""
+    rng = system._user_rng(seed, k, attempt)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+class TestRedraw:
+    USER = 3
+
+    def _patched_draw(self, monkeypatch, deficient_attempts):
+        """Record every draw; user USER's draws at `deficient_attempts` repeat a row."""
+        calls = []
+        draw = system._draw_user
+
+        def patched(scenario, k, attempt):
+            calls.append((k, attempt))
+            h = draw(scenario, k, attempt)
+            if k == self.USER and attempt in deficient_attempts:
+                h[1] = h[0]
+            return h
+
+        monkeypatch.setattr(system, "_draw_user", patched)
+        return calls
+
+    def test_draw_is_the_users_substream(self):
+        for k, h in enumerate(generate_channels(DEFAULT).matrices):
+            assert np.array_equal(h, _two_call_draw(DEFAULT.seed, k, 0))
+
+    def test_only_the_deficient_user_is_redrawn(self, monkeypatch):
+        normal = generate_channels(DEFAULT)
+        calls = self._patched_draw(monkeypatch, {0})
+        channels = generate_channels(DEFAULT)
+        assert calls == [(k, 0) for k in range(8)] + [(self.USER, 1)]
+        for k in range(8):
+            if k != self.USER:
+                assert np.array_equal(channels.matrices[k], normal.matrices[k])
+        redrawn = _two_call_draw(DEFAULT.seed, self.USER, 1)
+        assert np.array_equal(channels.matrices[self.USER], redrawn)
+        assert linalg.is_full_rank(channels.matrices[self.USER])
+
+    def test_gives_up_naming_the_user(self, monkeypatch):
+        attempts = range(system._GENERATION_RETRIES + 1)
+        calls = self._patched_draw(monkeypatch, set(attempts))
+        message = rf"^user {self.USER}: no full-rank channel after {len(attempts)} draws$"
+        with pytest.raises(ChannelGenerationError, match=message):
+            generate_channels(DEFAULT)
+        assert [a for k, a in calls if k == self.USER] == list(attempts)
+        assert [k for k, _ in calls].count(0) == 1
 
 
 class TestCalibration:
