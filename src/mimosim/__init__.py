@@ -62,7 +62,6 @@ from .precoding import (
 )
 from .system import (
     ChannelSet,
-    NoiseModel,
     Scenario,
     calibrate_noise,
     dump_channels,

@@ -178,6 +178,8 @@ def necessity_suite(seeds=tuple(range(1, 21))) -> CheckResult:
 
     For each user, restrict G to the left null space of the stacked cross
     links, then least-squares fit G H W_k to I; the residual stays large.
+    Cross links of full rank leave an empty null space and a residual of
+    exactly sqrt(p_k).
     Per seed, the links come from `build_covariance` and the cross links of
     all users are decomposed in one stacked SVD.
     """
@@ -186,22 +188,17 @@ def necessity_suite(seeds=tuple(range(1, 21))) -> CheckResult:
         channels = _default_channels(seed)
         precoder = mrt_precode(channels, channels.scenario.total_power)
         (stack,) = build_covariance(channels, precoder)  # one group: every user is 4x2
-        q, p = stack.effective.shape[-2:]
+        p = stack.effective.shape[-1]
         # Column j of user i's cross links is link column j, or j + p past its own block.
         cols = np.arange(stack.links.shape[-1] - p)
         other = cols + p * (cols >= stack.starts[:, np.newaxis])
         cross = np.take_along_axis(stack.links, other[:, np.newaxis, :], axis=2)
         u, s, _ = np.linalg.svd(cross, full_matrices=True)
-        ranks = np.sum(s > 1e-12 * s[:, :1], axis=1)
+        ranks = np.sum(s > linalg.RANK_RTOL * s[:, :1], axis=1)
         for i, rank in enumerate(ranks):
-            if rank >= q:
-                resid = float(np.sqrt(p))
-            else:
-                basis = u[i, :, rank:]
-                na = herm(basis) @ stack.effective[i]
-                proj = linalg.pinv(na) @ na
-                resid = float(np.linalg.norm(proj - np.eye(p)))
-            min_resid = min(min_resid, resid)
+            na = herm(u[i, :, rank:]) @ stack.effective[i]
+            proj = linalg.pinv(na) @ na
+            min_resid = min(min_resid, float(np.linalg.norm(proj - np.eye(p))))
     passed = min_resid > 0.1
     return CheckResult(
         "necessity (matched filter admits no interference-free detector)",

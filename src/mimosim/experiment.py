@@ -257,7 +257,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
             for detector in detector_names:
                 cores[(name, detector)] = stacked_detectors(stacks[name], detector)
         for db in config.su_sinr_grid_db:
-            sigma = noise_for_target(scenario, su_power, db).sigma
+            sigma = noise_for_target(su_power, db)
             su_se = su_spectral_efficiency(gains, sigma)
             for detector in detector_names:
                 for name in precoder_names:
@@ -269,7 +269,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
                     acc[0] += report.mu_se
                     acc[1] += report.su_se
                     acc[2] += report.ratio
-                    acc[3] += float(np.mean(report.interference_power))
+                    acc[3] += report.interference_power
     n = float(config.trials)
     rows = []
     for key in keys:

@@ -102,8 +102,8 @@ def cond(m) -> float:
     return float(s[0] / s[-1])
 
 
-def is_full_rank(m, rtol: float = RANK_RTOL):
-    """True when min(shape) singular values exceed rtol * sigma_max.
+def is_full_rank(m):
+    """True when min(shape) singular values exceed RANK_RTOL * sigma_max.
 
     A stack (..., m, n) gives one boolean per matrix; a single matrix a bool.
     """
@@ -111,7 +111,7 @@ def is_full_rank(m, rtol: float = RANK_RTOL):
     if s.shape[-1] == 0:
         full = np.zeros(s.shape[:-1], dtype=bool)
     else:
-        full = s[..., -1] > rtol * s[..., 0]
+        full = s[..., -1] > RANK_RTOL * s[..., 0]
     return bool(full) if full.ndim == 0 else full
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .detection import StackedDetector, UserStack, build_covariance
 from .errors import ConfigError, InvalidInputError
 from .precoding import Precoder, mrt_precode, rczf_precode, reduce_ezf, reduce_full_zf
-from .system import ChannelSet, NoiseModel, su_layer_gains
+from .system import ChannelSet, su_layer_gains
 
 # Noiseless perfect links cap here instead of producing infinite SE.
 SINR_CAP = 1e12
@@ -39,15 +39,12 @@ _GEN_LSE_RE = re.compile(r"^gen-lse\(([^)]+)\)$")
 
 @dataclass(frozen=True)
 class LinkReport:
-    """Per-user stacked links G_k H_k W (p_k x p) plus SINR/SE summaries."""
+    """Summed MU and SU SE, their ratio, and the users' mean cross-user leak power."""
 
-    links: list
-    sinr: list
-    se: list
-    interference_power: list
     mu_se: float
     su_se: float
     ratio: float
+    interference_power: float
 
 
 def effective_links(stack: UserStack, g: np.ndarray) -> np.ndarray:
@@ -143,10 +140,10 @@ def mu_report(stacks: tuple, detectors: list, sigma: float, su_se: float) -> Lin
 
     Per stack: the filters from its detector core, the links as one batched
     G @ H W product, and the per-layer SINRs in one `sinr_per_layer` call.
-    Per-user results are laid out in user order.
+    Per-user SEs and leaks are laid out in user order before they are reduced.
     """
     n = sum(len(s.users) for s in stacks)
-    links, sinrs, ses, leaks = [None] * n, [None] * n, [None] * n, [None] * n
+    ses, leaks = [None] * n, [None] * n
     for stack, detector in zip(stacks, detectors):
         g = detector.filters(sigma**2)
         link = effective_links(stack, g)
@@ -154,10 +151,10 @@ def mu_report(stacks: tuple, detectors: list, sigma: float, su_se: float) -> Lin
         se = np.sum(np.log2(1.0 + sinr), axis=-1)
         leak = np.sum(_cross_power(np.abs(link) ** 2, stack.starts), axis=-1)
         for i, k in enumerate(stack.users):
-            links[k], sinrs[k], ses[k], leaks[k] = link[i], sinr[i], float(se[i]), float(leak[i])
+            ses[k], leaks[k] = float(se[i]), float(leak[i])
     mu_se = float(sum(ses))
     ratio = su_se / mu_se if mu_se > 0 else math.inf
-    return LinkReport(links, sinrs, ses, leaks, mu_se, float(su_se), float(ratio))
+    return LinkReport(mu_se, float(su_se), float(ratio), float(np.mean(leaks)))
 
 
 def su_spectral_efficiency(gains: tuple, sigma: float) -> float:
@@ -179,7 +176,7 @@ def su_mu_report(
     channels: ChannelSet,
     precoder_scheme: str,
     detector_scheme: str,
-    noise: NoiseModel,
+    sigma: float,
 ) -> LinkReport:
     """Joint multi-user service versus each user served alone.
 
@@ -187,16 +184,12 @@ def su_mu_report(
     power P * p_k / p (its share of the budget) under the same white noise:
     sum_i log2(1 + (P / p) s_i^2 / sigma^2), capped at SINR_CAP, which every
     detector scheme attains there. The SU/MU ratio therefore isolates the
-    cost of sharing the channel rather than the power split. Noise factors
-    other than sigma * I raise InvalidInputError.
+    cost of sharing the channel rather than the power split. A sigma that is
+    negative, infinite or NaN raises InvalidInputError.
     """
-    for k, (l, q) in enumerate(zip(noise.factors, channels.scenario.antenna_counts)):
-        if not np.array_equal(l, noise.sigma * np.eye(q)):
-            raise InvalidInputError(
-                f"user {k}: the single-user leg needs white noise sigma * I "
-                f"(sigma={noise.sigma:g}, q_k={q})"
-            )
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise InvalidInputError(f"sigma must be finite and >= 0, got {sigma}")
     precoder = make_precoder(channels, precoder_scheme, channels.scenario.total_power)
-    su_se = su_spectral_efficiency(su_layer_gains(channels), noise.sigma)
+    su_se = su_spectral_efficiency(su_layer_gains(channels), sigma)
     stacks = build_covariance(channels, precoder)
-    return mu_report(stacks, stacked_detectors(stacks, detector_scheme), noise.sigma, su_se)
+    return mu_report(stacks, stacked_detectors(stacks, detector_scheme), sigma, su_se)

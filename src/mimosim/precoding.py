@@ -24,7 +24,6 @@ class ReducedChannel:
 
     matrices: tuple[np.ndarray, ...]
     reducers: tuple[np.ndarray, ...]
-    kind: str = "custom"
 
     def __post_init__(self):
         object.__setattr__(self, "matrices", tuple(self.matrices))
@@ -46,14 +45,12 @@ class ReducedChannel:
 class Precoder:
     """Per-user precoding blocks W_k (t x p_k) with the scale already applied.
 
-    `scale` is the uniform power-normalization factor: for the zero-forcing
-    kind, V_k @ W_k = scale * I and V_i @ W_j = 0 for i != j.
+    `scale` is the uniform power-normalization factor: for a zero-forcing
+    precoder, V_k @ W_k = scale * I and V_i @ W_j = 0 for i != j.
     """
 
     blocks: tuple[np.ndarray, ...]
     scale: float
-    kind: str
-    total_power: float
     reduced: ReducedChannel | None = None
 
     def __post_init__(self):
@@ -74,7 +71,7 @@ def reduce_full_zf(channels: ChannelSet) -> ReducedChannel:
             )
     matrices = tuple(h.copy() for h in channels.matrices)
     reducers = tuple(np.eye(q, dtype=np.complex128) for q, _ in channels.scenario.users)
-    return ReducedChannel(matrices, reducers, kind="full-zf")
+    return ReducedChannel(matrices, reducers)
 
 
 def reduce_ezf(channels: ChannelSet) -> ReducedChannel:
@@ -101,14 +98,14 @@ def reduce_ezf(channels: ChannelSet) -> ReducedChannel:
         v = b @ np.stack([channels.matrices[k] for k in group])
         for i, k in enumerate(group):
             matrices[k], reducers[k] = v[i], b[i]
-    return ReducedChannel(tuple(matrices), tuple(reducers), kind="ezf")
+    return ReducedChannel(tuple(matrices), tuple(reducers))
 
 
 def custom_reduction(channels: ChannelSet, reducers) -> ReducedChannel:
     """Reduction from caller-supplied B_k maps; V_k = B_k @ H_k."""
     reducers = tuple(np.asarray(b, dtype=np.complex128) for b in reducers)
     matrices = tuple(b @ h for b, h in zip(reducers, channels.matrices))
-    return ReducedChannel(matrices, reducers, kind="custom")
+    return ReducedChannel(matrices, reducers)
 
 
 def rczf_precode(reduced: ReducedChannel, total_power: float) -> Precoder:
@@ -132,7 +129,7 @@ def rczf_precode(reduced: ReducedChannel, total_power: float) -> Precoder:
     for p in reduced.layer_counts:
         blocks.append(scale * w0[:, offset:offset + p])
         offset += p
-    return Precoder(tuple(blocks), scale, "rczf", float(total_power), reduced)
+    return Precoder(tuple(blocks), scale, reduced)
 
 
 def mrt_precode(channels: ChannelSet, total_power: float) -> Precoder:
@@ -146,4 +143,4 @@ def mrt_precode(channels: ChannelSet, total_power: float) -> Precoder:
     w0 = np.hstack([linalg.herm(v) for v in reduced.matrices])
     scale = float(np.sqrt(total_power) / np.linalg.norm(w0))
     blocks = tuple(scale * linalg.herm(v) for v in reduced.matrices)
-    return Precoder(blocks, scale, "mrt", float(total_power), reduced)
+    return Precoder(blocks, scale, reduced)

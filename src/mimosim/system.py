@@ -64,10 +64,6 @@ class Scenario:
     def total_layers(self) -> int:
         return sum(p for _, p in self.users)
 
-    def single_user(self, k: int) -> "Scenario":
-        """Scenario serving only user k, same antennas/budget/seed."""
-        return Scenario(self.t, (self.users[k],), self.total_power, self.seed)
-
 
 @dataclass(frozen=True)
 class ChannelSet:
@@ -89,9 +85,6 @@ class ChannelSet:
             if not np.isfinite(h).all():
                 raise InvalidInputError(f"user {k}: channel has non-finite entries")
 
-    def single_user(self, k: int) -> "ChannelSet":
-        return ChannelSet(self.scenario.single_user(k), (self.matrices[k],))
-
     @cached_property
     def svd(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Economy SVD factors (U_k, s_k) of each H_k, in user order.
@@ -107,28 +100,6 @@ class ChannelSet:
             for i, k in enumerate(users):
                 factors[k] = (u[i], s[i])
         return tuple(factors)
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Per-user external-noise factors L_k (noise = L_k @ n with n ~ CN(0, I))."""
-
-    factors: tuple[np.ndarray, ...]
-    sigma: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        for k, l in enumerate(self.factors):
-            if l.ndim != 2 or l.shape[0] != l.shape[1]:
-                raise InvalidInputError(f"user {k}: noise factor must be square, got {l.shape}")
-        if self.sigma < 0:
-            raise InvalidInputError(f"sigma must be >= 0, got {self.sigma}")
-
-    @classmethod
-    def white(cls, scenario: Scenario, sigma: float) -> "NoiseModel":
-        """Isotropic noise L_k = sigma * I for every user."""
-        factors = tuple(sigma * np.eye(q, dtype=np.complex128) for q in scenario.antenna_counts)
-        return cls(factors, float(sigma))
 
 
 def shape_groups(keys) -> list[list[int]]:
@@ -196,18 +167,18 @@ def mean_su_layer_power(gains: tuple[np.ndarray, ...]) -> float:
     return float(np.mean(np.concatenate(gains)))
 
 
-def noise_for_target(scenario: Scenario, su_layer_power: float, su_sinr_db: float) -> NoiseModel:
-    """White NoiseModel putting `su_layer_power` at `su_sinr_db` above the noise."""
+def noise_for_target(su_layer_power: float, su_sinr_db: float) -> float:
+    """White-noise sigma putting `su_layer_power` at `su_sinr_db` above sigma^2."""
     if not math.isfinite(su_sinr_db):
         raise InvalidInputError(f"su_sinr_db must be finite, got {su_sinr_db}")
     sigma2 = su_layer_power / 10.0 ** (su_sinr_db / 10.0)
-    return NoiseModel.white(scenario, math.sqrt(sigma2))
+    return math.sqrt(sigma2)
 
 
-def calibrate_noise(channels: ChannelSet, su_sinr_db: float) -> NoiseModel:
-    """White NoiseModel whose sigma hits the target mean single-user SINR."""
+def calibrate_noise(channels: ChannelSet, su_sinr_db: float) -> float:
+    """White-noise sigma that hits the target mean single-user SINR."""
     power = mean_su_layer_power(su_layer_gains(channels))
-    return noise_for_target(channels.scenario, power, su_sinr_db)
+    return noise_for_target(power, su_sinr_db)
 
 
 def dump_channels(channels: ChannelSet, path) -> None:

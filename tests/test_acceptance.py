@@ -141,7 +141,7 @@ def _ideal_ratio(cfg, su_sinr_db):
     for i in range(cfg.trials):
         scenario = Scenario(cfg.t, cfg.users, cfg.total_power, trial_seed(cfg.base_seed, i))
         channels = generate_channels(scenario)
-        sigma2 = calibrate_noise(channels, su_sinr_db).sigma ** 2
+        sigma2 = calibrate_noise(channels, su_sinr_db) ** 2
         gains, rows = [], []
         for h, (_, p_k) in zip(channels.matrices, cfg.users):
             _, s, vh = np.linalg.svd(h)
@@ -227,10 +227,10 @@ def test_criterion_09_qr_mld_sic_end_to_end():
     # Monte-Carlo leg: 10^4 symbol vectors through the full noisy link.
     scenario = Scenario(t=64, users=((4, 2),) * 8, total_power=1.0, seed=1)
     channels = generate_channels(scenario)
-    noise = calibrate_noise(channels, 30.0)
+    sigma = calibrate_noise(channels, 30.0)
     prec = rczf_precode(reduce_ezf(channels), 1.0)
     (stack,) = build_covariance(channels, prec)
-    r = stack.interference + noise.sigma**2 * np.eye(4)
+    r = stack.interference + sigma**2 * np.eye(4)
     c = qpsk()
     rng = np.random.default_rng(2024)
     n_vec = 10_000
@@ -239,7 +239,7 @@ def test_criterion_09_qr_mld_sic_end_to_end():
     x = prec.stacked @ sent
     errors = 0
     for k, h in enumerate(channels.matrices):
-        y = h @ x + noise.sigma * crandn(rng, 4, n_vec)
+        y = h @ x + sigma * crandn(rng, 4, n_vec)
         out = qr_mld_detect(y, stack.effective[k], r[k], c)
         errors += int(np.sum(~np.isclose(out, sent[2 * k:2 * k + 2], atol=1e-9)))
     ser = errors / (16 * n_vec)

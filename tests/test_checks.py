@@ -78,6 +78,41 @@ def test_perturbed_qr_filter_fails_factor_identity(monkeypatch):
     assert not res.passed, res.detail
 
 
+def _spy_pinv(monkeypatch) -> list:
+    """Record every matrix the necessity suite hands to `linalg.pinv`."""
+    seen = []
+    real = checks.linalg.pinv
+
+    def spy(m):
+        seen.append(np.array(m))
+        return real(m)
+
+    monkeypatch.setattr(checks.linalg, "pinv", spy)
+    return seen
+
+
+def test_necessity_full_rank_cross_links_leave_sqrt_p(monkeypatch):
+    seen = _spy_pinv(monkeypatch)
+    res = checks.necessity_suite()
+    # 7 users x 2 layers of cross links span C^4: every null basis is empty.
+    assert {na.shape for na in seen} == {(0, 2)}
+    assert res.passed
+    assert "residual = 1.414 " in res.detail
+
+
+@pytest.mark.parametrize("users", [((4, 1),) * 3, ((4, 2),) * 2], ids=["3x4x1", "2x4x2"])
+def test_necessity_low_rank_cross_links_admit_a_nulling_filter(monkeypatch, users):
+    """Cross links leaving a null space of dimension >= p_k let a filter null MRT
+    interference exactly, so the least-squares path finds residual ~0 and the suite fails."""
+    monkeypatch.setattr(checks, "_DEFAULT_USERS", users)
+    seen = _spy_pinv(monkeypatch)
+    res = checks.necessity_suite(seeds=(1, 2, 3))
+    assert all(na.shape[0] >= na.shape[1] for na in seen)
+    resid = min(np.linalg.norm(np.linalg.pinv(na) @ na - np.eye(na.shape[1])) for na in seen)
+    assert resid < 1e-10
+    assert not res.passed, res.detail
+
+
 def test_cli_check_passes(capsys):
     assert main(["check"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -361,7 +361,7 @@ class TestReferenceIc:
         bad = tuple(np.vstack([b[:1], b[:1]]) for b in red.reducers)
         from mimosim.precoding import ReducedChannel
 
-        broken = ReducedChannel(red.matrices, bad, kind="custom")
+        broken = ReducedChannel(red.matrices, bad)
         with pytest.raises(UniquenessError):
             reference_ic(broken, prec.scale)
 

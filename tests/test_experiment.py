@@ -213,12 +213,12 @@ class TestRunSweep:
             for i in range(cfg.trials):
                 scenario = Scenario(cfg.t, cfg.users, cfg.total_power, trial_seed(cfg.base_seed, i))
                 channels = generate_channels(scenario)
-                noise = calibrate_noise(channels, row.su_sinr_db)
-                report = su_mu_report(channels, row.precoder, row.detector, noise)
+                sigma = calibrate_noise(channels, row.su_sinr_db)
+                report = su_mu_report(channels, row.precoder, row.detector, sigma)
                 mu += report.mu_se
                 su += report.su_se
                 ratio += report.ratio
-                leak += float(np.mean(report.interference_power))
+                leak += report.interference_power
             n = float(cfg.trials)
             assert (row.mu_se_mean, row.su_se_mean, row.ratio_mean, row.interference_power_mean) == (
                 mu / n,
@@ -269,7 +269,7 @@ class TestFailingSweepPoint:
         channels = generate_channels(
             Scenario(fig3.t, fig3.users, fig3.total_power, trial_seed(fig3.base_seed, 0))
         )
-        sigma = calibrate_noise(channels, 120.0).sigma
+        sigma = calibrate_noise(channels, 120.0)
         assert row.su_se_mean == su_spectral_efficiency(su_layer_gains(channels), sigma)
 
     def test_missing_noise_names_point(self, fig3):

@@ -10,6 +10,7 @@ from mimosim.experiment import parse_config, trial_seed
 from mimosim.metrics import (
     DETECTOR_SCHEMES,
     SINR_CAP,
+    LinkReport,
     effective_links,
     make_precoder,
     parse_detector_scheme,
@@ -22,14 +23,13 @@ from mimosim.metrics import (
 from mimosim.precoding import mrt_precode, rczf_precode, reduce_ezf
 from mimosim.system import (
     ChannelSet,
-    NoiseModel,
     Scenario,
     calibrate_noise,
     generate_channels,
     su_layer_gains,
 )
 
-from conftest import CONFIG_DIR, crandn
+from conftest import CONFIG_DIR, crandn, single_user
 from test_precoding import block_channels
 
 DEFAULT = Scenario(t=64, users=((4, 2),) * 8, total_power=1.0, seed=1)
@@ -148,12 +148,12 @@ class TestSchemeDispatch:
 
     def test_all_detectors_build(self):
         channels = generate_channels(DEFAULT)
-        noise = calibrate_noise(channels, 20.0)
+        sigma = calibrate_noise(channels, 20.0)
         prec = make_precoder(channels, "ezf", 1.0)
         stacks = build_covariance(channels, prec)
         for name in ("mmse-irc", "mmse", "gen-lse", "gen-lse(0.1)", "lse-limit", "qr-mld"):
             cores = stacked_detectors(stacks, name)
-            assert sum(len(core.filters(noise.sigma**2)) for core in cores) == 8
+            assert sum(len(core.filters(sigma**2)) for core in cores) == 8
 
     def test_unknown_precoder_rejected(self):
         channels = generate_channels(DEFAULT)
@@ -164,42 +164,41 @@ class TestSchemeDispatch:
 class TestSuMuReport:
     def test_orthogonal_users_ratio_is_one(self):
         channels = block_channels(8, [(4, 2)] * 4, seed=2)
-        noise = calibrate_noise(channels, 15.0)
-        report = su_mu_report(channels, "ezf", "mmse-irc", noise)
+        sigma = calibrate_noise(channels, 15.0)
+        report = su_mu_report(channels, "ezf", "mmse-irc", sigma)
         assert report.ratio == pytest.approx(1.0, abs=1e-6)
 
     def test_ratio_decreases_toward_one_for_zero_forcing(self):
         channels = generate_channels(DEFAULT)
         ratios = []
         for db in (0.0, 10.0, 20.0, 30.0, 40.0):
-            noise = calibrate_noise(channels, db)
-            ratios.append(su_mu_report(channels, "ezf", "mmse-irc", noise).ratio)
+            sigma = calibrate_noise(channels, db)
+            ratios.append(su_mu_report(channels, "ezf", "mmse-irc", sigma).ratio)
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] < 1.05
 
     def test_mrt_ratio_bounded_away_from_one(self):
         channels = generate_channels(DEFAULT)
-        noise = calibrate_noise(channels, 35.0)
-        report = su_mu_report(channels, "mrt", "qr-mld", noise)
+        sigma = calibrate_noise(channels, 35.0)
+        report = su_mu_report(channels, "mrt", "qr-mld", sigma)
         assert report.ratio > 1.05
 
     @pytest.mark.parametrize("precoder,detector", [("ezf", "mmse-irc"), ("mrt", "qr-mld"), ("ezf", "mmse")])
     def test_ratio_at_least_one(self, precoder, detector):
         channels = generate_channels(DEFAULT)
-        noise = calibrate_noise(channels, 18.0)
-        report = su_mu_report(channels, precoder, detector, noise)
+        sigma = calibrate_noise(channels, 18.0)
+        report = su_mu_report(channels, precoder, detector, sigma)
         assert report.ratio >= 1.0 - 1e-9
 
     def test_report_shapes_and_totals(self):
         channels = generate_channels(DEFAULT)
-        noise = calibrate_noise(channels, 20.0)
-        report = su_mu_report(channels, "ezf", "qr-mld", noise)
-        assert len(report.se) == 8
-        assert len(report.sinr) == 8
-        assert report.mu_se == pytest.approx(sum(report.se))
+        sigma = calibrate_noise(channels, 20.0)
+        report = su_mu_report(channels, "ezf", "qr-mld", sigma)
+        names = [f.name for f in dataclasses.fields(LinkReport)]
+        assert names == ["mu_se", "su_se", "ratio", "interference_power"]
+        assert all(type(getattr(report, name)) is float for name in names)
         assert report.su_se > 0
-        assert all(len(s) == 2 for s in report.sinr)
-        assert report.links[0][:, 0:2].shape == (2, 2)
+        assert report.ratio == report.su_se / report.mu_se
 
     def test_mu_se_non_decreasing_in_target(self):
         # Averaged over a few seeds; the 100-seed version is the fig3 run.
@@ -210,8 +209,8 @@ class TestSuMuReport:
             for seed in range(1, 11):
                 scenario = Scenario(t=64, users=((4, 2),) * 8, seed=seed)
                 channels = generate_channels(scenario)
-                noise = calibrate_noise(channels, db)
-                acc += su_mu_report(channels, "ezf", "mmse-irc", noise).mu_se
+                sigma = calibrate_noise(channels, db)
+                acc += su_mu_report(channels, "ezf", "mmse-irc", sigma).mu_se
             means.append(acc / 10)
         assert all(b > a for a, b in zip(means, means[1:]))
 
@@ -240,34 +239,28 @@ class TestSingleUserClosedForm:
         gains = su_layer_gains(channels)
         share = scenario.total_power / scenario.total_layers
         for db in np.arange(0.0, 81.0, 10.0):
-            noise = calibrate_noise(channels, db)
+            sigma = calibrate_noise(channels, db)
             total = 0.0
             for k, (_, p_k) in enumerate(scenario.users):
                 # User k alone, with its own EZF precoder at power share * p_k.
-                solo = channels.single_user(k)
+                solo = single_user(channels, k)
                 alone = ChannelSet(
                     dataclasses.replace(solo.scenario, total_power=share * p_k), solo.matrices
                 )
-                noise_k = NoiseModel((noise.factors[k],), noise.sigma)
-                se = su_mu_report(alone, "ezf", scheme, noise_k).mu_se
+                se = su_mu_report(alone, "ezf", scheme, sigma).mu_se
                 np.testing.assert_allclose(
-                    se, su_spectral_efficiency((gains[k],), noise.sigma), rtol=1e-12, atol=0.0
+                    se, su_spectral_efficiency((gains[k],), sigma), rtol=1e-12, atol=0.0
                 )
                 total += se
             np.testing.assert_allclose(
-                total, su_spectral_efficiency(gains, noise.sigma), rtol=1e-12, atol=0.0
+                total, su_spectral_efficiency(gains, sigma), rtol=1e-12, atol=0.0
             )
 
-    def test_su_mu_report_rejects_non_white_noise(self, rng):
+    def test_su_mu_report_rejects_invalid_sigma(self):
         channels = generate_channels(DEFAULT)
-        white = calibrate_noise(channels, 20.0)
-        coloured = list(white.factors)
-        coloured[3] = white.sigma * (np.eye(4) + 0.1 * crandn(rng, 4, 4))
-        with pytest.raises(InvalidInputError, match="user 3"):
-            su_mu_report(channels, "ezf", "mmse-irc", NoiseModel(coloured, white.sigma))
-        # White factors whose sigma field disagrees would give another SU leg.
-        with pytest.raises(InvalidInputError, match="user 0"):
-            su_mu_report(channels, "ezf", "mmse-irc", NoiseModel(white.factors, 0.0))
+        for sigma in (-1.0, np.nan, np.inf):
+            with pytest.raises(InvalidInputError, match="sigma must be finite and >= 0"):
+                su_mu_report(channels, "ezf", "mmse-irc", sigma)
 
 
 def test_noiseless_interference_criterion():

@@ -38,7 +38,6 @@ class TestFullZf:
             assert np.array_equal(v, h)
         for b, (q, _) in zip(red.reducers, scenario.users):
             assert np.array_equal(b, np.eye(q))
-        assert red.kind == "full-zf"
 
     def test_identity_channel(self):
         scenario = Scenario(t=3, users=((3, 3),), seed=0)

@@ -13,8 +13,10 @@ import pytest
 from mimosim.detection import build_covariance
 from mimosim.metrics import (
     DETECTOR_SCHEMES,
+    effective_links,
     make_precoder,
     parse_detector_scheme,
+    sinr_per_layer,
     stacked_detectors,
     su_mu_report,
 )
@@ -69,19 +71,28 @@ def test_stacked_core_matches_per_user_oracle(precoder_name, scheme):
     assert [len(s.users) for s in stacks] == [3, 2, 1]
     cores = stacked_detectors(stacks, scheme)
     for db in GRID_DB:
-        noise = calibrate_noise(channels, db)
-        filters = {}
+        sigma = calibrate_noise(channels, db)
+        filters, sinrs = {}, {}
         for stack, core in zip(stacks, cores):
-            filters.update(zip(stack.users, core.filters(noise.sigma**2)))
-        report = su_mu_report(channels, precoder_name, scheme, noise)
+            g = core.filters(sigma**2)
+            sinr = sinr_per_layer(
+                effective_links(stack, g), stack.starts, g, sigma * np.eye(g.shape[-1])
+            )
+            filters.update(zip(stack.users, g))
+            sinrs.update(zip(stack.users, sinr))
+        oracle_se = 0.0
         for k, h in enumerate(channels.matrices):
             a = h @ blocks[k]
             r_int = sum(h @ b @ _h(b) @ _h(h) for j, b in enumerate(blocks) if j != k)
-            g0 = oracle_filter(scheme, a, r_int, noise.sigma)
+            g0 = oracle_filter(scheme, a, r_int, sigma)
             where = f"{precoder_name}/{scheme} at {db} dB, user {k}"
             err = np.linalg.norm(filters[k] - g0) / np.linalg.norm(g0)
             assert err <= RTOL, f"{where}: filter relative error {err:.3g}"
-            np.testing.assert_allclose(
-                report.sinr[k], oracle_sinr(g0, h, w, starts[k], noise.sigma),
-                rtol=RTOL, atol=0.0, err_msg=where,
-            )
+            sinr0 = oracle_sinr(g0, h, w, starts[k], sigma)
+            np.testing.assert_allclose(sinrs[k], sinr0, rtol=RTOL, atol=0.0, err_msg=where)
+            oracle_se += float(np.sum(np.log2(1.0 + sinr0)))
+        report = su_mu_report(channels, precoder_name, scheme, sigma)
+        np.testing.assert_allclose(
+            report.mu_se, oracle_se, rtol=RTOL, atol=0.0,
+            err_msg=f"{precoder_name}/{scheme} at {db} dB: mu_se",
+        )

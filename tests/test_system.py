@@ -9,7 +9,6 @@ from mimosim.metrics import sinr_per_layer
 from mimosim.precoding import rczf_precode, reduce_ezf
 from mimosim.system import (
     ChannelSet,
-    NoiseModel,
     Scenario,
     calibrate_noise,
     dump_channels,
@@ -18,6 +17,8 @@ from mimosim.system import (
     mean_su_layer_power,
     su_layer_gains,
 )
+
+from conftest import single_user
 
 DEFAULT = Scenario(t=64, users=((4, 2),) * 8, total_power=1.0, seed=1)
 
@@ -169,37 +170,37 @@ class TestCalibration:
         share = DEFAULT.total_power / DEFAULT.total_layers
         powers = []
         for k in range(DEFAULT.num_users):
-            alone = channels.single_user(k)
+            alone = single_user(channels, k)
             _, p = DEFAULT.users[k]
             prec = rczf_precode(reduce_ezf(alone), share * p)
             a = alone.matrices[0] @ prec.blocks[0]
             powers.extend(np.sum(np.abs(a) ** 2, axis=0))
         oracle = float(np.mean(powers))
-        noise = calibrate_noise(channels, 0.0)
-        assert noise.sigma**2 == pytest.approx(oracle, rel=1e-10)
+        sigma = calibrate_noise(channels, 0.0)
+        assert sigma**2 == pytest.approx(oracle, rel=1e-10)
         assert mean_su_layer_power(su_layer_gains(channels)) == pytest.approx(oracle, rel=1e-10)
 
     def test_ten_db_scales_sigma_squared_by_ten(self):
         channels = generate_channels(DEFAULT)
-        s0 = calibrate_noise(channels, 0.0).sigma
-        s10 = calibrate_noise(channels, 10.0).sigma
+        s0 = calibrate_noise(channels, 0.0)
+        s10 = calibrate_noise(channels, 10.0)
         assert s0**2 == pytest.approx(10.0 * s10**2, rel=1e-12)
 
     def test_closed_loop_at_20_db(self):
         # Serve each user alone (own EZF precoder at its power share) and
         # measure the mean per-layer SINR with the metrics module.
         channels = generate_channels(DEFAULT)
-        noise = calibrate_noise(channels, 20.0)
+        sigma = calibrate_noise(channels, 20.0)
         share = DEFAULT.total_power / DEFAULT.total_layers
         sinrs = []
         for k in range(DEFAULT.num_users):
-            alone = channels.single_user(k)
+            alone = single_user(channels, k)
             _, p = DEFAULT.users[k]
             prec = rczf_precode(reduce_ezf(alone), share * p)
             from mimosim.detection import build_covariance, mmse_irc
 
             (stack,) = build_covariance(alone, prec)
-            l = noise.factors[k]
+            l = sigma * np.eye(DEFAULT.users[k][0])
             (g,) = mmse_irc(stack.effective, stack.interference + l @ l.conj().T)
             t = g @ alone.matrices[0] @ prec.blocks[0]
             sinrs.extend(sinr_per_layer(t, 0, g, l))
@@ -208,27 +209,13 @@ class TestCalibration:
 
     def test_sigma_strictly_decreasing_in_target(self):
         channels = generate_channels(DEFAULT)
-        sigmas = [calibrate_noise(channels, db).sigma for db in (-10.0, 0.0, 15.0, 30.0)]
+        sigmas = [calibrate_noise(channels, db) for db in (-10.0, 0.0, 15.0, 30.0)]
         assert all(b < a for a, b in zip(sigmas, sigmas[1:]))
 
     def test_non_finite_target_rejected(self):
         channels = generate_channels(DEFAULT)
         with pytest.raises(InvalidInputError):
             calibrate_noise(channels, math.inf)
-
-
-class TestNoiseModel:
-    def test_white_factors(self):
-        noise = NoiseModel.white(DEFAULT, 0.5)
-        assert len(noise.factors) == 8
-        np.testing.assert_allclose(noise.factors[0], 0.5 * np.eye(4))
-
-    def test_psd_products(self):
-        noise = NoiseModel.white(DEFAULT, 0.3)
-        for l in noise.factors:
-            prod = l @ l.conj().T
-            eig = np.linalg.eigvalsh(prod)
-            assert np.all(eig >= -1e-15)
 
 
 class TestDumpLoad:
