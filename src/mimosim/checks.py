@@ -8,9 +8,9 @@ per suite; the acceptance tests assert the same results.
 The suites share their inputs through pools: the default EZF scenarios of
 all seeds as one stack of users, and the synthetic pairs as one stack.
 `run_all_checks` builds each pool once and drops it when it returns; a
-suite called on its own builds its own. Detectors run on slices of at most
-`BATCH_USERS` pooled users, each slice passed as one stack to one call of
-the public detector function. Every scenario's channels are decomposed once
+suite called on its own builds its own. A suite passes a whole pool as one
+stack to one call of the public detector function per noise level or
+regularizer weight. Every scenario's channels are decomposed once
 (`ChannelSet.svd`), and that decomposition serves the channel rank check and
 the eigen reduction. The necessity suite builds its own MRT scenarios, one
 seed at a time, with one stacked SVD of the users' cross links per seed.
@@ -18,6 +18,7 @@ seed at a time, with one stacked SVD of the users' cross links per seed.
 
 import contextvars
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -37,8 +38,6 @@ from .system import ChannelSet, Scenario, generate_channels
 
 DEFAULT_SCENARIO_SEEDS = tuple(range(1, 101))
 _DEFAULT_USERS = ((4, 2),) * 8
-# Users per detector call: the detectors' temporaries, and so peak memory, grow with it.
-BATCH_USERS = 200
 
 # The pools of the run_all_checks() call in progress, by key; None outside one.
 _RUN_POOLS = contextvars.ContextVar("run_pools", default=None)
@@ -49,11 +48,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def _batches(n: int) -> list[slice]:
-    """Row slices of at most BATCH_USERS rows covering n pooled rows in order."""
-    return [slice(i, min(i + BATCH_USERS, n)) for i in range(0, n, BATCH_USERS)]
 
 
 def _pooled(key, build):
@@ -91,37 +85,26 @@ class _ScenarioPool:
 
     @classmethod
     def build(cls, seeds) -> "_ScenarioPool":
-        m, (q, p) = len(_DEFAULT_USERS), _DEFAULT_USERS[0]
-        n = len(seeds) * m
-        pool = cls(
-            m,
-            np.empty((n, q, p), np.complex128),
-            np.empty((n, q, q), np.complex128),
-            np.empty((n, p, q), np.complex128),
-            np.empty((n, p, m * p), np.complex128),
-            np.empty(n),
-            np.empty((len(seeds), m)),
-        )
-        for s, seed in enumerate(seeds):
+        parts = []  # per seed: one array per field after `users`, in field order
+        for seed in seeds:
             channels = _default_channels(seed)
             precoder = rczf_precode(reduce_ezf(channels), channels.scenario.total_power)
-            ref = reference_ic(precoder.reduced, precoder.scale)
+            ref = np.stack(reference_ic(precoder.reduced, precoder.scale))
             (stack,) = build_covariance(channels, precoder)  # one group: every user is 4x2
-            rows = slice(s * m, (s + 1) * m)
-            pool.effective[rows] = stack.effective
-            pool.interference[rows] = stack.interference
-            pool.reference[rows] = ref
-            pool.reference_links[rows] = pool.reference[rows] @ stack.links
-            pool.h_norms[rows] = np.linalg.norm(np.stack(channels.matrices), axis=(-2, -1))
-            pool.w_norms[s] = np.linalg.norm(np.stack(precoder.blocks), axis=(-2, -1))
-        return pool
+            parts.append((
+                stack.effective,
+                stack.interference,
+                ref,
+                ref @ stack.links,
+                np.linalg.norm(np.stack(channels.matrices), axis=(-2, -1)),
+                np.linalg.norm(np.stack(precoder.blocks), axis=(-2, -1))[np.newaxis],
+            ))
+        return cls(len(_DEFAULT_USERS), *(np.concatenate(arrays) for arrays in zip(*parts)))
 
-    def covariance(self, rows: slice, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-        """Links A and covariances R of the users in `rows` at white noise L = sigma I."""
-        a = self.effective[rows]
-        factor = sigma * np.eye(a.shape[-2], dtype=np.complex128)
-        r = self.interference[rows] + factor @ herm(factor)
-        return a, 0.5 * (r + herm(r))
+    def covariance(self, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+        """Links A and covariances R = R_int + sigma^2 I of every pooled user."""
+        q = self.interference.shape[-1]
+        return self.effective, self.interference + sigma**2 * np.eye(q)
 
 
 def _scenario_pool(seeds) -> _ScenarioPool:
@@ -136,13 +119,8 @@ def _rel_rows(diff: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 def _deviations(pool: _ScenarioPool, sigma: float, detector) -> np.ndarray:
     """||G - G0|| per pooled user, G from `detector` at external noise sigma."""
-    return np.concatenate([
-        np.linalg.norm(
-            detector(*pool.covariance(rows, sigma)) - pool.reference[rows],
-            axis=(-2, -1),
-        )
-        for rows in _batches(len(pool.effective))
-    ])
+    g = detector(*pool.covariance(sigma))
+    return np.linalg.norm(g - pool.reference, axis=(-2, -1))
 
 
 def _worst_against_reference(pool: _ScenarioPool, sigma: float, detector) -> float:
@@ -194,8 +172,7 @@ def necessity_suite(seeds=tuple(range(1, 21))) -> CheckResult:
         other = cols + p * (cols >= stack.starts[:, np.newaxis])
         cross = np.take_along_axis(stack.links, other[:, np.newaxis, :], axis=2)
         u, s, _ = np.linalg.svd(cross, full_matrices=True)
-        ranks = np.sum(s > linalg.RANK_RTOL * s[:, :1], axis=1)
-        for i, rank in enumerate(ranks):
+        for i, rank in enumerate(linalg.rank(s)):
             na = herm(u[i, :, rank:]) @ stack.effective[i]
             proj = linalg.pinv(na) @ na
             min_resid = min(min_resid, float(np.linalg.norm(proj - np.eye(p))))
@@ -238,15 +215,9 @@ def mmse_irc_rate_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
 
 def lambda_independence_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
     """Noiseless generalized LSE does not depend on the regularizer weight."""
-    pool = _scenario_pool(seeds)
-    worst = 0.0
-    lams = (1e-3, 1.0, 1e3)
-    for rows in _batches(len(pool.effective)):
-        a, r = pool.covariance(rows, 0.0)
-        gs = [gen_lse(a, r, lam) for lam in lams]
-        for i in range(len(lams)):
-            for j in range(i + 1, len(lams)):
-                worst = max(worst, float(_rel_rows(gs[i] - gs[j], gs[j]).max()))
+    a, r = _scenario_pool(seeds).covariance(0.0)
+    gs = [gen_lse(a, r, lam) for lam in (1e-3, 1.0, 1e3)]
+    worst = max(float(_rel_rows(gi - gj, gj).max()) for gi, gj in combinations(gs, 2))
     return CheckResult(
         "gen-lse lambda independence (noiseless)",
         worst < 1e-7,
@@ -285,12 +256,9 @@ def _synthetic_pool(count: int) -> _SyntheticPool:
 def _worst_against_limit(count: int, detector) -> float:
     """Worst relative deviation of `detector` from `lse_limit` over the synthetic pairs."""
     pool = _synthetic_pool(count)
-    worst = 0.0
-    for rows in _batches(count):
-        a, r = pool.effective[rows], pool.covariances[rows]
-        g_lim = lse_limit(a, r)
-        worst = max(worst, float(_rel_rows(detector(a, r) - g_lim, g_lim).max()))
-    return worst
+    a, r = pool.effective, pool.covariances
+    g_lim = lse_limit(a, r)
+    return float(_rel_rows(detector(a, r) - g_lim, g_lim).max())
 
 
 def lse_limit_suite(count: int = 100) -> CheckResult:
@@ -322,14 +290,11 @@ def _rotation_seed_matrix(seed: int) -> np.ndarray:
 def whitener_invariance_suite(count: int = 100) -> CheckResult:
     """The QR filter is unchanged when the whitener is rotated by a unitary."""
     pool = _synthetic_pool(count)
-    worst = 0.0
-    for rows in _batches(count):
-        a, r, l = pool.effective[rows], pool.covariances[rows], pool.whiteners[rows]
-        seeds = range(rows.start + 1, rows.stop + 1)
-        u, _ = linalg.qr(np.stack([_rotation_seed_matrix(seed) for seed in seeds]))
-        g_default = qr_mld_parts(a, r)[3]
-        g_rotated = qr_mld_parts(a, r, whitener=l @ u)[3]
-        worst = max(worst, float(_rel_rows(g_rotated - g_default, g_default).max()))
+    a, r = pool.effective, pool.covariances
+    u, _ = linalg.qr(np.stack([_rotation_seed_matrix(seed) for seed in range(1, count + 1)]))
+    g_default = qr_mld_parts(a, r)[3]
+    g_rotated = qr_mld_parts(a, r, whitener=pool.whiteners @ u)[3]
+    worst = float(_rel_rows(g_rotated - g_default, g_default).max())
     return CheckResult(
         "qr-mld whitener-rotation invariance",
         worst < 1e-9,

@@ -75,7 +75,7 @@ def build_covariance(channels: ChannelSet, precoder: Precoder) -> tuple[UserStac
 
     One H @ W product per group. R_int is built from the other users' columns
     directly, not as total minus own, so it stays PSD and loses no cross power.
-    A user's covariance under external noise L_k is R_int,k + L_k L_k^H.
+    A user's covariance under white noise sigma is R_int,k + sigma^2 I.
     """
     w = precoder.stacked
     offsets = np.cumsum((0,) + channels.scenario.layer_counts)

@@ -72,8 +72,8 @@ class SweepConfig:
                 )
         for d in self.detectors:
             parse_detector_scheme(d)
-        # Validates dimension constraints (p <= q <= t, sum p <= t).
-        Scenario(self.t, self.users, self.total_power, 0)
+        # Validates dimension constraints (p <= q <= t, sum p <= t) and the 64-bit seed.
+        Scenario(self.t, self.users, self.total_power, self.base_seed)
         if "zf" in self.precoders and any(p != q for q, p in self.users):
             raise ConfigError(
                 "precoder 'zf' requires p_k = q_k for every user; use 'ezf' for p_k < q_k"

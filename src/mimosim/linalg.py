@@ -15,7 +15,7 @@ from .errors import (
     SingularMatrixError,
 )
 
-# Singular values below RANK_RTOL * sigma_max count as zero.
+# Singular values not above RANK_RTOL * sigma_max count as zero (`rank`).
 RANK_RTOL = 1e-12
 # Inversions beyond this condition number raise instead of returning garbage.
 CONDITION_LIMIT = 1e12
@@ -102,16 +102,22 @@ def cond(m) -> float:
     return float(s[0] / s[-1])
 
 
+def rank(s: np.ndarray):
+    """Numerical rank: the count of singular values above RANK_RTOL * sigma_max.
+
+    `s` holds descending singular values on its last axis; a stack of them
+    gives one rank per entry.
+    """
+    return (s > RANK_RTOL * s[..., :1]).sum(axis=-1)
+
+
 def is_full_rank(m):
-    """True when min(shape) singular values exceed RANK_RTOL * sigma_max.
+    """True when all min(shape) singular values count toward the rank; False if empty.
 
     A stack (..., m, n) gives one boolean per matrix; a single matrix a bool.
     """
     s = np.linalg.svd(np.asarray(m, dtype=np.complex128), compute_uv=False)
-    if s.shape[-1] == 0:
-        full = np.zeros(s.shape[:-1], dtype=bool)
-    else:
-        full = s[..., -1] > RANK_RTOL * s[..., 0]
+    full = (rank(s) == s.shape[-1]) & (s.shape[-1] > 0)
     return bool(full) if full.ndim == 0 else full
 
 

@@ -64,15 +64,15 @@ def _cross_power(power: np.ndarray, start) -> np.ndarray:
     return np.sum(power * others[..., np.newaxis, :], axis=-1)
 
 
-def sinr_per_layer(link: np.ndarray, start, g: np.ndarray, l: np.ndarray) -> np.ndarray:
+def sinr_per_layer(link: np.ndarray, start, g: np.ndarray, sigma: float) -> np.ndarray:
     """Post-detection SINR for each layer of one user, or of each user in a stack.
 
     `link` is the user's stacked row block G_k H_k W and its own block
     T_kk = link[:, start:start + p_k]. signal_i = |T_kk[i,i]|^2, against the
     off-diagonal of row i of T_kk, the other users' columns of row i, and
-    the noise power ||row_i(G L)||^2. Perfect noiseless layers cap at
-    SINR_CAP; an all-zero layer reports 0. With a leading stack axis on
-    `link` and `g` (and optionally `l`), `start` holds one offset per entry.
+    the white-noise power ||row_i(sigma G)||^2. Perfect noiseless layers cap
+    at SINR_CAP; an all-zero layer reports 0. With a leading stack axis on
+    `link` and `g`, `start` holds one offset per entry.
     """
     p = link.shape[-2]
     power = np.abs(link) ** 2
@@ -80,7 +80,7 @@ def sinr_per_layer(link: np.ndarray, start, g: np.ndarray, l: np.ndarray) -> np.
     own = np.take_along_axis(power, own_cols[..., np.newaxis, :], axis=-1)
     signal = np.diagonal(own, axis1=-2, axis2=-1)
     self_leak = own.sum(axis=-1) - signal
-    noise = np.sum(np.abs(g @ l) ** 2, axis=-1)
+    noise = np.sum(np.abs(sigma * g) ** 2, axis=-1)
     denom = self_leak + _cross_power(power, start) + noise
     out = np.full(signal.shape, SINR_CAP)
     below_cap = denom > signal / SINR_CAP
@@ -147,7 +147,7 @@ def mu_report(stacks: tuple, detectors: list, sigma: float, su_se: float) -> Lin
     for stack, detector in zip(stacks, detectors):
         g = detector.filters(sigma**2)
         link = effective_links(stack, g)
-        sinr = sinr_per_layer(link, stack.starts, g, sigma * np.eye(g.shape[-1]))
+        sinr = sinr_per_layer(link, stack.starts, g, sigma)
         se = np.sum(np.log2(1.0 + sinr), axis=-1)
         leak = np.sum(_cross_power(np.abs(link) ** 2, stack.starts), axis=-1)
         for i, k in enumerate(stack.users):

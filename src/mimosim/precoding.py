@@ -43,23 +43,22 @@ class ReducedChannel:
 
 @dataclass(frozen=True)
 class Precoder:
-    """Per-user precoding blocks W_k (t x p_k) with the scale already applied.
+    """Stacked precoder W = [W_1 ... W_K] (t x p) with the scale already applied.
 
     `scale` is the uniform power-normalization factor: for a zero-forcing
-    precoder, V_k @ W_k = scale * I and V_i @ W_j = 0 for i != j.
+    precoder, V_k @ W_k = scale * I and V_i @ W_j = 0 for i != j. `blocks`
+    splits W into the users' W_k (t x p_k) by `reduced.layer_counts`.
     """
 
-    blocks: tuple[np.ndarray, ...]
+    stacked: np.ndarray
     scale: float
-    reduced: ReducedChannel | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
+    reduced: ReducedChannel
 
     @property
-    def stacked(self) -> np.ndarray:
-        """Column-stack of all user blocks, t x p."""
-        return np.hstack(self.blocks)
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """W_k for each user, in order: views into `stacked`."""
+        ends = np.cumsum(self.reduced.layer_counts)[:-1]
+        return tuple(np.split(self.stacked, ends, axis=1))
 
 
 def reduce_full_zf(channels: ChannelSet) -> ReducedChannel:
@@ -84,9 +83,9 @@ def reduce_ezf(channels: ChannelSet) -> ReducedChannel:
     """
     users = channels.scenario.users
     for k, ((_, s), (_, p)) in enumerate(zip(channels.svd, users)):
-        if s[p - 1] < linalg.RANK_RTOL * s[0]:
+        if linalg.rank(s) < p:
             raise IllConditionedError(
-                f"user {k}: singular value {p} is below {linalg.RANK_RTOL:g} * sigma_max"
+                f"user {k}: singular value {p} is not above {linalg.RANK_RTOL:g} * sigma_max"
             )
     matrices = [None] * len(users)
     reducers = [None] * len(users)
@@ -117,19 +116,14 @@ def rczf_precode(reduced: ReducedChannel, total_power: float) -> Precoder:
     """
     v = np.vstack(reduced.matrices)
     u, s, vh = linalg.svd_reduced(v)
-    if s[-1] <= linalg.RANK_RTOL * s[0]:
+    if linalg.rank(s) < len(s):
         raise InfeasibleZeroForcingError(
             f"stacked reduced channel ({v.shape[0]} rows, {v.shape[1]} columns) is rank "
             "deficient; too many layers or colinear users"
         )
     w0 = linalg.herm(vh) @ ((1.0 / s)[:, np.newaxis] * linalg.herm(u))
     scale = float(np.sqrt(total_power) / np.linalg.norm(w0))
-    blocks = []
-    offset = 0
-    for p in reduced.layer_counts:
-        blocks.append(scale * w0[:, offset:offset + p])
-        offset += p
-    return Precoder(tuple(blocks), scale, reduced)
+    return Precoder(scale * w0, scale, reduced)
 
 
 def mrt_precode(channels: ChannelSet, total_power: float) -> Precoder:
@@ -140,7 +134,6 @@ def mrt_precode(channels: ChannelSet, total_power: float) -> Precoder:
     zero-forcing class for generic multi-user channels.
     """
     reduced = reduce_ezf(channels)
-    w0 = np.hstack([linalg.herm(v) for v in reduced.matrices])
+    w0 = linalg.herm(np.vstack(reduced.matrices))
     scale = float(np.sqrt(total_power) / np.linalg.norm(w0))
-    blocks = tuple(scale * linalg.herm(v) for v in reduced.matrices)
-    return Precoder(blocks, scale, reduced)
+    return Precoder(scale * w0, scale, reduced)

@@ -133,9 +133,7 @@ def generate_channels(scenario: Scenario) -> ChannelSet:
     attempt = 0
     while True:
         channels = ChannelSet(scenario, matrices)
-        deficient = [
-            k for k, (_, s) in enumerate(channels.svd) if not s[-1] > linalg.RANK_RTOL * s[0]
-        ]
+        deficient = [k for k, (_, s) in enumerate(channels.svd) if linalg.rank(s) < len(s)]
         if not deficient:
             return channels
         attempt += 1

@@ -1,11 +1,11 @@
 """The check runner: pooled scenarios, their lifetime and alignment, and the CLI.
 
-The suites pool every user of every seed into one stack and run the
-detectors on slices of it. These tests pin that the pools are built once
-per `run_all_checks` call and not kept past it, that each pooled row stays
-aligned with its own reference filter (a perturbed filter at either end of
-the pool must fail the suites that read it), and what `mimosim check`
-prints and returns.
+The suites pool every user of every seed into one stack and pass each
+pool whole to the detectors. These tests pin that the pools are built once
+per `run_all_checks` call and not kept past it, that every detector call
+carries a whole pool, that each pooled row stays aligned with its own
+reference filter (a perturbed filter at either end of the pool must fail
+the suites that read it), and what `mimosim check` prints and returns.
 """
 
 import numpy as np
@@ -17,6 +17,7 @@ from mimosim.cli import main
 EZF_SEEDS = len(checks.DEFAULT_SCENARIO_SEEDS)
 NECESSITY_SEEDS = 20
 USERS_PER_SEED = 8
+SYNTHETIC_PAIRS = 100
 
 
 def _perturb_nth_filter(fn, n: int):
@@ -55,6 +56,27 @@ def test_scenarios_built_once_per_run_and_not_kept(monkeypatch):
     assert len(seeds) == 2 * (EZF_SEEDS + NECESSITY_SEEDS)
     assert first == second
     assert all(res.passed for res in first)
+
+
+def test_each_pool_goes_whole_to_one_detector_call(monkeypatch):
+    rows = {name: [] for name in ("mmse_irc", "gen_lse", "lse_limit", "qr_mld_linear")}
+    for name, seen in rows.items():
+
+        def spy(a, *args, real=getattr(checks, name), seen=seen, **kwargs):
+            seen.append(len(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(checks, name, spy)
+    assert all(res.passed for res in checks.run_all_checks())
+    scenarios = EZF_SEEDS * USERS_PER_SEED
+    # mmse-irc: noiseless, then the rate suite's two sigmas; gen-lse: three lambdas,
+    # then the limit suite; lse-limit: both synthetic suites; qr-mld: factor, then limit.
+    assert rows == {
+        "mmse_irc": [scenarios] * 3,
+        "gen_lse": [scenarios] * 3 + [SYNTHETIC_PAIRS],
+        "lse_limit": [SYNTHETIC_PAIRS] * 2,
+        "qr_mld_linear": [SYNTHETIC_PAIRS, scenarios],
+    }
 
 
 @pytest.mark.parametrize(

@@ -384,6 +384,18 @@ class TestCli:
     def test_missing_file_exit_code(self):
         assert cli_main(["run", "/nonexistent/cfg"]) == 1
 
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2^64"])
+    @pytest.mark.parametrize("command", ["run", "dump-channels"])
+    def test_seed_outside_64_bits_is_a_config_error(self, tmp_path, capsys, command, seed):
+        out = tmp_path / "out.txt"
+        cfg = SMALL.replace("seed = 3", f"seed = {seed}").replace("out.csv", str(out))
+        args = [command, str(self._write(tmp_path, cfg))]
+        if command == "dump-channels":
+            args.append(str(out))
+        assert cli_main(args) == 1
+        assert capsys.readouterr().err == "config error: seed must fit in 64 bits\n"
+        assert not out.exists()
+
     def test_dump_channels_roundtrip(self, tmp_path):
         path = self._write(tmp_path, SMALL)
         out = tmp_path / "chans.txt"

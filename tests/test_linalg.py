@@ -178,6 +178,15 @@ def test_cond_and_rank_helpers(rng):
     assert not linalg.is_full_rank(np.hstack([col, col]))
 
 
+def test_rank_counts_values_above_the_cutoff():
+    assert linalg.rank(np.array([3.0, 1.0, 0.0])) == 2
+    assert linalg.rank(np.array([1.0, linalg.RANK_RTOL])) == 1  # on the cutoff counts as zero
+    assert linalg.rank(np.array([1.0, 2 * linalg.RANK_RTOL])) == 2
+    assert linalg.rank(np.zeros(3)) == 0
+    assert linalg.rank(np.array([[2.0, 1.0], [1.0, 0.0]])).tolist() == [2, 1]
+    assert linalg.rank(np.empty((2, 0))).tolist() == [0, 0]
+
+
 def test_is_full_rank_on_a_stack(rng):
     good = crandn(rng, 3, 8)
     deficient = np.vstack([good[:2], good[:1]])

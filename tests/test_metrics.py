@@ -70,21 +70,19 @@ class TestEffectiveLinks:
 class TestSinrPerLayer:
     def test_plug_in(self):
         t_own = np.eye(2, dtype=complex)
-        g = 0.1 * np.eye(2, dtype=complex)  # rows of G L have power 0.01
-        l = np.eye(2, dtype=complex)
-        out = sinr_per_layer(t_own, 0, g, l)
+        g = 0.1 * np.eye(2, dtype=complex)  # rows of sigma G have power 0.01 at sigma = 1
+        out = sinr_per_layer(t_own, 0, g, 1.0)
         np.testing.assert_allclose(out, [100.0, 100.0], rtol=1e-12)
 
     def test_perfect_link_caps(self):
         t_own = np.eye(2, dtype=complex)
         g = np.eye(2, dtype=complex)
-        l = np.zeros((2, 2), dtype=complex)
-        out = sinr_per_layer(t_own, 0, g, l)
+        out = sinr_per_layer(t_own, 0, g, 0.0)
         np.testing.assert_allclose(out, [SINR_CAP, SINR_CAP])
 
     def test_all_zero_layer_reports_zero(self):
         t_own = np.zeros((2, 2), dtype=complex)
-        out = sinr_per_layer(t_own, 0, np.zeros((2, 4), dtype=complex), np.zeros((4, 4)))
+        out = sinr_per_layer(t_own, 0, np.zeros((2, 4), dtype=complex), 0.0)
         np.testing.assert_allclose(out, [0.0, 0.0])
 
     def test_matches_per_layer_loop(self, rng):
@@ -94,9 +92,9 @@ class TestSinrPerLayer:
         user, start = 1, 2
         link = crandn(rng, 3, sum(layers))
         link[1, start + 1] = 0.0  # all-zero signal on layer 1
-        g, l = crandn(rng, 3, 4), crandn(rng, 4, 4)
+        g, sigma = crandn(rng, 3, 4), 0.1 + rng.random()
         blocks = np.split(link, np.cumsum(layers)[:-1], axis=1)
-        gl = g @ l
+        gl = sigma * g
         expected = []
         for i in range(3):
             signal = abs(blocks[user][i, i]) ** 2
@@ -106,7 +104,7 @@ class TestSinrPerLayer:
             )
             noise = float(np.sum(np.abs(gl[i]) ** 2))
             expected.append(0.0 if signal == 0.0 else signal / (self_leak + cross + noise))
-        out = sinr_per_layer(link, start, g, l)
+        out = sinr_per_layer(link, start, g, sigma)
         assert out[1] == 0.0
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0.0)
 

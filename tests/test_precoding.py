@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
-from mimosim.errors import DimensionMismatchError, InfeasibleZeroForcingError
+from mimosim import linalg
+from mimosim.errors import (
+    DimensionMismatchError,
+    IllConditionedError,
+    InfeasibleZeroForcingError,
+)
+from mimosim.metrics import make_precoder
 from mimosim.precoding import (
     custom_reduction,
     mrt_precode,
@@ -78,6 +84,18 @@ class TestEzf:
             assert np.linalg.norm(v - b @ h) < 1e-10 * np.linalg.norm(v)
             assert b.shape == (2, 4)
             assert v.shape == (2, 64)
+
+    def test_singular_value_on_the_rank_cutoff_rejected(self):
+        # The SVD returns exactly (1, 1e-12): the second value sits on the cutoff,
+        # which counts as zero, so the user has one layer, not two.
+        h = np.array([[1, 0, 0, 0], [0, 1e-12, 0, 0]], dtype=complex)
+        channels = ChannelSet(Scenario(t=4, users=((2, 2),), seed=0), (h,))
+        s = channels.svd[0][1]
+        assert s.tolist() == [1.0, 1e-12]
+        assert linalg.rank(s) == 1
+        assert not linalg.is_full_rank(h)
+        with pytest.raises(IllConditionedError):
+            reduce_ezf(channels)
 
 
 class TestRczfPrecode:
@@ -179,6 +197,14 @@ class TestMrt:
         channels = generate_channels(DEFAULT)
         prec = mrt_precode(channels, 3.0)
         assert np.linalg.norm(prec.stacked) ** 2 == pytest.approx(3.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("scheme", ["zf", "ezf", "mrt"])
+def test_blocks_split_the_stored_stack(scheme):
+    channels = generate_channels(Scenario(t=32, users=((4, 4), (2, 2), (3, 3)), seed=2))
+    prec = make_precoder(channels, scheme, 1.0)
+    assert [w.shape for w in prec.blocks] == [(32, 4), (32, 2), (32, 3)]
+    assert np.array_equal(np.hstack(prec.blocks), prec.stacked)
 
 
 @pytest.mark.parametrize("seed", range(1, 6))

@@ -75,9 +75,7 @@ def test_stacked_core_matches_per_user_oracle(precoder_name, scheme):
         filters, sinrs = {}, {}
         for stack, core in zip(stacks, cores):
             g = core.filters(sigma**2)
-            sinr = sinr_per_layer(
-                effective_links(stack, g), stack.starts, g, sigma * np.eye(g.shape[-1])
-            )
+            sinr = sinr_per_layer(effective_links(stack, g), stack.starts, g, sigma)
             filters.update(zip(stack.users, g))
             sinrs.update(zip(stack.users, sinr))
         oracle_se = 0.0

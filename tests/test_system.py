@@ -200,10 +200,10 @@ class TestCalibration:
             from mimosim.detection import build_covariance, mmse_irc
 
             (stack,) = build_covariance(alone, prec)
-            l = sigma * np.eye(DEFAULT.users[k][0])
-            (g,) = mmse_irc(stack.effective, stack.interference + l @ l.conj().T)
+            noise = sigma**2 * np.eye(DEFAULT.users[k][0])
+            (g,) = mmse_irc(stack.effective, stack.interference + noise)
             t = g @ alone.matrices[0] @ prec.blocks[0]
-            sinrs.extend(sinr_per_layer(t, 0, g, l))
+            sinrs.extend(sinr_per_layer(t, 0, g, sigma))
         measured_db = 10.0 * math.log10(float(np.mean(sinrs)))
         assert abs(measured_db - 20.0) < 0.1
 

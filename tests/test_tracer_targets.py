@@ -1,17 +1,24 @@
-"""Every function the benchmark tracer wraps exists in mimosim.
+"""What the benchmark relies on in mimosim.
 
 `bench/tracer.py` names its spans by module and function. A rename or a
 deletion in `src/mimosim` would otherwise show only when the benchmark
 runs. The tracer is loaded from its file, as the benchmark loads it.
+
+The benchmark's set-up time and peak memory include what `import mimosim`
+loads; scipy is a test dependency only, and the package must not pull it in.
 """
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mimosim
 from mimosim import linalg
 from mimosim.errors import SingularMatrixError
 
@@ -38,3 +45,14 @@ def test_self_check_guard_site_raises():
     # The tracer's self-check counts this solve as one guard-site error.
     with pytest.raises(SingularMatrixError):
         linalg.solve_hermitian(np.zeros((2, 2)), np.ones((2, 1)))
+
+
+def test_import_loads_no_scipy():
+    # The child imports this same mimosim, from its source directory.
+    path = [str(Path(mimosim.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import sys, mimosim; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
