@@ -10,10 +10,11 @@ all seeds as one stack of users, and the synthetic pairs as one stack.
 `run_all_checks` builds each pool once and drops it when it returns; a
 suite called on its own builds its own. A suite passes a whole pool as one
 stack to one call of the public detector function per noise level or
-regularizer weight. Every scenario's channels are decomposed once
-(`ChannelSet.svd`), and that decomposition serves the channel rank check and
-the eigen reduction. The necessity suite builds its own MRT scenarios, one
-seed at a time, with one stacked SVD of the users' cross links per seed.
+regularizer weight. Every scenario's users form one shape group of
+`ChannelSet.groups`, decomposed once; that group serves the channel rank
+check, the eigen reduction, the covariance stack and ||H_k||. The necessity
+suite builds its own MRT scenarios, one seed at a time, with one stacked SVD
+of the users' cross links per seed.
 """
 
 import contextvars
@@ -91,12 +92,13 @@ class _ScenarioPool:
             precoder = rczf_precode(reduce_ezf(channels), channels.scenario.total_power)
             ref = np.stack(reference_ic(precoder.reduced, precoder.scale))
             (stack,) = build_covariance(channels, precoder)  # one group: every user is 4x2
+            ((_, h, _, _),) = channels.groups
             parts.append((
                 stack.effective,
                 stack.interference,
                 ref,
                 ref @ stack.links,
-                np.linalg.norm(np.stack(channels.matrices), axis=(-2, -1)),
+                np.linalg.norm(h, axis=(-2, -1)),
                 np.linalg.norm(np.stack(precoder.blocks), axis=(-2, -1))[np.newaxis],
             ))
         return cls(len(_DEFAULT_USERS), *(np.concatenate(arrays) for arrays in zip(*parts)))

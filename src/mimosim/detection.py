@@ -4,6 +4,7 @@ successive-cancellation detector, and the ideal interference-cancellation
 reference they all converge to under zero-forcing precoding.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,7 @@ class UserStack:
     free R_int,k = X_k X_k^H, X_k being links[i] with the own columns zeroed.
     """
 
-    users: tuple[int, ...]
+    users: np.ndarray
     starts: np.ndarray
     links: np.ndarray
     effective: np.ndarray
@@ -71,25 +72,26 @@ class UserStack:
 
 
 def build_covariance(channels: ChannelSet, precoder: Precoder) -> tuple[UserStack, ...]:
-    """Group users by (q_k, p_k), in order of first appearance, and stack each group.
+    """Stack the users of each `ChannelSet.groups` shape group under the precoder.
 
     One H @ W product per group. R_int is built from the other users' columns
     directly, not as total minus own, so it stays PSD and loses no cross power.
     A user's covariance under white noise sigma is R_int,k + sigma^2 I.
     """
     w = precoder.stacked
-    offsets = np.cumsum((0,) + channels.scenario.layer_counts)
+    layers = channels.scenario.layer_counts
+    offsets = np.cumsum((0,) + layers)
     stacks = []
-    for users in shape_groups(channels.scenario.users):
-        p = channels.scenario.users[users[0]][1]
+    for users, h, _, _ in channels.groups:
+        p = layers[users[0]]
         starts = offsets[users]
-        hw = np.stack([channels.matrices[k] for k in users]) @ w
+        hw = h @ w
         own = starts[:, np.newaxis] + np.arange(p)
         a = np.take_along_axis(hw, own[:, np.newaxis, :], axis=2)
         x = hw.copy()
         np.put_along_axis(x, own[:, np.newaxis, :], 0.0, axis=2)
         r = x @ herm(x)
-        stacks.append(UserStack(tuple(users), starts, hw, a, 0.5 * (r + herm(r))))
+        stacks.append(UserStack(users, starts, hw, a, 0.5 * (r + herm(r))))
     return tuple(stacks)
 
 
@@ -168,19 +170,19 @@ def mmse_irc(a: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def plain_mmse(a: np.ndarray, sigma: float) -> np.ndarray:
     """White-noise MMSE G_k = A_k^H (A_k A_k^H + sigma^2 I)^{-1}: no interference term."""
-    if sigma < 0:
-        raise InvalidInputError(f"sigma must be >= 0, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise InvalidInputError(f"sigma must be finite and >= 0, got {sigma}")
     return StackedDetector("mmse", 1.0, range(len(a)), a, None).filters(sigma**2)
 
 
 def gen_lse(a: np.ndarray, r: np.ndarray, lam: float) -> np.ndarray:
-    """One-parameter family G_k = A_k^H (A_k A_k^H + lam * R_k)^{-1}, lam > 0.
+    """One-parameter family G_k = A_k^H (A_k A_k^H + lam * R_k)^{-1}, finite lam > 0.
 
     At lam = 1 this is exactly the interference-aware MMSE filter; in the
     noiseless zero-forcing regime the output does not depend on lam.
     """
-    if not lam > 0:
-        raise InvalidInputError(f"lam must be > 0, got {lam}")
+    if not (math.isfinite(lam) and lam > 0):
+        raise InvalidInputError(f"lam must be finite and > 0, got {lam}")
     return StackedDetector("gen-lse", lam, range(len(a)), a, r).filters(0.0)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MimoSimError
+from .errors import ConfigError, InvalidInputError, MimoSimError
 from .detection import build_covariance
 from .metrics import (
     PRECODER_SCHEMES,
@@ -22,13 +22,7 @@ from .metrics import (
     stacked_detectors,
     su_spectral_efficiency,
 )
-from .system import (
-    Scenario,
-    generate_channels,
-    mean_su_layer_power,
-    noise_for_target,
-    su_layer_gains,
-)
+from .system import Scenario, generate_channels, noise_for_target, su_layer_gains
 
 CSV_HEADER = (
     "precoder,detector,su_sinr_db,mu_se_mean,su_se_mean,"
@@ -73,7 +67,10 @@ class SweepConfig:
         for d in self.detectors:
             parse_detector_scheme(d)
         # Validates dimension constraints (p <= q <= t, sum p <= t) and the 64-bit seed.
-        Scenario(self.t, self.users, self.total_power, self.base_seed)
+        try:
+            Scenario(self.t, self.users, self.total_power, self.base_seed)
+        except InvalidInputError as exc:
+            raise ConfigError(str(exc)) from exc
         if "zf" in self.precoders and any(p != q for q, p in self.users):
             raise ConfigError(
                 "precoder 'zf' requires p_k = q_k for every user; use 'ezf' for p_k < q_k"
@@ -195,12 +192,7 @@ def parse_config(text: str) -> SweepConfig:
     trials = _parse_int(seen["trials"][0], "trials", seen["trials"][1])
     seed = _parse_int(seen["seed"][0], "seed", seen["seed"][1])
     output = seen["output"][0]
-    try:
-        return SweepConfig(t, users, power, grid, precoders, detectors, trials, seed, output)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return SweepConfig(t, users, power, grid, precoders, detectors, trials, seed, output)
 
 
 def trial_seed(base_seed: int, trial_index: int) -> int:
@@ -248,7 +240,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         with _sweep_point(f"trial {trial}"):
             channels = generate_channels(scenario)
             gains = su_layer_gains(channels)
-        su_power = mean_su_layer_power(gains)
+        su_power = float(np.mean(gains))
         stacks, cores = {}, {}
         for name in precoder_names:
             with _sweep_point(f"precoder {name}, trial {trial}"):

@@ -106,8 +106,8 @@ def parse_detector_scheme(name: str) -> tuple[str, float]:
             lam = float(m.group(1))
         except ValueError:
             raise ConfigError(f"bad gen-lse parameter in '{name}'") from None
-        if not lam > 0:
-            raise ConfigError(f"gen-lse parameter must be > 0, got {lam}")
+        if not (math.isfinite(lam) and lam > 0):
+            raise ConfigError(f"gen-lse parameter must be finite and > 0, got {lam}")
         return "gen-lse", lam
     if name not in DETECTOR_SCHEMES:
         raise ConfigError(
@@ -140,36 +140,31 @@ def mu_report(stacks: tuple, detectors: list, sigma: float, su_se: float) -> Lin
 
     Per stack: the filters from its detector core, the links as one batched
     G @ H W product, and the per-layer SINRs in one `sinr_per_layer` call.
-    Per-user SEs and leaks are laid out in user order before they are reduced.
+    Each stack writes its users' SEs and cross leaks into two arrays indexed
+    by user, which are then reduced.
     """
     n = sum(len(s.users) for s in stacks)
-    ses, leaks = [None] * n, [None] * n
+    ses, leaks = np.empty(n), np.empty(n)
     for stack, detector in zip(stacks, detectors):
         g = detector.filters(sigma**2)
         link = effective_links(stack, g)
         sinr = sinr_per_layer(link, stack.starts, g, sigma)
-        se = np.sum(np.log2(1.0 + sinr), axis=-1)
-        leak = np.sum(_cross_power(np.abs(link) ** 2, stack.starts), axis=-1)
-        for i, k in enumerate(stack.users):
-            ses[k], leaks[k] = float(se[i]), float(leak[i])
-    mu_se = float(sum(ses))
+        ses[stack.users] = np.sum(np.log2(1.0 + sinr), axis=-1)
+        leaks[stack.users] = np.sum(_cross_power(np.abs(link) ** 2, stack.starts), axis=-1)
+    mu_se = float(np.sum(ses))
     ratio = su_se / mu_se if mu_se > 0 else math.inf
     return LinkReport(mu_se, float(su_se), float(ratio), float(np.mean(leaks)))
 
 
-def su_spectral_efficiency(gains: tuple, sigma: float) -> float:
-    """Single-user SE at white noise sigma, summed over users in order.
+def su_spectral_efficiency(gains: np.ndarray, sigma: float) -> float:
+    """Single-user SE at white noise sigma, summed over every layer of every user.
 
     Each user alone has orthogonal links c U_p S_p, so every detector scheme
     gives layer i the SINR g_i / sigma^2 for its gain g_i = (P / p) * s_i^2
     (`system.su_layer_gains`), capped at SINR_CAP like `sinr_per_layer`.
     """
-    sigma2 = sigma**2
-    su_se = 0.0
     with np.errstate(divide="ignore"):
-        for g in gains:
-            su_se += spectral_efficiency(np.minimum(g / sigma2, SINR_CAP))
-    return su_se
+        return spectral_efficiency(np.minimum(gains / sigma**2, SINR_CAP))
 
 
 def su_mu_report(

@@ -15,7 +15,7 @@ from .errors import (
     IllConditionedError,
     InfeasibleZeroForcingError,
 )
-from .system import ChannelSet, shape_groups
+from .system import ChannelSet
 
 
 @dataclass(frozen=True)
@@ -77,25 +77,26 @@ def reduce_ezf(channels: ChannelSet) -> ReducedChannel:
     """Eigen reduction: B_k inverts the top p_k singular directions of H_k.
 
     B_k = diag(1/s_1..1/s_p) @ U[:, :p]^H, so V_k = B_k @ H_k equals the
-    dominant p_k right-singular rows of H_k. U_k and s_k come from the
-    channel set's shared decomposition (`ChannelSet.svd`); B_k and V_k are
-    formed for each (q_k, p_k) group in one stacked product.
+    dominant p_k right-singular rows of H_k. Each (q_k, p_k) group of the
+    channel set's shared decomposition (`ChannelSet.groups`) gets one rank
+    check and one stacked product; an error names the lowest failing user.
     """
-    users = channels.scenario.users
-    for k, ((_, s), (_, p)) in enumerate(zip(channels.svd, users)):
-        if linalg.rank(s) < p:
-            raise IllConditionedError(
-                f"user {k}: singular value {p} is not above {linalg.RANK_RTOL:g} * sigma_max"
-            )
-    matrices = [None] * len(users)
-    reducers = [None] * len(users)
-    for group in shape_groups(users):
-        p = users[group[0]][1]
-        u = np.stack([channels.svd[k][0][:, :p] for k in group])
-        s = np.stack([channels.svd[k][1][:p] for k in group])
-        b = (1.0 / s)[..., np.newaxis] * linalg.herm(u)
-        v = b @ np.stack([channels.matrices[k] for k in group])
-        for i, k in enumerate(group):
+    layers = np.array(channels.scenario.layer_counts)
+    deficient = [
+        k for users, _, _, s in channels.groups for k in users[linalg.rank(s) < layers[users]]
+    ]
+    if deficient:
+        k = min(deficient)
+        raise IllConditionedError(
+            f"user {k}: singular value {layers[k]} is not above {linalg.RANK_RTOL:g} * sigma_max"
+        )
+    matrices = [None] * len(layers)
+    reducers = [None] * len(layers)
+    for users, h, u, s in channels.groups:
+        p = layers[users[0]]
+        b = (1.0 / s[:, :p])[..., np.newaxis] * linalg.herm(u[..., :p])
+        v = b @ h
+        for i, k in enumerate(users):
             matrices[k], reducers[k] = v[i], b[i]
     return ReducedChannel(tuple(matrices), tuple(reducers))
 

@@ -53,10 +53,6 @@ class Scenario:
         return len(self.users)
 
     @property
-    def antenna_counts(self) -> tuple[int, ...]:
-        return tuple(q for q, _ in self.users)
-
-    @property
     def layer_counts(self) -> tuple[int, ...]:
         return tuple(p for _, p in self.users)
 
@@ -86,20 +82,21 @@ class ChannelSet:
                 raise InvalidInputError(f"user {k}: channel has non-finite entries")
 
     @cached_property
-    def svd(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Economy SVD factors (U_k, s_k) of each H_k, in user order.
+    def groups(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
+        """One (users, H, U, s) per (q_k, p_k) shape, in order of first appearance.
 
-        U_k is q_k x q_k and s_k holds the q_k singular values, descending.
-        Computed on first use with one stacked `linalg.svd_reduced` per
-        antenna-count group, then shared by the rank check, the single-user
-        gains and the eigen reduction.
+        `users` holds the group's user indices in user order, H (n x q_k x t)
+        their stacked channels, and U (n x q_k x q_k), s (n x q_k) the economy
+        SVD factors of H, singular values descending. Computed on first use
+        with one `linalg.svd_reduced` per group, then shared by the rank check,
+        the single-user gains, the eigen reduction and the covariance stacks.
         """
-        factors = [None] * len(self.matrices)
-        for users in shape_groups(self.scenario.antenna_counts):
-            u, s, _ = linalg.svd_reduced(np.stack([self.matrices[k] for k in users]))
-            for i, k in enumerate(users):
-                factors[k] = (u[i], s[i])
-        return tuple(factors)
+        out = []
+        for users in shape_groups(self.scenario.users):
+            h = np.stack([self.matrices[k] for k in users])
+            u, s, _ = linalg.svd_reduced(h)
+            out.append((np.array(users), h, u, s))
+        return tuple(out)
 
 
 def shape_groups(keys) -> list[list[int]]:
@@ -125,16 +122,18 @@ def generate_channels(scenario: Scenario) -> ChannelSet:
     """Draw the per-user Rayleigh channels for a scenario.
 
     Deterministic in (seed, user index). Each H_k is checked for full rank
-    from the channel set's shared singular values, and only the users that
-    fail are redrawn, from the next substream attempt (practically
-    unreachable for Gaussian entries).
+    from the channel set's shared singular values, one `linalg.rank` per
+    shape group, and only the users that fail are redrawn, from the next
+    substream attempt (practically unreachable for Gaussian entries).
     """
     matrices = [_draw_user(scenario, k, 0) for k in range(scenario.num_users)]
     attempt = 0
     while True:
         channels = ChannelSet(scenario, matrices)
-        deficient = [k for k, (_, s) in enumerate(channels.svd) if linalg.rank(s) < len(s)]
-        if not deficient:
+        deficient = np.sort(np.concatenate(
+            [users[linalg.rank(s) < s.shape[-1]] for users, _, _, s in channels.groups]
+        ))
+        if not deficient.size:
             return channels
         attempt += 1
         if attempt > _GENERATION_RETRIES:
@@ -142,27 +141,23 @@ def generate_channels(scenario: Scenario) -> ChannelSet:
                 f"user {deficient[0]}: no full-rank channel after {_GENERATION_RETRIES + 1} draws"
             )
         for k in deficient:
-            matrices[k] = _draw_user(scenario, k, attempt)
+            matrices[k] = _draw_user(scenario, int(k), attempt)
 
 
-def su_layer_gains(channels: ChannelSet) -> tuple[np.ndarray, ...]:
-    """Per-user single-user layer gains (P / p) * s_i^2, i <= p_k.
+def su_layer_gains(channels: ChannelSet) -> np.ndarray:
+    """Single-user layer gains (P / p) * s_i^2, i <= p_k, of every layer, group by group.
 
     User k served alone by its own eigen zero-forcing precoder at its
     proportional share P * p_k / p of the budget receives A_k = H_k W_k =
     c U_p S_p, whose orthogonal columns carry (P / p) * s_i^2 with s_i the
-    i-th singular value of H_k, read from the shared `ChannelSet.svd`.
+    i-th singular value of H_k, read from the shared `ChannelSet.groups`.
     """
     scenario = channels.scenario
     per_layer = scenario.total_power / scenario.total_layers
-    return tuple(
-        per_layer * s[:p] ** 2 for (_, s), (_, p) in zip(channels.svd, scenario.users)
-    )
-
-
-def mean_su_layer_power(gains: tuple[np.ndarray, ...]) -> float:
-    """Mean of the single-user layer gains over all layers of all users."""
-    return float(np.mean(np.concatenate(gains)))
+    return np.concatenate([
+        per_layer * s[:, :scenario.layer_counts[users[0]]].ravel() ** 2
+        for users, _, _, s in channels.groups
+    ])
 
 
 def noise_for_target(su_layer_power: float, su_sinr_db: float) -> float:
@@ -175,8 +170,7 @@ def noise_for_target(su_layer_power: float, su_sinr_db: float) -> float:
 
 def calibrate_noise(channels: ChannelSet, su_sinr_db: float) -> float:
     """White-noise sigma that hits the target mean single-user SINR."""
-    power = mean_su_layer_power(su_layer_gains(channels))
-    return noise_for_target(power, su_sinr_db)
+    return noise_for_target(float(np.mean(su_layer_gains(channels))), su_sinr_db)
 
 
 def dump_channels(channels: ChannelSet, path) -> None:

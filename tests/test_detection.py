@@ -174,6 +174,12 @@ class TestPlainMmse:
         with pytest.raises(SingularMatrixError):
             plain_mmse(a[np.newaxis], sigma=1e-9)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, rng, sigma):
+        a = crandn(rng, 4, 2)
+        with pytest.raises(InvalidInputError, match="sigma must be finite and >= 0"):
+            plain_mmse(a[np.newaxis], sigma)
+
     def test_does_not_cancel_reduced_rank_interference(self):
         sigma = 1e-3
         channels, prec, a, _ = default_pipeline(sigma=sigma)
@@ -216,6 +222,11 @@ class TestGenLse:
         _, _, a, r = default_pipeline(sigma=0.1)
         with pytest.raises(InvalidInputError):
             gen_lse(a, r, 0.0)
+
+    def test_infinite_lambda_rejected(self):
+        _, _, a, r = default_pipeline(sigma=0.1)
+        with pytest.raises(InvalidInputError, match="lam must be finite and > 0"):
+            gen_lse(a, r, np.inf)
 
 
 class TestLseLimit:

@@ -59,7 +59,7 @@ trials = 1
 
 
 def test_each_channel_is_decomposed_once_per_trial(monkeypatch):
-    # One stacked SVD for the 16 channels (one antenna count) and one in
+    # One stacked SVD for the 16 channels (one shape group) and one in
     # rczf_precode; MRT and the single-user gains reuse the channels' SVD.
     calls = {"svd_reduced": 0, "is_full_rank": 0}
     for name in calls:
@@ -396,6 +396,16 @@ class TestCli:
         assert capsys.readouterr().err == "config error: seed must fit in 64 bits\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("lam", ["inf", "1e400"])
+    def test_infinite_gen_lse_parameter_is_a_config_error(self, tmp_path, capsys, lam):
+        out = tmp_path / "out.csv"
+        cfg = SMALL.replace("qr-mld", f"gen-lse({lam})").replace("out.csv", str(out))
+        assert cli_main(["run", str(self._write(tmp_path, cfg))]) == 1
+        assert capsys.readouterr().err == (
+            "config error: gen-lse parameter must be finite and > 0, got inf\n"
+        )
+        assert not out.exists()
+
     def test_dump_channels_roundtrip(self, tmp_path):
         path = self._write(tmp_path, SMALL)
         out = tmp_path / "chans.txt"
@@ -427,3 +437,8 @@ def test_sweep_config_direct_validation():
         SweepConfig(16, ((4, 2),), 1.0, (0.0, 0.0), ("ezf",), ("mmse",), 1, 1, "x.csv")
     with pytest.raises(ConfigError, match="trials"):
         SweepConfig(16, ((4, 2),), 1.0, (0.0,), ("ezf",), ("mmse",), 0, 1, "x.csv")
+    # The scenario checks raise ConfigError too, with the scenario's message.
+    with pytest.raises(ConfigError, match=r"^user 0: layer/antenna counts must satisfy"):
+        SweepConfig(16, ((4, 8),), 1.0, (0.0,), ("ezf",), ("mmse",), 1, 1, "x.csv")
+    with pytest.raises(ConfigError, match="^seed must fit in 64 bits$"):
+        SweepConfig(16, ((4, 2),), 1.0, (0.0,), ("ezf",), ("mmse",), 1, -1, "x.csv")

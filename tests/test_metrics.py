@@ -234,7 +234,6 @@ class TestSingleUserClosedForm:
     def test_detector_route_matches(self, name, scheme):
         scenario = self._scenario(name)
         channels = generate_channels(scenario)
-        gains = su_layer_gains(channels)
         share = scenario.total_power / scenario.total_layers
         for db in np.arange(0.0, 81.0, 10.0):
             sigma = calibrate_noise(channels, db)
@@ -246,13 +245,11 @@ class TestSingleUserClosedForm:
                     dataclasses.replace(solo.scenario, total_power=share * p_k), solo.matrices
                 )
                 se = su_mu_report(alone, "ezf", scheme, sigma).mu_se
-                np.testing.assert_allclose(
-                    se, su_spectral_efficiency((gains[k],), sigma), rtol=1e-12, atol=0.0
-                )
+                closed_form = su_spectral_efficiency(su_layer_gains(alone), sigma)
+                np.testing.assert_allclose(se, closed_form, rtol=1e-12, atol=0.0)
                 total += se
-            np.testing.assert_allclose(
-                total, su_spectral_efficiency(gains, sigma), rtol=1e-12, atol=0.0
-            )
+            closed_form = su_spectral_efficiency(su_layer_gains(channels), sigma)
+            np.testing.assert_allclose(total, closed_form, rtol=1e-12, atol=0.0)
 
     def test_su_mu_report_rejects_invalid_sigma(self):
         channels = generate_channels(DEFAULT)

@@ -90,11 +90,21 @@ class TestEzf:
         # which counts as zero, so the user has one layer, not two.
         h = np.array([[1, 0, 0, 0], [0, 1e-12, 0, 0]], dtype=complex)
         channels = ChannelSet(Scenario(t=4, users=((2, 2),), seed=0), (h,))
-        s = channels.svd[0][1]
+        ((_, _, _, (s,)),) = channels.groups
         assert s.tolist() == [1.0, 1e-12]
         assert linalg.rank(s) == 1
         assert not linalg.is_full_rank(h)
         with pytest.raises(IllConditionedError):
+            reduce_ezf(channels)
+
+    def test_error_names_the_lowest_failing_user(self):
+        # Users 4x2, 2x1, 4x2: user 1 (second shape group) is all zeros and
+        # user 2 (first group) has rank 1; the error names user 1.
+        rng = np.random.default_rng(4)
+        h2 = np.outer(crandn(rng, 4), crandn(rng, 8))
+        matrices = (crandn(rng, 4, 8), np.zeros((2, 8), dtype=complex), h2)
+        channels = ChannelSet(Scenario(t=8, users=((4, 2), (2, 1), (4, 2)), seed=0), matrices)
+        with pytest.raises(IllConditionedError, match=r"^user 1: singular value 1 is not"):
             reduce_ezf(channels)
 
 

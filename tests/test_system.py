@@ -14,7 +14,6 @@ from mimosim.system import (
     dump_channels,
     generate_channels,
     load_channels,
-    mean_su_layer_power,
     su_layer_gains,
 )
 
@@ -41,7 +40,6 @@ class TestScenario:
     def test_totals(self):
         assert DEFAULT.total_layers == 16
         assert DEFAULT.num_users == 8
-        assert DEFAULT.antenna_counts == (4,) * 8
 
 
 class TestGeneration:
@@ -84,18 +82,24 @@ class TestGeneration:
 class TestSharedDecomposition:
     MIXED = Scenario(t=64, users=((4, 2), (2, 1), (8, 4), (4, 2), (2, 1)), seed=5)
 
-    def test_matches_each_users_svd_in_user_order(self):
+    def test_one_group_per_shape_in_order_of_first_appearance(self):
         channels = generate_channels(self.MIXED)
-        assert len(channels.svd) == self.MIXED.num_users
-        for h, (u, s), (q, _) in zip(channels.matrices, channels.svd, self.MIXED.users):
-            assert u.shape == (q, q) and s.shape == (q,)
-            np.testing.assert_allclose(s, np.linalg.svd(h, compute_uv=False), rtol=1e-13)
-            gram = h @ h.conj().T
-            np.testing.assert_allclose(
-                (u * s**2) @ u.conj().T, gram, atol=1e-12 * np.linalg.norm(gram)
-            )
+        assert [users.tolist() for users, *_ in channels.groups] == [[0, 3], [1, 4], [2]]
+        for users, h, u, s in channels.groups:
+            q = self.MIXED.users[users[0]][0]
+            assert h.shape == (len(users), q, 64)
+            assert u.shape == (len(users), q, q) and s.shape == (len(users), q)
+            for i, k in enumerate(users):
+                assert np.array_equal(h[i], channels.matrices[k])
+                np.testing.assert_allclose(
+                    s[i], np.linalg.svd(h[i], compute_uv=False), rtol=1e-13
+                )
+                gram = h[i] @ h[i].conj().T
+                np.testing.assert_allclose(
+                    (u[i] * s[i] ** 2) @ u[i].conj().T, gram, atol=1e-12 * np.linalg.norm(gram)
+                )
 
-    def test_one_stacked_svd_per_antenna_count(self, monkeypatch):
+    def test_one_stacked_svd_per_shape_group(self, monkeypatch):
         calls = []
         svd_reduced = linalg.svd_reduced
 
@@ -108,8 +112,32 @@ class TestSharedDecomposition:
         su_layer_gains(channels)
         reduce_ezf(channels)
         assert calls == [(2, 4, 64), (2, 2, 64), (1, 8, 64)]
-        assert channels.svd is channels.svd
-        assert "svd" not in repr(channels)
+        assert channels.groups is channels.groups
+        assert "groups" not in repr(channels)
+
+    def test_one_rank_call_per_shape_group(self, monkeypatch):
+        calls = []
+        rank = linalg.rank
+
+        def counting(s):
+            calls.append(np.shape(s))
+            return rank(s)
+
+        monkeypatch.setattr(linalg, "rank", counting)
+        channels = generate_channels(self.MIXED)
+        assert calls == [(2, 4), (2, 2), (1, 8)]
+        calls.clear()
+        reduce_ezf(channels)
+        assert calls == [(2, 4), (2, 2), (1, 8)]
+
+    def test_gains_come_group_by_group(self):
+        channels = generate_channels(self.MIXED)
+        share = self.MIXED.total_power / self.MIXED.total_layers
+        expected = np.concatenate([
+            share * np.linalg.svd(channels.matrices[k], compute_uv=False)[:p] ** 2
+            for k, p in ((0, 2), (3, 2), (1, 1), (4, 1), (2, 4))
+        ])
+        np.testing.assert_allclose(su_layer_gains(channels), expected, rtol=1e-13)
 
 
 def _two_call_draw(seed, k, attempt, shape=(4, 64)):
@@ -178,7 +206,7 @@ class TestCalibration:
         oracle = float(np.mean(powers))
         sigma = calibrate_noise(channels, 0.0)
         assert sigma**2 == pytest.approx(oracle, rel=1e-10)
-        assert mean_su_layer_power(su_layer_gains(channels)) == pytest.approx(oracle, rel=1e-10)
+        assert np.mean(su_layer_gains(channels)) == pytest.approx(oracle, rel=1e-10)
 
     def test_ten_db_scales_sigma_squared_by_ten(self):
         channels = generate_channels(DEFAULT)
