@@ -117,14 +117,23 @@ class StackedDetector:
         elif scheme == "lse-limit":
             self.eig = linalg.eigh(r0)
 
-    def filters(self, s2: float) -> np.ndarray:
-        """Stacked filters G (n x p_k x q_k) at noise power s2."""
+    def filters(self, s2) -> np.ndarray:
+        """Stacked filters G (n x p_k x q_k) at noise power s2.
+
+        A (G,) vector of noise powers gives (G, n, p_k, q_k), one batched
+        computation for the whole grid; a guard error then names the first
+        failing grid point's first failing user.
+        """
         a, (q, p) = self.a, self.a.shape[-2:]
+        s2 = np.asarray(s2, dtype=float)
+        # Broadcasts against the stacked eigenvalues (n, q_k): (G, 1, 1).
+        shift = s2.reshape(s2.shape + (1,) * (a.ndim - 1))
         if self.scheme == "qr-mld":
-            g = qr_mld_parts(a, self.r0 + s2 * np.eye(q), users=self.users)[3]
+            r = self.r0 + shift[..., np.newaxis] * np.eye(q)
+            g = qr_mld_parts(a, r, users=self.users)[3]
         elif self.scheme == "lse-limit":
             rinv_a = self._solve(
-                a, s2, NeedsExternalNoiseError,
+                a, shift, NeedsExternalNoiseError,
                 "covariance is singular; non-zero external noise is required for the "
                 "whitened limit",
             )
@@ -132,30 +141,37 @@ class StackedDetector:
             g = linalg.solve_shifted(linalg.eigh(herm(a) @ rinv_a), herm(rinv_a), names=names)
         elif self.scheme == "mmse":
             g = herm(self._solve(
-                a, s2, SingularMatrixError,
-                f"signal-plus-noise covariance A A^H + sigma^2 I is singular: the link has "
-                f"rank p_k={p} in q_k={q} dimensions and sigma^2={s2:.3g} is too small to "
+                a, shift, SingularMatrixError,
+                "signal-plus-noise covariance A A^H + sigma^2 I is singular: the link has "
+                "rank p_k={p} in q_k={q} dimensions and sigma^2={s2:.3g} is too small to "
                 "fill the rest",
             ))
         else:
             g = herm(self._solve(
-                a, self.lam * s2, SingularMatrixError,
+                a, self.lam * shift, SingularMatrixError,
                 "signal-plus-noise covariance is singular; invertibility requires at least "
-                f"q_k={q} layers in total across users",
+                "q_k={q} layers in total across users",
             ))
         finite = np.isfinite(g).all(axis=(-2, -1))
         if not finite.all():
-            k = self.users[int(np.argmin(finite))]
+            k = self.users[int(np.argmin(finite)) % len(self.users)]
             raise InvalidInputError(f"user {k}: detector filter has non-finite entries")
         return g
 
     def _solve(self, b, shift, error, why) -> np.ndarray:
-        """`linalg.solve_shifted` on `eig`; a guard trip re-raises as `error`, naming the user."""
+        """`linalg.solve_shifted` on `eig`; a guard trip re-raises as `error`.
+
+        `why` is formatted with q, p and the failing point's shift s2, after
+        the first failing user of the first failing grid point.
+        """
         try:
             return linalg.solve_shifted(self.eig, b, shift, [f"user {k}" for k in self.users])
         except SingularMatrixError as exc:
             bad = ~(linalg.shifted_condition(self.eig[0], shift) < linalg.CONDITION_LIMIT)
-            raise error(f"user {self.users[int(np.argmax(bad))]}: {why}") from exc
+            point, i = divmod(int(np.argmax(bad)), len(self.users))
+            q, p = self.a.shape[-2:]
+            s2 = shift.reshape(-1)[point]
+            raise error(f"user {self.users[i]}: " + why.format(q=q, p=p, s2=s2)) from exc
 
 
 # The detector functions take one same-shape user stack, links A (n x q x p)
@@ -199,13 +215,16 @@ def qr_mld_parts(
     The whitener F satisfies F F^H = R (lower Cholesky by default, but any
     F U with U unitary yields the same filter); (Q, T) is the positive-
     diagonal QR of F^{-1} A, and G = T^{-1} Q^H F^{-1} is the linear part.
-    `a`, `r` (and `whitener`) may be stacks over a leading axis; `users`
-    then names the stack's users in a guard error.
+    `a`, `r` (and `whitener`) may be stacks over leading axes, `r` with a
+    grid axis before the user axis; `users` then names the stack's users in
+    a guard error, the first failing user of the first failing grid point.
     """
     a = linalg.as_cmatrix(a, "effective link")
+    # Explicit, as numpy < 2 reads a b one axis short of the stack as vectors.
+    a = np.broadcast_to(a, np.shape(r)[:-2] + a.shape[-2:])
     bad = ~(linalg.shifted_condition(np.linalg.eigvalsh(r)) < linalg.CONDITION_LIMIT)
     if bad.any():
-        who = f"user {users[int(np.argmax(bad))]}: " if users is not None else ""
+        who = f"user {users[int(np.argmax(bad)) % len(users)]}: " if users is not None else ""
         raise NeedsExternalNoiseError(
             f"{who}covariance is singular; non-zero external noise is required before whitening"
         )

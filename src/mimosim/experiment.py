@@ -53,6 +53,8 @@ class SweepConfig:
         object.__setattr__(self, "detectors", tuple(self.detectors))
         if not self.su_sinr_grid_db:
             raise ConfigError("grid must be non-empty")
+        if not all(math.isfinite(db) for db in self.su_sinr_grid_db):
+            raise ConfigError(f"grid points must be finite, got {self.su_sinr_grid_db}")
         if any(b <= a for a, b in zip(self.su_sinr_grid_db, self.su_sinr_grid_db[1:])):
             raise ConfigError("grid must be strictly increasing")
         if self.trials < 1:
@@ -215,61 +217,58 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
 
     Trials reuse the same derived seeds across grid points and scheme
     pairs, so curves differ only through the scheme and the noise level.
-    Each value is computed once where it stops depending on the loops
-    inside it: per trial the channels, the single-user layer gains, one
-    multi-user precoder per scheme with its users stacked by shape, and one
-    noise-free factorization per detector and stack; per grid point the
-    noise level and the closed-form single-user SE. Each report only
-    rescales that factorization by the noise power, on the route
-    `su_mu_report` takes, so the result equals its trial mean at each point.
+    Per trial: the channels, the single-user gains, the (G,) vectors of
+    noise levels and closed-form SU SEs, one precoder per scheme with its
+    users stacked by shape, and one `mu_report` over the whole grid per
+    (precoder, detector) pair, the route `su_mu_report` takes at one point.
+    A guard trip raises what the first failing point, by grid point, then
+    detector, then precoder, raises alone, naming that point.
     """
     seeds = [trial_seed(config.base_seed, i) for i in range(config.trials)]
+    grid = config.su_sinr_grid_db
     # A scheme listed twice is computed once and its rows repeated.
     precoder_names = tuple(dict.fromkeys(config.precoders))
     detector_names = tuple(dict.fromkeys(config.detectors))
-    keys = [
-        (precoder, detector, db)
-        for precoder in config.precoders
-        for detector in config.detectors
-        for db in config.su_sinr_grid_db
-    ]
-    # Per-row accumulators: mu_se, su_se, ratio, interference power.
-    sums = {key: [0.0, 0.0, 0.0, 0.0] for key in keys}
+    # Per pair and grid point: mu_se, su_se, ratio and interference power sums.
+    sums = {(p, d): np.zeros((4, len(grid))) for p in precoder_names for d in detector_names}
     for trial, seed in enumerate(seeds):
         scenario = Scenario(config.t, config.users, config.total_power, seed)
         with _sweep_point(f"trial {trial}"):
             channels = generate_channels(scenario)
             gains = su_layer_gains(channels)
         su_power = float(np.mean(gains))
-        stacks, cores = {}, {}
-        for name in precoder_names:
+        sigma = np.array([noise_for_target(su_power, db) for db in grid])
+        su_se = su_spectral_efficiency(gains, sigma)
+        trips = {}
+        for pi, name in enumerate(precoder_names):
             with _sweep_point(f"precoder {name}, trial {trial}"):
                 precoder = make_precoder(channels, name, config.total_power)
-            stacks[name] = build_covariance(channels, precoder)
-            for detector in detector_names:
-                cores[(name, detector)] = stacked_detectors(stacks[name], detector)
-        for db in config.su_sinr_grid_db:
-            sigma = noise_for_target(su_power, db)
-            su_se = su_spectral_efficiency(gains, sigma)
-            for detector in detector_names:
-                for name in precoder_names:
-                    with _sweep_point(
-                        f"precoder {name}, detector {detector}, su_sinr_db {db:g}, trial {trial}"
-                    ):
-                        report = mu_report(stacks[name], cores[(name, detector)], sigma, su_se)
-                    acc = sums[(name, detector, db)]
-                    acc[0] += report.mu_se
-                    acc[1] += report.su_se
-                    acc[2] += report.ratio
-                    acc[3] += report.interference_power
+            stacks = build_covariance(channels, precoder)
+            for di, detector in enumerate(detector_names):
+                cores = stacked_detectors(stacks, detector)
+                try:
+                    mu_se, ratio, leak = mu_report(stacks, cores, sigma, su_se)
+                    sums[(name, detector)] += (mu_se, su_se, ratio, leak)
+                except MimoSimError:
+                    # Rerun point by point: the first point that raises alone
+                    # names the error, as a per-point sweep would.
+                    for i, db in enumerate(grid):
+                        try:
+                            with _sweep_point(f"precoder {name}, detector {detector}, "
+                                              f"su_sinr_db {db:g}, trial {trial}"):
+                                mu_report(stacks, cores, sigma[i:i + 1], su_se[i:i + 1])
+                        except MimoSimError as exc:
+                            trips[(i, di, pi)] = exc
+                            break
+                    else:
+                        raise
+        if trips:
+            raise trips[min(trips)]
     n = float(config.trials)
-    rows = []
-    for key in keys:
-        mu, su, ratio, leak = sums[key]
-        rows.append(
-            SweepRow(*key, mu / n, su / n, ratio / n, leak / n, config.trials, config.base_seed)
-        )
-    return rows
+    return [
+        SweepRow(p, d, db, *(sums[(p, d)][:, i] / n).tolist(), config.trials, config.base_seed)
+        for p in config.precoders for d in config.detectors for i, db in enumerate(grid)
+    ]
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:

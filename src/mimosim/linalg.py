@@ -141,16 +141,18 @@ def shifted_condition(e: np.ndarray, shift: float = 0.0) -> np.ndarray:
 def solve_shifted(eig, b: np.ndarray, shift: float = 0.0, names=None) -> np.ndarray:
     """(S + cI)^{-1} B = U diag(1 / (e + c)) U^H B for each Hermitian S of a stack.
 
-    `eig` is `eigh(S)`, so every shift c reuses one eigendecomposition. The
-    guard is the condition-number limit on S + cI; a trip raises
-    SingularMatrixError naming the first failing matrix by `names[i]`.
+    `eig` is `eigh(S)`, so every shift c reuses one eigendecomposition; a
+    shift array of shape (G, 1, ..., 1) adds a leading grid axis to the
+    result. The guard is the condition-number limit on S + cI; a trip
+    raises SingularMatrixError naming the first failing matrix, in grid
+    then stack order, by its stack entry's `names[i]`.
     """
     e, u = eig
     c = shifted_condition(e, shift)
     bad = ~(c < CONDITION_LIMIT)
     if bad.any():
         i = int(np.argmax(bad.reshape(-1)))
-        where = f" ({names[i]})" if names else ""
+        where = f" ({names[i % len(names)]})" if names else ""
         raise SingularMatrixError(
             f"matrix is singular or near-singular (condition number {c.reshape(-1)[i]:.3g}){where}"
         )

@@ -12,9 +12,9 @@ interference saturate and the ratio diverges instead.
 Each user's links are one p_k x p row block G_k H_k W of the stacked
 precoder W = [W_1 ... W_K]; user k's own layers are its columns
 start_k .. start_k + p_k, the other columns are cross-user leakage. The
-multi-user leg runs on users stacked by shape (`detection.build_covariance`),
-one detector core, `effective_links` product and `sinr_per_layer` call per group;
-`su_mu_report` and the sweep share it, the sweep factoring once per trial.
+multi-user leg (`mu_report`) runs on users stacked by shape, with noise levels
+as a leading grid axis: per group one detector core and one filters,
+`effective_links` and `sinr_per_layer` call for a sweep trial's whole grid.
 """
 
 import math
@@ -64,20 +64,21 @@ def _cross_power(power: np.ndarray, start) -> np.ndarray:
     return np.sum(power * others[..., np.newaxis, :], axis=-1)
 
 
-def sinr_per_layer(link: np.ndarray, start, g: np.ndarray, sigma: float) -> np.ndarray:
+def sinr_per_layer(link: np.ndarray, start, g: np.ndarray, sigma) -> np.ndarray:
     """Post-detection SINR for each layer of one user, or of each user in a stack.
 
     `link` is the user's stacked row block G_k H_k W and its own block
     T_kk = link[:, start:start + p_k]. signal_i = |T_kk[i,i]|^2, against the
     off-diagonal of row i of T_kk, the other users' columns of row i, and
     the white-noise power ||row_i(sigma G)||^2. Perfect noiseless layers cap
-    at SINR_CAP; an all-zero layer reports 0. With a leading stack axis on
-    `link` and `g`, `start` holds one offset per entry.
+    at SINR_CAP; an all-zero layer reports 0. With a stack axis on `link`
+    and `g`, `start` holds one offset per entry; further leading (grid) axes
+    broadcast, `sigma` against `g`.
     """
     p = link.shape[-2]
     power = np.abs(link) ** 2
-    own_cols = np.asarray(start)[..., np.newaxis] + np.arange(p)
-    own = np.take_along_axis(power, own_cols[..., np.newaxis, :], axis=-1)
+    own_cols = np.asarray(start)[..., np.newaxis, np.newaxis] + np.arange(p)
+    own = np.take_along_axis(power, np.broadcast_to(own_cols, power.shape[:-1] + (p,)), axis=-1)
     signal = np.diagonal(own, axis1=-2, axis2=-1)
     self_leak = own.sum(axis=-1) - signal
     noise = np.sum(np.abs(sigma * g) ** 2, axis=-1)
@@ -89,12 +90,12 @@ def sinr_per_layer(link: np.ndarray, start, g: np.ndarray, sigma: float) -> np.n
     return out
 
 
-def spectral_efficiency(sinrs) -> float:
-    """Shannon sum over layers, sum log2(1 + sinr_i), in bits/s/Hz."""
+def spectral_efficiency(sinrs):
+    """Shannon sum over layers (the last axis), sum log2(1 + sinr_i), in bits/s/Hz."""
     sinrs = np.asarray(sinrs, dtype=float)
     if np.any(sinrs < 0):
         raise ValueError("SINR values must be >= 0")
-    return float(np.sum(np.log2(1.0 + sinrs)))
+    return np.sum(np.log2(1.0 + sinrs), axis=-1)
 
 
 def parse_detector_scheme(name: str) -> tuple[str, float]:
@@ -135,43 +136,39 @@ def stacked_detectors(stacks: tuple[UserStack, ...], scheme: str) -> list[Stacke
     return [StackedDetector(base, lam, s.users, s.effective, s.interference) for s in stacks]
 
 
-def mu_report(stacks: tuple, detectors: list, sigma: float, su_se: float) -> LinkReport:
-    """Multi-user report at white noise sigma against a given SU SE.
+def mu_report(stacks: tuple, detectors: list, sigma: np.ndarray, su_se: np.ndarray):
+    """Multi-user SE, SU/MU ratio and mean cross leak power at G grid points.
 
-    Per stack: the filters from its detector core, the links as one batched
-    G @ H W product, and the per-layer SINRs in one `sinr_per_layer` call.
-    Each stack writes its users' SEs and cross leaks into two arrays indexed
-    by user, which are then reduced.
+    `sigma` and `su_se` are (G,) vectors, and so are the results. Per stack:
+    one filters call over the grid, one batched G @ H W product and one
+    `sinr_per_layer` call; users' SEs and leaks land in (G, users) arrays.
     """
     n = sum(len(s.users) for s in stacks)
-    ses, leaks = np.empty(n), np.empty(n)
+    ses, leaks = np.empty((len(sigma), n)), np.empty((len(sigma), n))
     for stack, detector in zip(stacks, detectors):
         g = detector.filters(sigma**2)
         link = effective_links(stack, g)
-        sinr = sinr_per_layer(link, stack.starts, g, sigma)
-        ses[stack.users] = np.sum(np.log2(1.0 + sinr), axis=-1)
-        leaks[stack.users] = np.sum(_cross_power(np.abs(link) ** 2, stack.starts), axis=-1)
-    mu_se = float(np.sum(ses))
-    ratio = su_se / mu_se if mu_se > 0 else math.inf
-    return LinkReport(mu_se, float(su_se), float(ratio), float(np.mean(leaks)))
+        sinr = sinr_per_layer(link, stack.starts, g, sigma.reshape(-1, 1, 1, 1))
+        ses[:, stack.users] = spectral_efficiency(sinr)
+        leaks[:, stack.users] = np.sum(_cross_power(np.abs(link) ** 2, stack.starts), axis=-1)
+    mu_se = np.sum(ses, axis=-1)
+    ratio = np.divide(su_se, mu_se, out=np.full(mu_se.shape, math.inf), where=mu_se > 0)
+    return mu_se, ratio, np.mean(leaks, axis=-1)
 
 
-def su_spectral_efficiency(gains: np.ndarray, sigma: float) -> float:
+def su_spectral_efficiency(gains: np.ndarray, sigma):
     """Single-user SE at white noise sigma, summed over every layer of every user.
 
     Each user alone has orthogonal links c U_p S_p, so every detector scheme
     gives layer i the SINR g_i / sigma^2 for its gain g_i = (P / p) * s_i^2
-    (`system.su_layer_gains`), capped at SINR_CAP like `sinr_per_layer`.
+    (`system.su_layer_gains`), capped at SINR_CAP like `sinr_per_layer`; one SE per sigma.
     """
     with np.errstate(divide="ignore"):
-        return spectral_efficiency(np.minimum(gains / sigma**2, SINR_CAP))
+        return spectral_efficiency(np.minimum(gains / np.square(sigma)[..., np.newaxis], SINR_CAP))
 
 
 def su_mu_report(
-    channels: ChannelSet,
-    precoder_scheme: str,
-    detector_scheme: str,
-    sigma: float,
+    channels: ChannelSet, precoder_scheme: str, detector_scheme: str, sigma: float
 ) -> LinkReport:
     """Joint multi-user service versus each user served alone.
 
@@ -179,12 +176,15 @@ def su_mu_report(
     power P * p_k / p (its share of the budget) under the same white noise:
     sum_i log2(1 + (P / p) s_i^2 / sigma^2), capped at SINR_CAP, which every
     detector scheme attains there. The SU/MU ratio therefore isolates the
-    cost of sharing the channel rather than the power split. A sigma that is
-    negative, infinite or NaN raises InvalidInputError.
+    cost of sharing the channel rather than the power split. It is the
+    one-point grid of `mu_report`. A sigma that is negative, infinite or NaN
+    raises InvalidInputError.
     """
     if not (math.isfinite(sigma) and sigma >= 0):
         raise InvalidInputError(f"sigma must be finite and >= 0, got {sigma}")
     precoder = make_precoder(channels, precoder_scheme, channels.scenario.total_power)
+    sigma = np.array([sigma])
     su_se = su_spectral_efficiency(su_layer_gains(channels), sigma)
     stacks = build_covariance(channels, precoder)
-    return mu_report(stacks, stacked_detectors(stacks, detector_scheme), sigma, su_se)
+    mu_se, ratio, leak = mu_report(stacks, stacked_detectors(stacks, detector_scheme), sigma, su_se)
+    return LinkReport(float(mu_se[0]), float(su_se[0]), float(ratio[0]), float(leak[0]))

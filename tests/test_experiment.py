@@ -1,10 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from mimosim import linalg
 from mimosim.cli import main as cli_main
+from mimosim.detection import StackedDetector
 from mimosim.errors import ConfigError, NeedsExternalNoiseError, SingularMatrixError
 from mimosim.experiment import (
     CSV_HEADER,
@@ -72,6 +74,22 @@ def test_each_channel_is_decomposed_once_per_trial(monkeypatch):
         monkeypatch.setattr(linalg, name, counting)
     run_sweep(parse_config(FIG5_SHAPED))
     assert calls == {"svd_reduced": 2, "is_full_rank": 0}
+
+
+def test_one_filters_call_per_trial_pair_and_stack(monkeypatch):
+    # fig3 at 2 trials: 1 precoder x 2 detectors x 1 shape group per trial,
+    # each call over the whole 9-point grid (a per-point sweep makes 36).
+    shapes = []
+    original = StackedDetector.filters
+
+    def counting(self, s2):
+        shapes.append(np.shape(s2))
+        return original(self, s2)
+
+    monkeypatch.setattr(StackedDetector, "filters", counting)
+    cfg = dataclasses.replace(parse_config((CONFIG_DIR / "fig3.cfg").read_text()), trials=2)
+    run_sweep(cfg)
+    assert shapes == [(9,)] * 4
 
 
 class TestParseConfig:
@@ -201,13 +219,13 @@ class TestRunSweep:
             1.0,
             (5.0, 25.0),
             ("ezf", "mrt"),
-            ("mmse-irc", "qr-mld", "gen-lse(0.1)"),
+            ("mmse-irc", "qr-mld", "gen-lse(0.1)", "mmse", "lse-limit"),
             2,
             7,
             "x.csv",
         )
         rows = run_sweep(cfg)
-        assert len(rows) == 2 * 3 * 2
+        assert len(rows) == 2 * 5 * 2
         for row in rows:
             mu = su = ratio = leak = 0.0
             for i in range(cfg.trials):
@@ -280,6 +298,66 @@ class TestFailingSweepPoint:
         assert str(info.value).startswith(
             "precoder ezf, detector qr-mld, su_sinr_db 130, trial 0: "
         )
+
+    # Several failing points: the sweep raises what the first of them in
+    # (grid point, detector, precoder) order raises alone.
+    FIRST_FAILURES = {
+        "mmse@125 before qr-mld@130": (
+            {"detectors": ("qr-mld", "mmse"), "su_sinr_grid_db": (125.0, 130.0)},
+            SingularMatrixError,
+            "precoder ezf, detector mmse, su_sinr_db 125, trial 0: user 0: signal-plus-noise "
+            "covariance A A^H + sigma^2 I is singular: the link has rank p_k=2 in q_k=4 "
+            "dimensions and sigma^2=1.55e-12 is too small to fill the rest",
+            "matrix is singular or near-singular (condition number 2.57e+12) (user 0)",
+        ),
+        "lse-limit@130 after passing points": (
+            {
+                "precoders": ("mrt", "ezf"),
+                "detectors": ("mmse-irc", "lse-limit"),
+                "su_sinr_grid_db": (120.0, 130.0),
+            },
+            NeedsExternalNoiseError,
+            "precoder ezf, detector lse-limit, su_sinr_db 130, trial 0: user 0: covariance is "
+            "singular; non-zero external noise is required for the whitened limit",
+            "matrix is singular or near-singular (condition number 1.7e+12) (user 0)",
+        ),
+        "mrt@120 before ezf@130": (
+            {
+                "precoders": ("mrt", "ezf"),
+                "detectors": ("mmse",),
+                "su_sinr_grid_db": (110.0, 120.0, 130.0),
+            },
+            SingularMatrixError,
+            "precoder mrt, detector mmse, su_sinr_db 120, trial 0: user 0: signal-plus-noise "
+            "covariance A A^H + sigma^2 I is singular: the link has rank p_k=2 in q_k=4 "
+            "dimensions and sigma^2=4.89e-12 is too small to fill the rest",
+            "matrix is singular or near-singular (condition number 1.06e+12) (user 0)",
+        ),
+        "detector before precoder at one point": (
+            {
+                "precoders": ("mrt", "ezf"),
+                "detectors": ("lse-limit", "mmse"),
+                "su_sinr_grid_db": (130.0,),
+            },
+            NeedsExternalNoiseError,
+            "precoder ezf, detector lse-limit, su_sinr_db 130, trial 0: user 0: covariance is "
+            "singular; non-zero external noise is required for the whitened limit",
+            "matrix is singular or near-singular (condition number 1.7e+12) (user 0)",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(FIRST_FAILURES))
+    def test_first_failing_point_in_sweep_order(self, fig3, case):
+        change, error, message, solve_message = self.FIRST_FAILURES[case]
+        with pytest.raises(error) as info:
+            run_sweep(dataclasses.replace(fig3, **change))
+        exc = info.value
+        assert type(exc) is error
+        assert str(exc) == message
+        assert type(exc.__cause__) is error
+        assert message.endswith(str(exc.__cause__))
+        assert type(exc.__cause__.__cause__) is SingularMatrixError
+        assert str(exc.__cause__.__cause__) == solve_message
 
     def test_cli_exit_code_and_message(self, tmp_path, capsys):
         text = (CONFIG_DIR / "fig3.cfg").read_text()
@@ -442,3 +520,11 @@ def test_sweep_config_direct_validation():
         SweepConfig(16, ((4, 8),), 1.0, (0.0,), ("ezf",), ("mmse",), 1, 1, "x.csv")
     with pytest.raises(ConfigError, match="^seed must fit in 64 bits$"):
         SweepConfig(16, ((4, 2),), 1.0, (0.0,), ("ezf",), ("mmse",), 1, -1, "x.csv")
+
+
+@pytest.mark.parametrize(
+    "grid", [(0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0)], ids=["nan", "inf", "-inf"]
+)
+def test_sweep_config_rejects_non_finite_grid_point(grid):
+    with pytest.raises(ConfigError, match=r"^grid points must be finite, got \("):
+        SweepConfig(16, ((4, 2),), 1.0, grid, ("ezf",), ("mmse",), 1, 1, "x.csv")

@@ -108,6 +108,22 @@ class TestSinrPerLayer:
         assert out[1] == 0.0
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0.0)
 
+    def test_grid_axis_matches_loop_bitwise(self, rng):
+        # A (G, n, p, P) stack with one sigma per grid point against one
+        # call per point; point 0 is noiseless with a perfect link for user
+        # 1 (capped) and point 2 has an all-zero signal (0).
+        starts = np.array([0, 2, 6, 10])
+        link, g = crandn(rng, 3, 4, 2, 12), crandn(rng, 3, 4, 2, 4)
+        sigma = np.array([0.0, 0.3, 1.7])
+        link[0, 1] = 0.0
+        link[0, 1, :, 2:4] = np.eye(2)
+        link[2, 3, 1, 11] = 0.0
+        out = sinr_per_layer(link, starts, g, sigma.reshape(-1, 1, 1, 1))
+        assert out.shape == (3, 4, 2)
+        assert out[0, 1].tolist() == [SINR_CAP, SINR_CAP] and out[2, 3, 1] == 0.0
+        for i in range(3):
+            assert out[i].tobytes() == sinr_per_layer(link[i], starts, g[i], sigma[i]).tobytes()
+
     def test_mrt_has_cross_interference(self):
         scenario = Scenario(t=16, users=((4, 2), (4, 2)), seed=5)
         channels = generate_channels(scenario)

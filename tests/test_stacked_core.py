@@ -94,3 +94,20 @@ def test_stacked_core_matches_per_user_oracle(precoder_name, scheme):
             report.mu_se, oracle_se, rtol=RTOL, atol=0.0,
             err_msg=f"{precoder_name}/{scheme} at {db} dB: mu_se",
         )
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("precoder_name", ["ezf", "mrt"])
+def test_grid_filters_equal_each_points_filters(precoder_name, scheme):
+    # The sweep's one call over the grid, bit for bit against a one-point
+    # grid and against the scalar noise power the detector functions pass.
+    channels = generate_channels(SCENARIO)
+    stacks = build_covariance(channels, make_precoder(channels, precoder_name, 1.0))
+    s2 = np.array([calibrate_noise(channels, db) ** 2 for db in GRID_DB])
+    for core in stacked_detectors(stacks, scheme):
+        grid = core.filters(s2)
+        n, q, p = core.a.shape
+        assert grid.shape == (len(GRID_DB), n, p, q)
+        for i in range(len(GRID_DB)):
+            assert grid[i].tobytes() == core.filters(s2[i:i + 1])[0].tobytes(), (scheme, i)
+            assert grid[i].tobytes() == core.filters(s2[i]).tobytes(), (scheme, i)
