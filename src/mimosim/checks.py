@@ -10,35 +10,40 @@ all seeds as one stack of users, and the synthetic pairs as one stack.
 `run_all_checks` builds each pool once and drops it when it returns; a
 suite called on its own builds its own. A suite passes a whole pool as one
 stack to one call of the public detector function per noise level or
-regularizer weight. Every scenario's users form one shape group of
-`ChannelSet.groups`, decomposed once; that group serves the channel rank
-check, the eigen reduction, the covariance stack and ||H_k||. The necessity
-suite builds its own MRT scenarios, one seed at a time, with one stacked SVD
-of the users' cross links per seed.
+regularizer weight. The scenario pool is built _POOL_CHUNK seeds at a time
+through the seed-stacked stages (`generate_groups`, `ezf_groups`,
+`zero_forcing`, `user_stacks`), each one call per chunk; the reference
+filters come from `reference_ic`, seed by seed. The necessity suite runs
+the same stages under `matched_filter` on the draws the pool made for its
+seeds, with one stacked SVD of every user's cross links.
 """
 
 import contextvars
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 import numpy as np
 
 from . import linalg
 from .detection import (
-    build_covariance,
     gen_lse,
     lse_limit,
     mmse_irc,
     qr_mld_linear,
     qr_mld_parts,
     reference_ic,
+    user_stacks,
 )
 from .linalg import herm
-from .precoding import mrt_precode, rczf_precode, reduce_ezf
-from .system import ChannelSet, Scenario, generate_channels
+from .precoding import ReducedChannel, ezf_groups, matched_filter, zero_forcing
+from .system import Scenario, generate_groups
 
 DEFAULT_SCENARIO_SEEDS = tuple(range(1, 101))
+NECESSITY_SEEDS = DEFAULT_SCENARIO_SEEDS[:20]
 _DEFAULT_USERS = ((4, 2),) * 8
+# Seeds drawn and decomposed as one stack: bounds the draws and SVD factors in memory.
+_POOL_CHUNK = 10
 
 # The pools of the run_all_checks() call in progress, by key; None outside one.
 _RUN_POOLS = contextvars.ContextVar("run_pools", default=None)
@@ -61,9 +66,31 @@ def _pooled(key, build):
     return pools[key]
 
 
-def _default_channels(seed: int) -> ChannelSet:
-    scenario = Scenario(t=64, users=_DEFAULT_USERS, total_power=1.0, seed=seed)
-    return generate_channels(scenario)
+def _over_chunks(seeds, precode, fields) -> list[np.ndarray]:
+    """`fields` of the default scenario at `seeds`, _POOL_CHUNK seeds at a time, joined.
+
+    Per chunk, `fields` gets H, the EZF (V, B), `precode`'s precoders W and
+    scales, and the user stack, seed axis first; each array it returns is
+    concatenated over the chunks. In a run, the necessity suite's draws are
+    pooled for it; other draws, and each chunk's stacks, are dropped once used.
+    """
+    scenario = Scenario(t=64, users=_DEFAULT_USERS, total_power=1.0)
+    seeds, parts = tuple(seeds), []
+    for chunk in (seeds[i:i + _POOL_CHUNK] for i in range(0, len(seeds), _POOL_CHUNK)):
+        draw = partial(generate_groups, scenario, chunk)
+        groups = _pooled(("draws", chunk), draw) if set(chunk) <= set(NECESSITY_SEEDS) else draw()
+        ((_, h, _, _),) = groups  # one group: every user is 4x2
+        ((v, b),) = ezf_groups(groups, scenario.layer_counts)
+        w, scales = precode(v.reshape(len(chunk), -1, scenario.t), scenario.total_power)
+        (stack,) = user_stacks(groups, scenario.layer_counts, w)
+        parts.append(fields(h, v, b, w, scales, stack))
+        del groups, h, v, b, w, stack  # before the next chunk is drawn
+    return [np.concatenate(arrays) for arrays in zip(*parts)]
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    """A stack with its seed and user axes merged."""
+    return a.reshape(-1, *a.shape[-2:])
 
 
 @dataclass(frozen=True)
@@ -86,22 +113,16 @@ class _ScenarioPool:
 
     @classmethod
     def build(cls, seeds) -> "_ScenarioPool":
-        parts = []  # per seed: one array per field after `users`, in field order
-        for seed in seeds:
-            channels = _default_channels(seed)
-            precoder = rczf_precode(reduce_ezf(channels), channels.scenario.total_power)
-            ref = np.stack(reference_ic(precoder.reduced, precoder.scale))
-            (stack,) = build_covariance(channels, precoder)  # one group: every user is 4x2
-            ((_, h, _, _),) = channels.groups
-            parts.append((
-                stack.effective,
-                stack.interference,
-                ref,
-                ref @ stack.links,
-                np.linalg.norm(h, axis=(-2, -1)),
-                np.linalg.norm(np.stack(precoder.blocks), axis=(-2, -1))[np.newaxis],
-            ))
-        return cls(len(_DEFAULT_USERS), *(np.concatenate(arrays) for arrays in zip(*parts)))
+        return cls(len(_DEFAULT_USERS), *_over_chunks(seeds, zero_forcing, cls._fields))
+
+    @staticmethod
+    def _fields(h, v, b, w, scales, stack) -> tuple:
+        """One chunk's arrays of the fields after `users`, in field order."""
+        ref = np.concatenate([np.stack(reference_ic(ReducedChannel(vs, bs), float(scale)))
+                              for vs, bs, scale in zip(v, b, scales)])
+        blocks = np.stack(np.split(w, len(_DEFAULT_USERS), axis=-1), axis=1)
+        return (_flat(stack.effective), _flat(stack.interference), ref, ref @ _flat(stack.links),
+                np.linalg.norm(h, axis=(-2, -1)).ravel(), np.linalg.norm(blocks, axis=(-2, -1)))
 
     def covariance(self, sigma: float) -> tuple[np.ndarray, np.ndarray]:
         """Links A and covariances R = R_int + sigma^2 I of every pooled user."""
@@ -153,31 +174,35 @@ def identity_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
     )
 
 
-def necessity_suite(seeds=tuple(range(1, 21))) -> CheckResult:
+def _cross_links(*stages) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's cross links and own links A, from one chunk's `_over_chunks` stages."""
+    stack = stages[-1]
+    p = stack.effective.shape[-1]
+    # Column j of user i's cross links is link column j, or j + p past its own block.
+    cols = np.arange(stack.links.shape[-1] - p)
+    other = (cols + p * (cols >= stack.starts[:, np.newaxis]))[np.newaxis, :, np.newaxis]
+    return _flat(np.take_along_axis(stack.links, other, axis=-1)), _flat(stack.effective)
+
+
+def necessity_suite(seeds=NECESSITY_SEEDS) -> CheckResult:
     """No linear detector can null matched-filter interference and keep the link.
 
     For each user, restrict G to the left null space of the stacked cross
     links, then least-squares fit G H W_k to I; the residual stays large.
     Cross links of full rank leave an empty null space and a residual of
-    exactly sqrt(p_k).
-    Per seed, the links come from `build_covariance` and the cross links of
-    all users are decomposed in one stacked SVD.
+    exactly sqrt(p_k). The cross links of every user of every seed are
+    decomposed in one stacked SVD, and the users of each rank share one
+    stacked `linalg.pinv`.
     """
+    cross, effective = _over_chunks(seeds, matched_filter, _cross_links)
+    p = effective.shape[-1]
+    u, s, _ = np.linalg.svd(cross, full_matrices=True)
+    ranks = linalg.rank(s)
     min_resid = np.inf
-    for seed in seeds:
-        channels = _default_channels(seed)
-        precoder = mrt_precode(channels, channels.scenario.total_power)
-        (stack,) = build_covariance(channels, precoder)  # one group: every user is 4x2
-        p = stack.effective.shape[-1]
-        # Column j of user i's cross links is link column j, or j + p past its own block.
-        cols = np.arange(stack.links.shape[-1] - p)
-        other = cols + p * (cols >= stack.starts[:, np.newaxis])
-        cross = np.take_along_axis(stack.links, other[:, np.newaxis, :], axis=2)
-        u, s, _ = np.linalg.svd(cross, full_matrices=True)
-        for i, rank in enumerate(linalg.rank(s)):
-            na = herm(u[i, :, rank:]) @ stack.effective[i]
-            proj = linalg.pinv(na) @ na
-            min_resid = min(min_resid, float(np.linalg.norm(proj - np.eye(p))))
+    for rank in np.unique(ranks):
+        na = herm(u[ranks == rank, :, rank:]) @ effective[ranks == rank]
+        proj = linalg.pinv(na) @ na
+        min_resid = min(min_resid, float(np.linalg.norm(proj - np.eye(p), axis=(-2, -1)).min()))
     passed = min_resid > 0.1
     return CheckResult(
         "necessity (matched filter admits no interference-free detector)",

@@ -25,10 +25,18 @@ def _load_config(path: str):
     return parse_config(text)
 
 
+def _write(write, data, path: str) -> None:
+    """`write(data, path)`, with an OSError raised as a ConfigError naming the path."""
+    try:
+        write(data, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write '{path}': {exc}") from exc
+
+
 def _cmd_run(args) -> int:
     config = _load_config(args.config)
     rows = run_sweep(config)
-    write_csv(rows, config.output_path)
+    _write(write_csv, rows, config.output_path)
     print(f"wrote {len(rows)} rows to {config.output_path}")
     return 0
 
@@ -52,7 +60,7 @@ def _cmd_dump_channels(args) -> int:
     config = _load_config(args.config)
     scenario = Scenario(config.t, config.users, config.total_power, config.base_seed)
     channels = generate_channels(scenario)
-    dump_channels(channels, args.path)
+    _write(dump_channels, channels, args.path)
     print(f"wrote channels for {scenario.num_users} users to {args.path}")
     return 0
 

@@ -59,9 +59,9 @@ def constellation_by_name(name: str) -> Constellation:
 class UserStack:
     """The users k = users[i] of one (q_k, p_k) shape under one precoder, stacked.
 
-    links[i] = H_k W (q_k x p) for the stacked precoder W, starts[i] the first
-    own column, effective[i] = A_k = H_k W_k, and interference[i] the noise-
-    free R_int,k = X_k X_k^H, X_k being links[i] with the own columns zeroed.
+    links[..., i] = H_k W (q_k x p) for the stacked precoder W, starts[i] the first
+    own column, effective[..., i] = A_k = H_k W_k, and interference[..., i] the
+    noise-free R_int,k = X_k X_k^H, X_k being the links with own columns zeroed.
     """
 
     users: np.ndarray
@@ -72,24 +72,30 @@ class UserStack:
 
 
 def build_covariance(channels: ChannelSet, precoder: Precoder) -> tuple[UserStack, ...]:
-    """Stack the users of each `ChannelSet.groups` shape group under the precoder.
+    """The users of each `ChannelSet.groups` shape group stacked under the precoder."""
+    return user_stacks(channels.groups, channels.scenario.layer_counts, precoder.stacked)
 
-    One H @ W product per group. R_int is built from the other users' columns
-    directly, not as total minus own, so it stays PSD and loses no cross power.
-    A user's covariance under white noise sigma is R_int,k + sigma^2 I.
+
+def user_stacks(groups, layer_counts, w: np.ndarray) -> tuple[UserStack, ...]:
+    """Stack the users of each (users, H, U, s) group under the stacked precoder W.
+
+    H (..., n, q_k, t) and W (..., t, p) may share leading (seed) axes; one
+    H @ W product per group. R_int is built from the other users' columns
+    directly, not as total minus own, so it stays PSD and loses no cross
+    power; a user's covariance under white noise sigma is R_int,k + sigma^2 I.
     """
-    w = precoder.stacked
-    layers = channels.scenario.layer_counts
-    offsets = np.cumsum((0,) + layers)
+    w = w[..., np.newaxis, :, :]
+    offsets = np.cumsum((0,) + tuple(layer_counts))
     stacks = []
-    for users, h, _, _ in channels.groups:
-        p = layers[users[0]]
+    for users, h, _, _ in groups:
+        p = layer_counts[users[0]]
         starts = offsets[users]
         hw = h @ w
-        own = starts[:, np.newaxis] + np.arange(p)
-        a = np.take_along_axis(hw, own[:, np.newaxis, :], axis=2)
+        own = (starts[:, np.newaxis] + np.arange(p))[:, np.newaxis, :]
+        own = own.reshape((1,) * (hw.ndim - 3) + own.shape)
+        a = np.take_along_axis(hw, own, axis=-1)
         x = hw.copy()
-        np.put_along_axis(x, own[:, np.newaxis, :], 0.0, axis=2)
+        np.put_along_axis(x, own, 0.0, axis=-1)
         r = x @ herm(x)
         stacks.append(UserStack(users, starts, hw, a, 0.5 * (r + herm(r))))
     return tuple(stacks)

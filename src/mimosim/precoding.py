@@ -15,7 +15,7 @@ from .errors import (
     IllConditionedError,
     InfeasibleZeroForcingError,
 )
-from .system import ChannelSet
+from .system import ChannelSet, ungroup
 
 
 @dataclass(frozen=True)
@@ -74,31 +74,35 @@ def reduce_full_zf(channels: ChannelSet) -> ReducedChannel:
 
 
 def reduce_ezf(channels: ChannelSet) -> ReducedChannel:
-    """Eigen reduction: B_k inverts the top p_k singular directions of H_k.
+    """Eigen reduction of a channel set: `ezf_groups` of its `ChannelSet.groups`, per user."""
+    users = [users for users, *_ in channels.groups]
+    reduced = zip(*ezf_groups(channels.groups, channels.scenario.layer_counts))
+    return ReducedChannel(*(ungroup(zip(users, part)) for part in reduced))
 
-    B_k = diag(1/s_1..1/s_p) @ U[:, :p]^H, so V_k = B_k @ H_k equals the
-    dominant p_k right-singular rows of H_k. Each (q_k, p_k) group of the
-    channel set's shared decomposition (`ChannelSet.groups`) gets one rank
-    check and one stacked product; an error names the lowest failing user.
+
+def ezf_groups(groups, layer_counts) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Eigen reduction (V, B) per (users, H, U, s) group, any leading (seed) axes.
+
+    B_k = diag(1/s_1..1/s_p) @ U[:, :p]^H inverts the top p_k singular
+    directions, so V_k = B_k @ H_k are the dominant right-singular rows of H_k.
+    One rank check and one product per group; an error names the lowest user.
     """
-    layers = np.array(channels.scenario.layer_counts)
+    layers = np.array(layer_counts)
     deficient = [
-        k for users, _, _, s in channels.groups for k in users[linalg.rank(s) < layers[users]]
+        k for users, _, _, s in groups
+        for k in users[np.nonzero(linalg.rank(s) < layers[users])[-1]]
     ]
     if deficient:
         k = min(deficient)
         raise IllConditionedError(
             f"user {k}: singular value {layers[k]} is not above {linalg.RANK_RTOL:g} * sigma_max"
         )
-    matrices = [None] * len(layers)
-    reducers = [None] * len(layers)
-    for users, h, u, s in channels.groups:
+    out = []
+    for users, h, u, s in groups:
         p = layers[users[0]]
-        b = (1.0 / s[:, :p])[..., np.newaxis] * linalg.herm(u[..., :p])
-        v = b @ h
-        for i, k in enumerate(users):
-            matrices[k], reducers[k] = v[i], b[i]
-    return ReducedChannel(tuple(matrices), tuple(reducers))
+        b = (1.0 / s[..., :p])[..., np.newaxis] * linalg.herm(u[..., :p])
+        out.append((b @ h, b))
+    return tuple(out)
 
 
 def custom_reduction(channels: ChannelSet, reducers) -> ReducedChannel:
@@ -108,23 +112,38 @@ def custom_reduction(channels: ChannelSet, reducers) -> ReducedChannel:
     return ReducedChannel(matrices, reducers)
 
 
-def rczf_precode(reduced: ReducedChannel, total_power: float) -> Precoder:
-    """Zero-forcing precoder: pseudo-inverse of the stacked reduced channel.
+def _power_scaled(w0: np.ndarray, total_power: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each t x p matrix of w0 scaled to trace(W @ W^H) = total_power, and the scales."""
+    lead, matrix = w0.shape[:-2], w0.shape[-2:]
+    scale = np.sqrt(total_power) / np.array([np.linalg.norm(w) for w in w0.reshape(-1, *matrix)])
+    return scale.reshape(lead + (1, 1)) * w0, scale.reshape(lead)
 
-    The single scale makes trace(W @ W^H) = total_power; rank deficiency of
-    the stack means the per-user nulling constraints cannot all be met. One
-    SVD V = U S Vh serves both the rank check and W0 = Vh^H S^{-1} U^H.
+
+def zero_forcing(v: np.ndarray, total_power: float) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-forcing precoders W (..., t, p) and scales of stacked reduced channels V (..., p, t).
+
+    W0 = V^+ = Vh^H S^{-1} U^H from one SVD (any leading seed axes share it),
+    which also finds a rank-deficient V: its nulling constraints cannot all hold.
     """
-    v = np.vstack(reduced.matrices)
     u, s, vh = linalg.svd_reduced(v)
-    if linalg.rank(s) < len(s):
+    if (linalg.rank(s) < s.shape[-1]).any():
         raise InfeasibleZeroForcingError(
-            f"stacked reduced channel ({v.shape[0]} rows, {v.shape[1]} columns) is rank "
+            f"stacked reduced channel ({v.shape[-2]} rows, {v.shape[-1]} columns) is rank "
             "deficient; too many layers or colinear users"
         )
-    w0 = linalg.herm(vh) @ ((1.0 / s)[:, np.newaxis] * linalg.herm(u))
-    scale = float(np.sqrt(total_power) / np.linalg.norm(w0))
-    return Precoder(scale * w0, scale, reduced)
+    w0 = linalg.herm(vh) @ ((1.0 / s)[..., np.newaxis] * linalg.herm(u))
+    return _power_scaled(w0, total_power)
+
+
+def matched_filter(v: np.ndarray, total_power: float) -> tuple[np.ndarray, np.ndarray]:
+    """Matched-filter precoders W = c V^H and scales c of stacked reduced channels V (..., p, t)."""
+    return _power_scaled(linalg.herm(v), total_power)
+
+
+def rczf_precode(reduced: ReducedChannel, total_power: float) -> Precoder:
+    """Zero-forcing precoder of the stacked reduced channel: `zero_forcing` of one stack."""
+    w, scale = zero_forcing(np.vstack(reduced.matrices), total_power)
+    return Precoder(w, float(scale), reduced)
 
 
 def mrt_precode(channels: ChannelSet, total_power: float) -> Precoder:
@@ -135,6 +154,5 @@ def mrt_precode(channels: ChannelSet, total_power: float) -> Precoder:
     zero-forcing class for generic multi-user channels.
     """
     reduced = reduce_ezf(channels)
-    w0 = linalg.herm(np.vstack(reduced.matrices))
-    scale = float(np.sqrt(total_power) / np.linalg.norm(w0))
-    return Precoder(scale * w0, scale, reduced)
+    w, scale = matched_filter(np.vstack(reduced.matrices), total_power)
+    return Precoder(w, float(scale), reduced)

@@ -6,6 +6,7 @@ and order-free. Noise is calibrated so the mean per-layer single-user SINR
 hits a requested dB target.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -87,9 +88,9 @@ class ChannelSet:
 
         `users` holds the group's user indices in user order, H (n x q_k x t)
         their stacked channels, and U (n x q_k x q_k), s (n x q_k) the economy
-        SVD factors of H, singular values descending. Computed on first use
-        with one `linalg.svd_reduced` per group, then shared by the rank check,
-        the single-user gains, the eigen reduction and the covariance stacks.
+        SVD factors of H, singular values descending: from the draw, or on
+        first use with one `linalg.svd_reduced` per group. Shared by the rank
+        check, the single-user gains, the eigen reduction and the covariances.
         """
         out = []
         for users in shape_groups(self.scenario.users):
@@ -107,6 +108,14 @@ def shape_groups(keys) -> list[list[int]]:
     return list(groups.values())
 
 
+def ungroup(pairs) -> list:
+    """Entries of (users, stack) pairs in user order: user users[i] gets stack[i]."""
+    entries = {}
+    for users, stack in pairs:
+        entries.update(zip(users.tolist(), stack))
+    return [entries[k] for k in range(len(entries))]
+
+
 def _user_rng(seed: int, user: int, attempt: int = 0) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(user, attempt))
     return np.random.Generator(np.random.Philox(ss))
@@ -118,30 +127,45 @@ def _draw_user(scenario: Scenario, k: int, attempt: int) -> np.ndarray:
     return (z[0] + 1j * z[1]) / np.sqrt(2.0)
 
 
-def generate_channels(scenario: Scenario) -> ChannelSet:
-    """Draw the per-user Rayleigh channels for a scenario.
+def generate_groups(scenario: Scenario, seeds) -> tuple:
+    """`ChannelSet.groups` of the scenario at each of `seeds`, with a leading seed axis.
 
-    Deterministic in (seed, user index). Each H_k is checked for full rank
-    from the channel set's shared singular values, one `linalg.rank` per
-    shape group, and only the users that fail are redrawn, from the next
-    substream attempt (practically unreachable for Gaussian entries).
+    User k at seed s comes from its (s, k, attempt) substream. One SVD per
+    shape group covers every user of every seed and gives the rank check;
+    only failing (seed, user) pairs are redrawn, from the next attempt
+    (practically unreachable). An error names the lowest failing seed, then user.
     """
-    matrices = [_draw_user(scenario, k, 0) for k in range(scenario.num_users)]
-    attempt = 0
-    while True:
-        channels = ChannelSet(scenario, matrices)
-        deficient = np.sort(np.concatenate(
-            [users[linalg.rank(s) < s.shape[-1]] for users, _, _, s in channels.groups]
-        ))
-        if not deficient.size:
-            return channels
-        attempt += 1
-        if attempt > _GENERATION_RETRIES:
-            raise ChannelGenerationError(
-                f"user {deficient[0]}: no full-rank channel after {_GENERATION_RETRIES + 1} draws"
-            )
-        for k in deficient:
-            matrices[k] = _draw_user(scenario, int(k), attempt)
+    seeds = tuple(seeds)
+    at_seed = [scenario if s == scenario.seed else dataclasses.replace(scenario, seed=s)
+               for s in seeds]
+    # A group's users of all seeds on one axis, seed-major.
+    draws = [(np.array(users), np.stack([_draw_user(sc, k, 0) for sc in at_seed for k in users]))
+             for users in shape_groups(scenario.users)]
+    failed = []
+    for attempt in range(_GENERATION_RETRIES + 1):
+        for sc, k, h, i in failed:
+            h[i] = _draw_user(sc, k, attempt)
+        groups = [(users, h, *linalg.svd_reduced(h)[:2]) for users, h in draws]
+        failed = [(at_seed[i // len(users)], int(users[i % len(users)]), h, i)
+                  for users, h, _, s in groups
+                  for i in np.flatnonzero(linalg.rank(s) < s.shape[-1])]
+        if not failed:
+            return tuple((users, *(a.reshape(len(seeds), len(users), *a.shape[1:]) for a in arrays))
+                         for users, *arrays in groups)
+    seed, k = min((sc.seed, k) for sc, k, _, _ in failed)
+    where = f"seed {seed}, " if len(seeds) > 1 else ""
+    raise ChannelGenerationError(
+        f"{where}user {k}: no full-rank channel after {_GENERATION_RETRIES + 1} draws"
+    )
+
+
+def generate_channels(scenario: Scenario) -> ChannelSet:
+    """The scenario's Rayleigh channels: `generate_groups` at its seed, decomposed."""
+    groups = tuple((users, *(a[0] for a in arrays))
+                   for users, *arrays in generate_groups(scenario, (scenario.seed,)))
+    channels = ChannelSet(scenario, ungroup((users, h) for users, h, _, _ in groups))
+    channels.__dict__["groups"] = groups  # the cached property, filled from the draw
+    return channels
 
 
 def su_layer_gains(channels: ChannelSet) -> np.ndarray:

@@ -11,7 +11,7 @@ the suites that read it), and what `mimosim check` prints and returns.
 import numpy as np
 import pytest
 
-from mimosim import checks
+from mimosim import checks, linalg, system
 from mimosim.cli import main
 
 EZF_SEEDS = len(checks.DEFAULT_SCENARIO_SEEDS)
@@ -41,21 +41,39 @@ def _perturb_nth_filter(fn, n: int):
 
 
 def test_scenarios_built_once_per_run_and_not_kept(monkeypatch):
-    seeds = []
-    real = checks.generate_channels
+    draws = []
+    real = system._draw_user
 
-    def counting(scenario):
-        seeds.append(scenario.seed)
-        return real(scenario)
+    def counting(scenario, k, attempt):
+        draws.append((scenario.seed, k, attempt))
+        return real(scenario, k, attempt)
 
-    monkeypatch.setattr(checks, "generate_channels", counting)
+    monkeypatch.setattr(system, "_draw_user", counting)
+    # Each default seed's users are drawn once: the necessity suite reads the pooled draws.
+    once = sorted((seed, k, 0) for seed in checks.DEFAULT_SCENARIO_SEEDS for k in range(8))
     first = checks.run_all_checks()
-    assert len(seeds) == EZF_SEEDS + NECESSITY_SEEDS
-    assert sorted(set(seeds)) == list(checks.DEFAULT_SCENARIO_SEEDS)
+    assert sorted(draws) == once
+    assert checks._RUN_POOLS.get() is None
     second = checks.run_all_checks()
-    assert len(seeds) == 2 * (EZF_SEEDS + NECESSITY_SEEDS)
+    assert sorted(draws) == sorted(2 * once)
     assert first == second
     assert all(res.passed for res in first)
+
+
+def test_pool_decomposes_seeds_in_stacked_chunks(monkeypatch):
+    # Per chunk of seeds: one SVD of all its users' channels and one of its
+    # stacked reduced channels, so no seed is decomposed on its own.
+    shapes = []
+    real = linalg.svd_reduced
+
+    def counting(m):
+        shapes.append(np.shape(m))
+        return real(m)
+
+    monkeypatch.setattr(linalg, "svd_reduced", counting)
+    assert all(res.passed for res in checks.run_all_checks())
+    chunk = checks._POOL_CHUNK
+    assert shapes == [(chunk * USERS_PER_SEED, 4, 64), (chunk, 16, 64)] * (EZF_SEEDS // chunk)
 
 
 def test_each_pool_goes_whole_to_one_detector_call(monkeypatch):
@@ -101,7 +119,7 @@ def test_perturbed_qr_filter_fails_factor_identity(monkeypatch):
 
 
 def _spy_pinv(monkeypatch) -> list:
-    """Record every matrix the necessity suite hands to `linalg.pinv`."""
+    """Record every stack the necessity suite hands to `linalg.pinv`."""
     seen = []
     real = checks.linalg.pinv
 
@@ -117,7 +135,9 @@ def test_necessity_full_rank_cross_links_leave_sqrt_p(monkeypatch):
     seen = _spy_pinv(monkeypatch)
     res = checks.necessity_suite()
     # 7 users x 2 layers of cross links span C^4: every null basis is empty.
-    assert {na.shape for na in seen} == {(0, 2)}
+    # All users share that rank, so one stack holds them all.
+    assert [stack.shape for stack in seen] == [(NECESSITY_SEEDS * USERS_PER_SEED, 0, 2)]
+    assert {na.shape for stack in seen for na in stack} == {(0, 2)}
     assert res.passed
     assert "residual = 1.414 " in res.detail
 
@@ -129,8 +149,10 @@ def test_necessity_low_rank_cross_links_admit_a_nulling_filter(monkeypatch, user
     monkeypatch.setattr(checks, "_DEFAULT_USERS", users)
     seen = _spy_pinv(monkeypatch)
     res = checks.necessity_suite(seeds=(1, 2, 3))
-    assert all(na.shape[0] >= na.shape[1] for na in seen)
-    resid = min(np.linalg.norm(np.linalg.pinv(na) @ na - np.eye(na.shape[1])) for na in seen)
+    matrices = [na for stack in seen for na in stack]
+    assert len(matrices) == 3 * len(users)
+    assert all(na.shape[0] >= na.shape[1] for na in matrices)
+    resid = min(np.linalg.norm(np.linalg.pinv(na) @ na - np.eye(na.shape[1])) for na in matrices)
     assert resid < 1e-10
     assert not res.passed, res.detail
 

@@ -484,6 +484,20 @@ class TestCli:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "dump-channels"])
+    def test_unwritable_output_is_a_config_error(self, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "out.txt"
+        cfg = SMALL.replace("out.csv", str(out))
+        args = [command, str(self._write(tmp_path, cfg))]
+        if command == "dump-channels":
+            args.append(str(out))
+        assert cli_main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: cannot write '{out}': [Errno 2] ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_dump_channels_roundtrip(self, tmp_path):
         path = self._write(tmp_path, SMALL)
         out = tmp_path / "chans.txt"

@@ -1,0 +1,102 @@
+"""Seed-stacked stages against their one-seed functions.
+
+`system.generate_groups`, `precoding.ezf_groups`, `precoding.zero_forcing`,
+`precoding.matched_filter` and `detection.user_stacks` take a leading seed
+axis; `generate_channels`, `reduce_ezf`, `rczf_precode`, `mrt_precode` and
+`build_covariance` are their one-seed cases. Over random scenarios, seed i
+of each stacked stage must equal the one-seed function at seed i bit for
+bit, and the stacked zero-forcing precoders must null every cross link.
+"""
+
+import dataclasses
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mimosim.detection import build_covariance, user_stacks
+from mimosim.precoding import (
+    ezf_groups,
+    matched_filter,
+    mrt_precode,
+    rczf_precode,
+    reduce_ezf,
+    zero_forcing,
+)
+from mimosim.system import Scenario, generate_channels, generate_groups, ungroup
+
+
+@st.composite
+def scenarios(draw):
+    """A scenario with p_k <= q_k <= t and sum(p_k) <= t, and 1-3 distinct seeds."""
+    t = draw(st.integers(2, 12))
+    users, layers = [], 0
+    for _ in range(draw(st.integers(1, 4))):
+        if layers == t:
+            break
+        q = draw(st.integers(1, min(t, 5)))
+        p = draw(st.integers(1, min(q, t - layers)))
+        users.append((q, p))
+        layers += p
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=3, unique=True))
+    return Scenario(t, tuple(users)), tuple(seeds)
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(scenarios())
+def test_seed_stacked_stages_equal_each_seeds_functions(case):
+    scenario, seeds = case
+    power = scenario.total_power
+    groups = generate_groups(scenario, seeds)
+    reduced = ezf_groups(groups, scenario.layer_counts)
+    # Every seed's reduced channels stacked in user order: (seeds, layers, t).
+    v = np.concatenate(ungroup(
+        (users, vg.swapaxes(0, 1)) for (users, *_), (vg, _) in zip(groups, reduced)
+    ), axis=-2)
+    zf, mrt = zero_forcing(v, power), matched_filter(v, power)
+    stacks = {"zf": user_stacks(groups, scenario.layer_counts, zf[0]),
+              "mrt": user_stacks(groups, scenario.layer_counts, mrt[0])}
+    for i, seed in enumerate(seeds):
+        channels = generate_channels(dataclasses.replace(scenario, seed=seed))
+        one_reduced = reduce_ezf(channels)
+        for (users, h, u, s), (vg, bg), (_, one_h, one_u, one_s) in zip(
+            groups, reduced, channels.groups
+        ):
+            assert _same(h[i], one_h) and _same(u[i], one_u) and _same(s[i], one_s)
+            for j, k in enumerate(users):
+                assert _same(vg[i, j], one_reduced.matrices[k])
+                assert _same(bg[i, j], one_reduced.reducers[k])
+        precoders = {"zf": (zf, rczf_precode(one_reduced, power)),
+                     "mrt": (mrt, mrt_precode(channels, power))}
+        for name, ((w, scales), precoder) in precoders.items():
+            assert _same(w[i], precoder.stacked) and scales[i] == precoder.scale, name
+            for stack, one in zip(stacks[name], build_covariance(channels, precoder)):
+                assert np.array_equal(stack.users, one.users)
+                assert np.array_equal(stack.starts, one.starts)
+                for field in ("links", "effective", "interference"):
+                    assert _same(getattr(stack, field)[i], getattr(one, field)), (name, field)
+    # V_i W_j = scale * delta_ij I: each seed's V W is its scaled identity.
+    w, scales = zf
+    gram = v @ w / scales[:, np.newaxis, np.newaxis]
+    assert np.abs(gram - np.eye(v.shape[-2])).max() < 1e-10
+
+
+def test_power_scale_divides_by_each_flattened_norm():
+    """Each seed's scale is sqrt(P) / np.linalg.norm(W0) of its flattened W0, as for
+    a lone matrix; a Frobenius norm over the last two axes differs from it by an ulp
+    on some of these seeds."""
+    scenario = Scenario(64, ((4, 2),) * 8)
+    ((v, _),) = ezf_groups(generate_groups(scenario, range(1, 11)), scenario.layer_counts)
+    v = v.reshape(10, 16, 64)
+    u, s, vh = np.linalg.svd(v, full_matrices=False)
+    pinv = vh.conj().swapaxes(-1, -2) @ ((1.0 / s)[..., np.newaxis] * u.conj().swapaxes(-1, -2))
+    for precode, w0 in ((zero_forcing, pinv), (matched_filter, v.conj().swapaxes(-1, -2))):
+        w, scales = precode(v, 1.0)
+        flat = np.array([np.sqrt(1.0) / np.linalg.norm(m) for m in w0])
+        assert scales.tobytes() == flat.tobytes(), precode.__name__
+        assert w.tobytes() == (flat[:, np.newaxis, np.newaxis] * w0).tobytes()
+        assert not np.array_equal(scales, 1.0 / np.linalg.norm(w0, axis=(-2, -1)))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -148,16 +149,20 @@ def _two_call_draw(seed, k, attempt, shape=(4, 64)):
 
 class TestRedraw:
     USER = 3
+    MIXED = TestSharedDecomposition.MIXED
+    SEEDS = (7, 5, 6)
 
-    def _patched_draw(self, monkeypatch, deficient_attempts):
-        """Record every draw; user USER's draws at `deficient_attempts` repeat a row."""
+    def _patched_draw(self, monkeypatch, deficient_attempts, pairs=None):
+        """Record every draw as (seed, user, attempt); the draws of the (seed, user)
+        `pairs` (default: user USER at any seed) at `deficient_attempts` repeat a row."""
         calls = []
         draw = system._draw_user
 
         def patched(scenario, k, attempt):
-            calls.append((k, attempt))
+            calls.append((scenario.seed, k, attempt))
             h = draw(scenario, k, attempt)
-            if k == self.USER and attempt in deficient_attempts:
+            chosen = (scenario.seed, k) in pairs if pairs else k == self.USER
+            if chosen and attempt in deficient_attempts:
                 h[1] = h[0]
             return h
 
@@ -172,7 +177,7 @@ class TestRedraw:
         normal = generate_channels(DEFAULT)
         calls = self._patched_draw(monkeypatch, {0})
         channels = generate_channels(DEFAULT)
-        assert calls == [(k, 0) for k in range(8)] + [(self.USER, 1)]
+        assert calls == [(DEFAULT.seed, k, 0) for k in range(8)] + [(DEFAULT.seed, self.USER, 1)]
         for k in range(8):
             if k != self.USER:
                 assert np.array_equal(channels.matrices[k], normal.matrices[k])
@@ -186,8 +191,50 @@ class TestRedraw:
         message = rf"^user {self.USER}: no full-rank channel after {len(attempts)} draws$"
         with pytest.raises(ChannelGenerationError, match=message):
             generate_channels(DEFAULT)
-        assert [a for k, a in calls if k == self.USER] == list(attempts)
-        assert [k for k, _ in calls].count(0) == 1
+        assert [a for _, k, a in calls if k == self.USER] == list(attempts)
+        assert [k for _, k, _ in calls].count(0) == 1
+
+    def _per_seed(self):
+        return [generate_channels(dataclasses.replace(self.MIXED, seed=s)) for s in self.SEEDS]
+
+    def _assert_equals_per_seed(self, groups, per_seed):
+        """Seed i of a seed-stacked draw is the i-th one-seed draw, byte for byte."""
+        for i, channels in enumerate(per_seed):
+            assert len(groups) == len(channels.groups)
+            for (users, h, u, s), (one_users, one_h, one_u, one_s) in zip(groups, channels.groups):
+                assert np.array_equal(users, one_users)
+                assert h.shape[0] == len(self.SEEDS)
+                for a, b in ((h[i], one_h), (u[i], one_u), (s[i], one_s)):
+                    assert a.tobytes() == b.tobytes()
+                for j, k in enumerate(users):
+                    assert h[i, j].tobytes() == channels.matrices[k].tobytes()
+
+    def test_seed_stack_equals_each_seeds_draw(self):
+        groups = system.generate_groups(self.MIXED, self.SEEDS)
+        self._assert_equals_per_seed(groups, self._per_seed())
+
+    def test_seed_stack_redraws_only_the_deficient_pair(self, monkeypatch):
+        pair = {(5, self.USER)}
+        calls = self._patched_draw(monkeypatch, {0}, pair)
+        groups = system.generate_groups(self.MIXED, self.SEEDS)
+        users = range(self.MIXED.num_users)
+        assert sorted(calls) == sorted([(seed, k, 0) for seed in self.SEEDS for k in users]
+                                       + [(5, self.USER, 1)])
+        redrawn = groups[0][1][self.SEEDS.index(5), 1]  # user 3 is the second 4x2 user
+        assert np.array_equal(redrawn, _two_call_draw(5, self.USER, 1))
+        calls.clear()
+        self._assert_equals_per_seed(groups, self._per_seed())
+        assert [c for c in calls if c[2]] == [(5, self.USER, 1)]
+
+    def test_seed_stack_gives_up_naming_the_lowest_seed_then_user(self, monkeypatch):
+        attempts = set(range(system._GENERATION_RETRIES + 1))
+        self._patched_draw(monkeypatch, attempts, {(7, 1), (6, 4), (6, 2), (5, self.USER)})
+        message = rf"^seed 5, user {self.USER}: no full-rank channel after {len(attempts)} draws$"
+        with pytest.raises(ChannelGenerationError, match=message):
+            system.generate_groups(self.MIXED, self.SEEDS)
+        message = rf"^user 2: no full-rank channel after {len(attempts)} draws$"
+        with pytest.raises(ChannelGenerationError, match=message):
+            system.generate_groups(self.MIXED, (6,))
 
 
 class TestCalibration:
