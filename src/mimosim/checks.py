@@ -44,6 +44,8 @@ NECESSITY_SEEDS = DEFAULT_SCENARIO_SEEDS[:20]
 _DEFAULT_USERS = ((4, 2),) * 8
 # Seeds drawn and decomposed as one stack: bounds the draws and SVD factors in memory.
 _POOL_CHUNK = 10
+# The small external noise at which qr_mld_limit_suite compares qr-mld to the reference.
+QR_MLD_LIMIT_SIGMA = 1e-4
 
 # The pools of the run_all_checks() call in progress, by key; None outside one.
 _RUN_POOLS = contextvars.ContextVar("run_pools", default=None)
@@ -329,11 +331,11 @@ def whitener_invariance_suite(count: int = 100) -> CheckResult:
     )
 
 
-def qr_mld_limit_suite(seeds=DEFAULT_SCENARIO_SEEDS, sigma: float = 1e-4) -> CheckResult:
+def qr_mld_limit_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
     """Small external noise: the QR detector approaches the reference."""
-    worst = _worst_against_reference(_scenario_pool(seeds), sigma, qr_mld_linear)
+    worst = _worst_against_reference(_scenario_pool(seeds), QR_MLD_LIMIT_SIGMA, qr_mld_linear)
     return CheckResult(
-        f"qr-mld limit at sigma = {sigma:g}",
+        f"qr-mld limit at sigma = {QR_MLD_LIMIT_SIGMA:g}",
         worst < 1e-6,
         f"max relative deviation = {worst:.3e} (threshold 1e-6)",
     )

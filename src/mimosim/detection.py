@@ -296,8 +296,8 @@ def reference_ic(reduced: ReducedChannel, scale: float) -> tuple[np.ndarray, ...
     `linalg.is_full_rank` per reducer shape; an error names the first
     deficient user.
     """
-    if not scale > 0:
-        raise InvalidInputError(f"scale must be > 0, got {scale}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise InvalidInputError(f"scale must be finite and > 0, got {scale}")
     reducers = reduced.reducers
     deficient = [
         group[i]

@@ -218,11 +218,12 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     Trials reuse the same derived seeds across grid points and scheme
     pairs, so curves differ only through the scheme and the noise level.
     Per trial: the channels, the single-user gains, the (G,) vectors of
-    noise levels and closed-form SU SEs, one precoder per scheme with its
-    users stacked by shape, and one `mu_report` over the whole grid per
-    (precoder, detector) pair, the route `su_mu_report` takes at one point.
-    A guard trip raises what the first failing point, by grid point, then
-    detector, then precoder, raises alone, naming that point.
+    noise levels and closed-form SU SEs, then every (precoder, detector)
+    pair built, with its users stacked by shape, before one `mu_report`
+    over the whole grid per pair, the route `su_mu_report` takes at one
+    point. A guard trip reruns the trial point by point, in (grid point,
+    detector, precoder) order, on the pairs already built, and raises what
+    the first failing point raises, naming that point.
     """
     seeds = [trial_seed(config.base_seed, i) for i in range(config.trials)]
     grid = config.su_sinr_grid_db
@@ -239,31 +240,26 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         su_power = float(np.mean(gains))
         sigma = np.array([noise_for_target(su_power, db) for db in grid])
         su_se = su_spectral_efficiency(gains, sigma)
-        trips = {}
-        for pi, name in enumerate(precoder_names):
+        pairs = {}
+        for name in precoder_names:
             with _sweep_point(f"precoder {name}, trial {trial}"):
                 precoder = make_precoder(channels, name, config.total_power)
             stacks = build_covariance(channels, precoder)
-            for di, detector in enumerate(detector_names):
-                cores = stacked_detectors(stacks, detector)
-                try:
-                    mu_se, ratio, leak = mu_report(stacks, cores, sigma, su_se)
-                    sums[(name, detector)] += (mu_se, su_se, ratio, leak)
-                except MimoSimError:
-                    # Rerun point by point: the first point that raises alone
-                    # names the error, as a per-point sweep would.
-                    for i, db in enumerate(grid):
-                        try:
-                            with _sweep_point(f"precoder {name}, detector {detector}, "
-                                              f"su_sinr_db {db:g}, trial {trial}"):
-                                mu_report(stacks, cores, sigma[i:i + 1], su_se[i:i + 1])
-                        except MimoSimError as exc:
-                            trips[(i, di, pi)] = exc
-                            break
-                    else:
-                        raise
-        if trips:
-            raise trips[min(trips)]
+            for detector in detector_names:
+                pairs[(name, detector)] = stacks, stacked_detectors(stacks, detector)
+        try:
+            reports = {key: mu_report(*pair, sigma, su_se) for key, pair in pairs.items()}
+        except MimoSimError:
+            # The per-point sweep of this trial: its first failing point names the error.
+            for i, db in enumerate(grid):
+                for detector in detector_names:
+                    for name in precoder_names:
+                        with _sweep_point(f"precoder {name}, detector {detector}, "
+                                          f"su_sinr_db {db:g}, trial {trial}"):
+                            mu_report(*pairs[(name, detector)], sigma[i:i + 1], su_se[i:i + 1])
+            raise
+        for key, (mu_se, ratio, leak) in reports.items():
+            sums[key] += (mu_se, su_se, ratio, leak)
     n = float(config.trials)
     return [
         SweepRow(p, d, db, *(sums[(p, d)][:, i] / n).tolist(), config.trials, config.base_seed)

@@ -5,6 +5,7 @@ rows are the directions actually nulled across users. Zero-forcing the
 stacked V (rather than the full H) is what allows p_k < q_k transmission.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,7 @@ from .errors import (
     DimensionMismatchError,
     IllConditionedError,
     InfeasibleZeroForcingError,
+    InvalidInputError,
 )
 from .system import ChannelSet, ungroup
 
@@ -106,14 +108,22 @@ def ezf_groups(groups, layer_counts) -> tuple[tuple[np.ndarray, np.ndarray], ...
 
 
 def custom_reduction(channels: ChannelSet, reducers) -> ReducedChannel:
-    """Reduction from caller-supplied B_k maps; V_k = B_k @ H_k."""
+    """Reduction from caller-supplied B_k maps, one p_k x q_k per user; V_k = B_k @ H_k."""
     reducers = tuple(np.asarray(b, dtype=np.complex128) for b in reducers)
+    users = channels.scenario.users
+    if len(reducers) != len(users):
+        raise DimensionMismatchError(f"{len(reducers)} reducers for {len(users)} users")
+    for k, (b, (q, p)) in enumerate(zip(reducers, users)):
+        if b.shape != (p, q):
+            raise DimensionMismatchError(f"user {k}: reducer shape {b.shape} is not (p={p}, q={q})")
     matrices = tuple(b @ h for b, h in zip(reducers, channels.matrices))
     return ReducedChannel(matrices, reducers)
 
 
 def _power_scaled(w0: np.ndarray, total_power: float) -> tuple[np.ndarray, np.ndarray]:
     """Each t x p matrix of w0 scaled to trace(W @ W^H) = total_power, and the scales."""
+    if not (math.isfinite(total_power) and total_power > 0):
+        raise InvalidInputError(f"total_power must be finite and > 0, got {total_power}")
     lead, matrix = w0.shape[:-2], w0.shape[-2:]
     scale = np.sqrt(total_power) / np.array([np.linalg.norm(w) for w in w0.reshape(-1, *matrix)])
     return scale.reshape(lead + (1, 1)) * w0, scale.reshape(lead)

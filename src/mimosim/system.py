@@ -88,16 +88,11 @@ class ChannelSet:
 
         `users` holds the group's user indices in user order, H (n x q_k x t)
         their stacked channels, and U (n x q_k x q_k), s (n x q_k) the economy
-        SVD factors of H, singular values descending: from the draw, or on
-        first use with one `linalg.svd_reduced` per group. Shared by the rank
-        check, the single-user gains, the eigen reduction and the covariances.
+        SVD factors of H (singular values descending) that the draw, or else
+        first use, takes with `_decomposed`; every stage reads them.
         """
-        out = []
-        for users in shape_groups(self.scenario.users):
-            h = np.stack([self.matrices[k] for k in users])
-            u, s, _ = linalg.svd_reduced(h)
-            out.append((np.array(users), h, u, s))
-        return tuple(out)
+        return _decomposed((np.array(users), np.stack([self.matrices[k] for k in users]))
+                           for users in shape_groups(self.scenario.users))
 
 
 def shape_groups(keys) -> list[list[int]]:
@@ -114,6 +109,11 @@ def ungroup(pairs) -> list:
     for users, stack in pairs:
         entries.update(zip(users.tolist(), stack))
     return [entries[k] for k in range(len(entries))]
+
+
+def _decomposed(stacks) -> tuple:
+    """(users, H, U, s) of each (users, H) stack, from one `linalg.svd_reduced` of H."""
+    return tuple((users, h, *linalg.svd_reduced(h)[:2]) for users, h in stacks)
 
 
 def _user_rng(seed: int, user: int, attempt: int = 0) -> np.random.Generator:
@@ -145,7 +145,7 @@ def generate_groups(scenario: Scenario, seeds) -> tuple:
     for attempt in range(_GENERATION_RETRIES + 1):
         for sc, k, h, i in failed:
             h[i] = _draw_user(sc, k, attempt)
-        groups = [(users, h, *linalg.svd_reduced(h)[:2]) for users, h in draws]
+        groups = _decomposed(draws)
         failed = [(at_seed[i // len(users)], int(users[i % len(users)]), h, i)
                   for users, h, _, s in groups
                   for i in np.flatnonzero(linalg.rank(s) < s.shape[-1])]

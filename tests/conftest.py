@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from mimosim.system import ChannelSet, Scenario
 
@@ -17,6 +18,22 @@ def single_user(channels: ChannelSet, k: int) -> ChannelSet:
     """User k's channel alone, with the same antennas, power budget and seed."""
     s = channels.scenario
     return ChannelSet(Scenario(s.t, (s.users[k],), s.total_power, s.seed), (channels.matrices[k],))
+
+
+@st.composite
+def scenarios(draw):
+    """A scenario with p_k <= q_k <= t and sum(p_k) <= t, and 1-3 distinct seeds."""
+    t = draw(st.integers(2, 12))
+    users, layers = [], 0
+    for _ in range(draw(st.integers(1, 4))):
+        if layers == t:
+            break
+        q = draw(st.integers(1, min(t, 5)))
+        p = draw(st.integers(1, min(q, t - layers)))
+        users.append((q, p))
+        layers += p
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=3, unique=True))
+    return Scenario(t, tuple(users)), tuple(seeds)
 
 
 @pytest.fixture

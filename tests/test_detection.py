@@ -376,6 +376,12 @@ class TestReferenceIc:
         with pytest.raises(UniquenessError):
             reference_ic(broken, prec.scale)
 
+    @pytest.mark.parametrize("scale", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        _, prec, _, _ = default_pipeline()
+        with pytest.raises(InvalidInputError, match="scale must be finite and > 0"):
+            reference_ic(prec.reduced, scale)
+
     @staticmethod
     def _reducers(rng, users, deficient):
         """Random p_k x q_k reducers; those of the `deficient` users repeat their first row."""

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from mimosim import linalg
 from mimosim.cli import main as cli_main
@@ -26,7 +27,7 @@ from mimosim.system import (
     su_layer_gains,
 )
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, scenarios
 
 MINIMAL = """
 t = 64
@@ -250,6 +251,24 @@ class TestRunSweep:
         rows = run_sweep(cfg)
         assert [r.precoder for r in rows] == ["ezf", "ezf", "mrt", "mrt", "ezf", "ezf"]
         assert rows[4:] == rows[:2]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(scenarios())
+def test_ezf_curves_rise_and_stay_finite(case):
+    # One-trial ezf sweeps over 0:100:10 dB: MU SE never falls as the noise
+    # floor drops, and no row holds a NaN or an infinity.
+    scenario, seeds = case
+    grid = tuple(float(db) for db in range(0, 101, 10))
+    cfg = SweepConfig(scenario.t, scenario.users, 1.0, grid, ("ezf",),
+                      ("mmse-irc", "qr-mld"), 1, seeds[0], "unused.csv")
+    rows = run_sweep(cfg)
+    for detector in cfg.detectors:
+        curve = [r for r in rows if r.detector == detector]
+        for r in curve:
+            assert all(math.isfinite(v) for v in dataclasses.astuple(r)[2:7]), r
+        mu = [r.mu_se_mean for r in curve]
+        assert all(b >= a * (1 - 1e-12) for a, b in zip(mu, mu[1:])), (detector, mu)
 
 
 class TestFailingSweepPoint:

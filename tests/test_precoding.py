@@ -7,6 +7,7 @@ from mimosim.errors import (
     DimensionMismatchError,
     IllConditionedError,
     InfeasibleZeroForcingError,
+    InvalidInputError,
 )
 from mimosim.metrics import make_precoder
 from mimosim.precoding import (
@@ -207,6 +208,28 @@ class TestMrt:
         channels = generate_channels(DEFAULT)
         prec = mrt_precode(channels, 3.0)
         assert np.linalg.norm(prec.stacked) ** 2 == pytest.approx(3.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("power", [-1.0, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("scheme", ["ezf", "mrt"])
+def test_power_must_be_finite_and_positive(scheme, power):
+    channels = generate_channels(Scenario(t=16, users=((4, 2),) * 2, seed=1))
+    with pytest.raises(InvalidInputError, match="total_power must be finite and > 0"):
+        make_precoder(channels, scheme, power)
+
+
+class TestCustomReduction:
+    def test_reducer_count_must_match_users(self):
+        channels = generate_channels(Scenario(t=8, users=((2, 2), (2, 2)), seed=1))
+        with pytest.raises(DimensionMismatchError, match="1 reducers for 2 users"):
+            custom_reduction(channels, (np.eye(2),))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 4), (3, 4)])
+    def test_reducer_shape_names_the_user(self, shape):
+        channels = generate_channels(Scenario(t=8, users=((2, 1), (4, 2)), seed=1))
+        reducers = (np.ones((1, 2)), np.ones(shape))
+        with pytest.raises(DimensionMismatchError, match=r"^user 1: reducer shape"):
+            custom_reduction(channels, reducers)
 
 
 @pytest.mark.parametrize("scheme", ["zf", "ezf", "mrt"])

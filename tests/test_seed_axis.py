@@ -12,7 +12,6 @@ import dataclasses
 
 import numpy as np
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mimosim.detection import build_covariance, user_stacks
 from mimosim.precoding import (
@@ -25,21 +24,7 @@ from mimosim.precoding import (
 )
 from mimosim.system import Scenario, generate_channels, generate_groups, ungroup
 
-
-@st.composite
-def scenarios(draw):
-    """A scenario with p_k <= q_k <= t and sum(p_k) <= t, and 1-3 distinct seeds."""
-    t = draw(st.integers(2, 12))
-    users, layers = [], 0
-    for _ in range(draw(st.integers(1, 4))):
-        if layers == t:
-            break
-        q = draw(st.integers(1, min(t, 5)))
-        p = draw(st.integers(1, min(q, t - layers)))
-        users.append((q, p))
-        layers += p
-    seeds = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=3, unique=True))
-    return Scenario(t, tuple(users)), tuple(seeds)
+from conftest import scenarios
 
 
 def _same(a: np.ndarray, b: np.ndarray) -> bool:
