@@ -46,7 +46,6 @@ from .experiment import (
 from .metrics import (
     LinkReport,
     effective_links,
-    make_precoder,
     sinr_per_layer,
     spectral_efficiency,
     su_mu_report,
@@ -56,6 +55,7 @@ from .precoding import (
     ReducedChannel,
     custom_reduction,
     mrt_precode,
+    precode,
     rczf_precode,
     reduce_ezf,
     reduce_full_zf,

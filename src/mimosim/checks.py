@@ -5,17 +5,13 @@ link/covariance pairs), returns the worst residual observed, and compares
 it against the pinned threshold. The CLI `check` command prints one line
 per suite; the acceptance tests assert the same results.
 
-The suites share their inputs through pools: the default EZF scenarios of
-all seeds as one stack of users, and the synthetic pairs as one stack.
-`run_all_checks` builds each pool once and drops it when it returns; a
-suite called on its own builds its own. A suite passes a whole pool as one
-stack to one call of the public detector function per noise level or
-regularizer weight. The scenario pool is built _POOL_CHUNK seeds at a time
-through the seed-stacked stages (`generate_groups`, `ezf_groups`,
-`zero_forcing`, `user_stacks`), each one call per chunk; the reference
-filters come from `reference_ic`, seed by seed. The necessity suite runs
-the same stages under `matched_filter` on the draws the pool made for its
-seeds, with one stacked SVD of every user's cross links.
+The suites share their inputs through pools, built once per
+`run_all_checks` call (a suite called on its own builds its own): the
+default EZF scenarios of all seeds as one stack of users, built SEED_CHUNK
+seeds at a time through the seed-stacked stages as the sweep is, and the
+synthetic pairs as one stack. A suite passes a whole pool to one call of the
+public detector function per noise level or regularizer weight. The
+necessity suite runs the same stages under `matched_filter`.
 """
 
 import contextvars
@@ -37,13 +33,11 @@ from .detection import (
 )
 from .linalg import herm
 from .precoding import ReducedChannel, ezf_groups, matched_filter, zero_forcing
-from .system import Scenario, generate_groups
+from .system import SEED_CHUNK, Scenario, generate_groups
 
 DEFAULT_SCENARIO_SEEDS = tuple(range(1, 101))
 NECESSITY_SEEDS = DEFAULT_SCENARIO_SEEDS[:20]
 _DEFAULT_USERS = ((4, 2),) * 8
-# Seeds drawn and decomposed as one stack: bounds the draws and SVD factors in memory.
-_POOL_CHUNK = 10
 # The small external noise at which qr_mld_limit_suite compares qr-mld to the reference.
 QR_MLD_LIMIT_SIGMA = 1e-4
 
@@ -69,7 +63,7 @@ def _pooled(key, build):
 
 
 def _over_chunks(seeds, precode, fields) -> list[np.ndarray]:
-    """`fields` of the default scenario at `seeds`, _POOL_CHUNK seeds at a time, joined.
+    """`fields` of the default scenario at `seeds`, SEED_CHUNK seeds at a time, joined.
 
     Per chunk, `fields` gets H, the EZF (V, B), `precode`'s precoders W and
     scales, and the user stack, seed axis first; each array it returns is
@@ -78,7 +72,7 @@ def _over_chunks(seeds, precode, fields) -> list[np.ndarray]:
     """
     scenario = Scenario(t=64, users=_DEFAULT_USERS, total_power=1.0)
     seeds, parts = tuple(seeds), []
-    for chunk in (seeds[i:i + _POOL_CHUNK] for i in range(0, len(seeds), _POOL_CHUNK)):
+    for chunk in (seeds[i:i + SEED_CHUNK] for i in range(0, len(seeds), SEED_CHUNK)):
         draw = partial(generate_groups, scenario, chunk)
         groups = _pooled(("draws", chunk), draw) if set(chunk) <= set(NECESSITY_SEEDS) else draw()
         ((_, h, _, _),) = groups  # one group: every user is 4x2

@@ -126,14 +126,14 @@ class StackedDetector:
     def filters(self, s2) -> np.ndarray:
         """Stacked filters G (n x p_k x q_k) at noise power s2.
 
-        A (G,) vector of noise powers gives (G, n, p_k, q_k), one batched
-        computation for the whole grid; a guard error then names the first
-        failing grid point's first failing user.
+        A (G,) vector of noise powers gives (G, n, p_k, q_k), and a (G, S) grid
+        on a stack with a leading axis of S seeds (G, S, n, p_k, q_k): one batched
+        computation. A guard error names the first failing point's first failing user.
         """
         a, (q, p) = self.a, self.a.shape[-2:]
         s2 = np.asarray(s2, dtype=float)
-        # Broadcasts against the stacked eigenvalues (n, q_k): (G, 1, 1).
-        shift = s2.reshape(s2.shape + (1,) * (a.ndim - 1))
+        # (G, [S,] 1, 1) against the stacked eigenvalues ([S,] n, q_k).
+        shift = s2.reshape(s2.shape + (1,) * (a.ndim - max(s2.ndim, 1)))
         if self.scheme == "qr-mld":
             r = self.r0 + shift[..., np.newaxis] * np.eye(q)
             g = qr_mld_parts(a, r, users=self.users)[3]

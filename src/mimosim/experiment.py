@@ -9,20 +9,14 @@ seeds are derived up front and every row accumulates in fixed trial order.
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, MimoSimError
-from .detection import build_covariance
-from .metrics import (
-    PRECODER_SCHEMES,
-    make_precoder,
-    mu_report,
-    parse_detector_scheme,
-    stacked_detectors,
-    su_spectral_efficiency,
-)
-from .system import Scenario, generate_channels, noise_for_target, su_layer_gains
+from .metrics import mu_pairs, mu_report, parse_detector_scheme, su_spectral_efficiency
+from .precoding import PRECODER_SCHEMES
+from .system import SEED_CHUNK, Scenario, generate_groups, noise_for_target, su_layer_gains
 
 CSV_HEADER = (
     "precoder,detector,su_sinr_db,mu_se_mean,su_se_mean,"
@@ -215,56 +209,61 @@ def _sweep_point(where: str):
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Average su/mu link reports over seeded trials for every scheme pair.
 
-    Trials reuse the same derived seeds across grid points and scheme
-    pairs, so curves differ only through the scheme and the noise level.
-    Per trial: the channels, the single-user gains, the (G,) vectors of
-    noise levels and closed-form SU SEs, then every (precoder, detector)
-    pair built, with its users stacked by shape, before one `mu_report`
-    over the whole grid per pair, the route `su_mu_report` takes at one
-    point. A guard trip reruns the trial point by point, in (grid point,
-    detector, precoder) order, on the pairs already built, and raises what
-    the first failing point raises, naming that point.
+    Trials share their derived seeds across grid points and scheme pairs.
+    They go SEED_CHUNK at a time through `_reports` and are summed in trial
+    order; a chunk that raises is replayed trial by trial, and the first
+    trial that fails names the error.
     """
-    seeds = [trial_seed(config.base_seed, i) for i in range(config.trials)]
-    grid = config.su_sinr_grid_db
-    # A scheme listed twice is computed once and its rows repeated.
-    precoder_names = tuple(dict.fromkeys(config.precoders))
-    detector_names = tuple(dict.fromkeys(config.detectors))
-    # Per pair and grid point: mu_se, su_se, ratio and interference power sums.
-    sums = {(p, d): np.zeros((4, len(grid))) for p in precoder_names for d in detector_names}
-    for trial, seed in enumerate(seeds):
-        scenario = Scenario(config.t, config.users, config.total_power, seed)
-        with _sweep_point(f"trial {trial}"):
-            channels = generate_channels(scenario)
-            gains = su_layer_gains(channels)
-        su_power = float(np.mean(gains))
-        sigma = np.array([noise_for_target(su_power, db) for db in grid])
-        su_se = su_spectral_efficiency(gains, sigma)
-        pairs = {}
-        for name in precoder_names:
-            with _sweep_point(f"precoder {name}, trial {trial}"):
-                precoder = make_precoder(channels, name, config.total_power)
-            stacks = build_covariance(channels, precoder)
-            for detector in detector_names:
-                pairs[(name, detector)] = stacks, stacked_detectors(stacks, detector)
+    sums = {}  # per pair: the (mu_se, su_se, ratio, leak) x grid point sums
+    for start in range(0, config.trials, SEED_CHUNK):
+        trials = range(start, min(start + SEED_CHUNK, config.trials))
         try:
-            reports = {key: mu_report(*pair, sigma, su_se) for key, pair in pairs.items()}
+            reports = _reports(config, trials)
         except MimoSimError:
-            # The per-point sweep of this trial: its first failing point names the error.
-            for i, db in enumerate(grid):
-                for detector in detector_names:
-                    for name in precoder_names:
-                        with _sweep_point(f"precoder {name}, detector {detector}, "
-                                          f"su_sinr_db {db:g}, trial {trial}"):
-                            mu_report(*pairs[(name, detector)], sigma[i:i + 1], su_se[i:i + 1])
+            for trial in trials:
+                _reports(config, range(trial, trial + 1))
             raise
-        for key, (mu_se, ratio, leak) in reports.items():
-            sums[key] += (mu_se, su_se, ratio, leak)
+        for key, report in reports.items():
+            for values in np.moveaxis(report, -1, 0):
+                sums[key] = sums.get(key, 0.0) + values
     n = float(config.trials)
     return [
         SweepRow(p, d, db, *(sums[(p, d)][:, i] / n).tolist(), config.trials, config.base_seed)
-        for p in config.precoders for d in config.detectors for i, db in enumerate(grid)
+        for p in config.precoders for d in config.detectors
+        for i, db in enumerate(config.su_sinr_grid_db)
     ]
+
+
+def _reports(config: SweepConfig, trials: range) -> dict:
+    """Each pair's (mu_se, su_se, ratio, leak) at G grid points and S trials: (4, G, S).
+
+    One draw of the trials' seeds gives the noise levels and SU SEs that all
+    pairs share; every pair is built before one `mu_report` per pair. A
+    report that raises is replayed point by point, in (grid point, detector,
+    precoder) order. Errors name trial `trials[0]`; `run_sweep` reads them at one trial.
+    """
+    grid, where = config.su_sinr_grid_db, f"trial {trials[0]}"
+    # A scheme listed twice is computed once and its rows repeated.
+    precoders, detectors = dict.fromkeys(config.precoders), dict.fromkeys(config.detectors)
+    scenario = Scenario(config.t, config.users, config.total_power, config.base_seed)
+    with _sweep_point(where):
+        groups = generate_groups(scenario, [trial_seed(config.base_seed, i) for i in trials])
+    gains = su_layer_gains(scenario, groups)
+    sigma = np.array([[noise_for_target(power, db) for power in np.mean(gains, axis=-1)]
+                      for db in grid])
+    su_se = su_spectral_efficiency(gains, sigma)
+    pairs = {}
+    for name in precoders:
+        with _sweep_point(f"precoder {name}, {where}"):
+            pairs.update(mu_pairs(groups, scenario, name, detectors))
+    try:
+        return {key: np.array(mu_report(*pair, sigma, su_se)) for key, pair in pairs.items()}
+    except MimoSimError:
+        for (i, db), detector, name in product(enumerate(grid), detectors, precoders):
+            point = f"precoder {name}, detector {detector}, su_sinr_db {db:g}, {where}"
+            with _sweep_point(point):
+                mu_report(*pairs[(name, detector)], sigma[i:i + 1], su_se[i:i + 1])
+        raise
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:

@@ -1,20 +1,17 @@
 """Effective-link decomposition, post-detection SINR, and spectral efficiency.
 
-The single-user / multi-user report serves every user jointly, against
-each user served alone by eigen zero-forcing at its proportional share of
-the power budget under the same white noise. That leg has orthogonal links,
-so its SE is the closed form sum log2(1 + (P / p) s_i^2 / sigma^2) for every
+The single-user / multi-user report serves every user jointly, against each
+user served alone by eigen zero-forcing at its proportional share of the
+power under the same white noise, whose SE has a closed form for every
 detector scheme. When the joint system suppresses inter-user interference
-the ratio of the two summed spectral efficiencies decays toward its
-interference-free floor as the noise floor drops; schemes that leak
-interference saturate and the ratio diverges instead.
+the SU/MU ratio decays toward its interference-free floor as the noise floor
+drops; schemes that leak interference saturate and the ratio diverges.
 
 Each user's links are one p_k x p row block G_k H_k W of the stacked
-precoder W = [W_1 ... W_K]; user k's own layers are its columns
-start_k .. start_k + p_k, the other columns are cross-user leakage. The
-multi-user leg (`mu_report`) runs on users stacked by shape, with noise levels
-as a leading grid axis: per group one detector core and one filters,
-`effective_links` and `sinr_per_layer` call for a sweep trial's whole grid.
+precoder W = [W_1 ... W_K]; its own layers are its columns, the others are
+cross-user leakage. `mu_pairs` builds the multi-user leg on users stacked by
+shape, and `mu_report` reports it over a grid of G noise levels and, in a
+sweep, the seed axis of a chunk of trials.
 """
 
 import math
@@ -23,15 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import StackedDetector, UserStack, build_covariance
+from .detection import StackedDetector, UserStack, user_stacks
 from .errors import ConfigError, InvalidInputError
-from .precoding import Precoder, mrt_precode, rczf_precode, reduce_ezf, reduce_full_zf
-from .system import ChannelSet, su_layer_gains
+from .precoding import precode
+from .system import ChannelSet, Scenario, su_layer_gains
 
 # Noiseless perfect links cap here instead of producing infinite SE.
 SINR_CAP = 1e12
 
-PRECODER_SCHEMES = ("zf", "ezf", "mrt")
 DETECTOR_SCHEMES = ("mmse-irc", "mmse", "gen-lse", "lse-limit", "qr-mld")
 
 _GEN_LSE_RE = re.compile(r"^gen-lse\(([^)]+)\)$")
@@ -117,43 +113,40 @@ def parse_detector_scheme(name: str) -> tuple[str, float]:
     return name, 1.0
 
 
-def make_precoder(channels: ChannelSet, scheme: str, total_power: float) -> Precoder:
-    """Build a named precoder; `zf` needs full-rank transmission (p_k = q_k)."""
-    if scheme == "zf":
-        return rczf_precode(reduce_full_zf(channels), total_power)
-    if scheme == "ezf":
-        return rczf_precode(reduce_ezf(channels), total_power)
-    if scheme == "mrt":
-        return mrt_precode(channels, total_power)
-    raise ConfigError(
-        f"unknown precoder '{scheme}' (expected one of {', '.join(PRECODER_SCHEMES)})"
-    )
-
-
 def stacked_detectors(stacks: tuple[UserStack, ...], scheme: str) -> list[StackedDetector]:
     """A named detector scheme on each user stack, with its noise-free part factored."""
     base, lam = parse_detector_scheme(scheme)
     return [StackedDetector(base, lam, s.users, s.effective, s.interference) for s in stacks]
 
 
-def mu_report(stacks: tuple, detectors: list, sigma: np.ndarray, su_se: np.ndarray):
-    """Multi-user SE, SU/MU ratio and mean cross leak power at G grid points.
+def mu_pairs(groups, scenario: Scenario, precoder: str, detectors) -> dict:
+    """Per (precoder, detector) pair of one precoder: its user stacks and the detector's cores.
 
-    `sigma` and `su_se` are (G,) vectors, and so are the results. Per stack:
-    one filters call over the grid, one batched G @ H W product and one
-    `sinr_per_layer` call; users' SEs and leaks land in (G, users) arrays.
+    `groups` are `ChannelSet.groups`, or from `system.generate_groups` with a seed axis.
+    """
+    w, _ = precode(groups, scenario, precoder)
+    stacks = user_stacks(groups, scenario.layer_counts, w)
+    return {(precoder, d): (stacks, stacked_detectors(stacks, d)) for d in detectors}
+
+
+def mu_report(stacks: tuple, detectors: list, sigma: np.ndarray, su_se: np.ndarray):
+    """MU SE, the given SU SE, SU/MU ratio and mean cross leak power at G grid points.
+
+    `sigma` and `su_se` are (G,), or (G, S) for stacks with a leading axis of S
+    seeds, and so are the results. Per stack: one filters call, one batched
+    G @ H W product and one `sinr_per_layer` call.
     """
     n = sum(len(s.users) for s in stacks)
-    ses, leaks = np.empty((len(sigma), n)), np.empty((len(sigma), n))
+    ses, leaks = np.empty(sigma.shape + (n,)), np.empty(sigma.shape + (n,))
     for stack, detector in zip(stacks, detectors):
         g = detector.filters(sigma**2)
         link = effective_links(stack, g)
-        sinr = sinr_per_layer(link, stack.starts, g, sigma.reshape(-1, 1, 1, 1))
-        ses[:, stack.users] = spectral_efficiency(sinr)
-        leaks[:, stack.users] = np.sum(_cross_power(np.abs(link) ** 2, stack.starts), axis=-1)
+        sinr = sinr_per_layer(link, stack.starts, g, sigma.reshape(sigma.shape + (1, 1, 1)))
+        ses[..., stack.users] = spectral_efficiency(sinr)
+        leaks[..., stack.users] = np.sum(_cross_power(np.abs(link) ** 2, stack.starts), axis=-1)
     mu_se = np.sum(ses, axis=-1)
     ratio = np.divide(su_se, mu_se, out=np.full(mu_se.shape, math.inf), where=mu_se > 0)
-    return mu_se, ratio, np.mean(leaks, axis=-1)
+    return mu_se, su_se, ratio, np.mean(leaks, axis=-1)
 
 
 def su_spectral_efficiency(gains: np.ndarray, sigma):
@@ -161,7 +154,8 @@ def su_spectral_efficiency(gains: np.ndarray, sigma):
 
     Each user alone has orthogonal links c U_p S_p, so every detector scheme
     gives layer i the SINR g_i / sigma^2 for its gain g_i = (P / p) * s_i^2
-    (`system.su_layer_gains`), capped at SINR_CAP like `sinr_per_layer`; one SE per sigma.
+    (`system.su_layer_gains`), capped at SINR_CAP like `sinr_per_layer`; one
+    SE per sigma. Gains (S, layers) of S seeds take sigma (G, S).
     """
     with np.errstate(divide="ignore"):
         return spectral_efficiency(np.minimum(gains / np.square(sigma)[..., np.newaxis], SINR_CAP))
@@ -170,21 +164,17 @@ def su_spectral_efficiency(gains: np.ndarray, sigma):
 def su_mu_report(
     channels: ChannelSet, precoder_scheme: str, detector_scheme: str, sigma: float
 ) -> LinkReport:
-    """Joint multi-user service versus each user served alone.
+    """Joint multi-user service versus each user served alone, at white noise sigma.
 
-    The single-user leg is each user's own eigen zero-forcing precoder at
-    power P * p_k / p (its share of the budget) under the same white noise:
-    sum_i log2(1 + (P / p) s_i^2 / sigma^2), capped at SINR_CAP, which every
-    detector scheme attains there. The SU/MU ratio therefore isolates the
-    cost of sharing the channel rather than the power split. It is the
-    one-point grid of `mu_report`. A sigma that is negative, infinite or NaN
-    raises InvalidInputError.
+    The single-user leg gives each user its share P * p_k / p of the power, so
+    the SU/MU ratio isolates the cost of sharing the channel, not the power
+    split. This is the sweep's route, `mu_pairs` then `mu_report`, at one seed
+    and one grid point. A negative, infinite or NaN sigma raises InvalidInputError.
     """
     if not (math.isfinite(sigma) and sigma >= 0):
         raise InvalidInputError(f"sigma must be finite and >= 0, got {sigma}")
-    precoder = make_precoder(channels, precoder_scheme, channels.scenario.total_power)
+    scenario, groups = channels.scenario, channels.groups
+    ((stacks, cores),) = mu_pairs(groups, scenario, precoder_scheme, (detector_scheme,)).values()
     sigma = np.array([sigma])
-    su_se = su_spectral_efficiency(su_layer_gains(channels), sigma)
-    stacks = build_covariance(channels, precoder)
-    mu_se, ratio, leak = mu_report(stacks, stacked_detectors(stacks, detector_scheme), sigma, su_se)
-    return LinkReport(float(mu_se[0]), float(su_se[0]), float(ratio[0]), float(leak[0]))
+    su_se = su_spectral_efficiency(su_layer_gains(scenario, groups), sigma)
+    return LinkReport(*(float(v[0]) for v in mu_report(stacks, cores, sigma, su_se)))

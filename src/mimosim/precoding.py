@@ -12,12 +12,15 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    ConfigError,
     DimensionMismatchError,
     IllConditionedError,
     InfeasibleZeroForcingError,
     InvalidInputError,
 )
-from .system import ChannelSet, ungroup
+from .system import ChannelSet, Scenario, ungroup
+
+PRECODER_SCHEMES = ("zf", "ezf", "mrt")
 
 
 @dataclass(frozen=True)
@@ -38,41 +41,24 @@ class ReducedChannel:
                     f"user {k}: V has {v.shape[0]} rows but B has {b.shape[0]}"
                 )
 
-    @property
-    def layer_counts(self) -> tuple[int, ...]:
-        return tuple(v.shape[0] for v in self.matrices)
-
 
 @dataclass(frozen=True)
 class Precoder:
     """Stacked precoder W = [W_1 ... W_K] (t x p) with the scale already applied.
 
     `scale` is the uniform power-normalization factor: for a zero-forcing
-    precoder, V_k @ W_k = scale * I and V_i @ W_j = 0 for i != j. `blocks`
-    splits W into the users' W_k (t x p_k) by `reduced.layer_counts`.
+    precoder, V_k @ W_k = scale * I and V_i @ W_j = 0 for i != j.
     """
 
     stacked: np.ndarray
     scale: float
     reduced: ReducedChannel
 
-    @property
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        """W_k for each user, in order: views into `stacked`."""
-        ends = np.cumsum(self.reduced.layer_counts)[:-1]
-        return tuple(np.split(self.stacked, ends, axis=1))
-
 
 def reduce_full_zf(channels: ChannelSet) -> ReducedChannel:
     """Whole-channel reduction: V_k = H_k, B_k = I (needs p_k = q_k)."""
-    for k, (q, p) in enumerate(channels.scenario.users):
-        if p != q:
-            raise DimensionMismatchError(
-                f"user {k}: full zero-forcing needs p_k = q_k, got p={p}, q={q}"
-            )
-    matrices = tuple(h.copy() for h in channels.matrices)
-    reducers = tuple(np.eye(q, dtype=np.complex128) for q, _ in channels.scenario.users)
-    return ReducedChannel(matrices, reducers)
+    _check_full(channels.scenario)
+    return custom_reduction(channels, [np.eye(q) for q, _ in channels.scenario.users])
 
 
 def reduce_ezf(channels: ChannelSet) -> ReducedChannel:
@@ -80,6 +66,15 @@ def reduce_ezf(channels: ChannelSet) -> ReducedChannel:
     users = [users for users, *_ in channels.groups]
     reduced = zip(*ezf_groups(channels.groups, channels.scenario.layer_counts))
     return ReducedChannel(*(ungroup(zip(users, part)) for part in reduced))
+
+
+def _check_full(scenario: Scenario) -> None:
+    """Full zero-forcing needs p_k = q_k; an error names the first user with p_k < q_k."""
+    for k, (q, p) in enumerate(scenario.users):
+        if p != q:
+            raise DimensionMismatchError(
+                f"user {k}: full zero-forcing needs p_k = q_k, got p={p}, q={q}"
+            )
 
 
 def ezf_groups(groups, layer_counts) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -148,6 +143,28 @@ def zero_forcing(v: np.ndarray, total_power: float) -> tuple[np.ndarray, np.ndar
 def matched_filter(v: np.ndarray, total_power: float) -> tuple[np.ndarray, np.ndarray]:
     """Matched-filter precoders W = c V^H and scales c of stacked reduced channels V (..., p, t)."""
     return _power_scaled(linalg.herm(v), total_power)
+
+
+def precode(groups, scenario: Scenario, scheme: str) -> tuple[np.ndarray, np.ndarray]:
+    """Precoders W (..., t, p) and scales of a named scheme on the scenario's channel groups.
+
+    `groups` may carry `system.generate_groups`' seed axis, which W and the scales keep.
+    `zf` zero-forces the whole channels (p_k = q_k), `ezf` the eigen-reduced ones,
+    and `mrt` matches the latter.
+    """
+    if scheme == "zf":
+        _check_full(scenario)
+        reduced = [(users, h) for users, h, _, _ in groups]
+    elif scheme in ("ezf", "mrt"):
+        reduced = [(users, v) for (users, *_), (v, _)
+                   in zip(groups, ezf_groups(groups, scenario.layer_counts))]
+    else:
+        raise ConfigError(
+            f"unknown precoder '{scheme}' (expected one of {', '.join(PRECODER_SCHEMES)})"
+        )
+    # Every seed's reduced channels in user order: (..., p, t).
+    v = np.concatenate(ungroup((users, np.moveaxis(m, -3, 0)) for users, m in reduced), axis=-2)
+    return (matched_filter if scheme == "mrt" else zero_forcing)(v, scenario.total_power)
 
 
 def rczf_precode(reduced: ReducedChannel, total_power: float) -> Precoder:

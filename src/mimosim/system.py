@@ -17,6 +17,8 @@ from . import linalg
 from .errors import ChannelGenerationError, InvalidInputError
 
 _GENERATION_RETRIES = 3
+# Seeds drawn as one stack by the sweep and the check pool: bounds the arrays held at once.
+SEED_CHUNK = 10
 
 
 @dataclass(frozen=True)
@@ -136,8 +138,7 @@ def generate_groups(scenario: Scenario, seeds) -> tuple:
     (practically unreachable). An error names the lowest failing seed, then user.
     """
     seeds = tuple(seeds)
-    at_seed = [scenario if s == scenario.seed else dataclasses.replace(scenario, seed=s)
-               for s in seeds]
+    at_seed = [dataclasses.replace(scenario, seed=s) for s in seeds]
     # A group's users of all seeds on one axis, seed-major.
     draws = [(np.array(users), np.stack([_draw_user(sc, k, 0) for sc in at_seed for k in users]))
              for users in shape_groups(scenario.users)]
@@ -168,20 +169,18 @@ def generate_channels(scenario: Scenario) -> ChannelSet:
     return channels
 
 
-def su_layer_gains(channels: ChannelSet) -> np.ndarray:
+def su_layer_gains(scenario: Scenario, groups) -> np.ndarray:
     """Single-user layer gains (P / p) * s_i^2, i <= p_k, of every layer, group by group.
 
-    User k served alone by its own eigen zero-forcing precoder at its
-    proportional share P * p_k / p of the budget receives A_k = H_k W_k =
-    c U_p S_p, whose orthogonal columns carry (P / p) * s_i^2 with s_i the
-    i-th singular value of H_k, read from the shared `ChannelSet.groups`.
+    User k alone, by its own eigen zero-forcing precoder at power P * p_k / p,
+    receives A_k = c U_p S_p, whose orthogonal columns carry these gains. With
+    `generate_groups`' seed axis on `groups`, one gain vector per seed.
     """
-    scenario = channels.scenario
     per_layer = scenario.total_power / scenario.total_layers
     return np.concatenate([
-        per_layer * s[:, :scenario.layer_counts[users[0]]].ravel() ** 2
-        for users, _, _, s in channels.groups
-    ])
+        per_layer * s[..., :scenario.layer_counts[users[0]]].reshape(s.shape[:-2] + (-1,)) ** 2
+        for users, _, _, s in groups
+    ], axis=-1)
 
 
 def noise_for_target(su_layer_power: float, su_sinr_db: float) -> float:
@@ -194,7 +193,8 @@ def noise_for_target(su_layer_power: float, su_sinr_db: float) -> float:
 
 def calibrate_noise(channels: ChannelSet, su_sinr_db: float) -> float:
     """White-noise sigma that hits the target mean single-user SINR."""
-    return noise_for_target(float(np.mean(su_layer_gains(channels))), su_sinr_db)
+    gains = su_layer_gains(channels.scenario, channels.groups)
+    return noise_for_target(float(np.mean(gains)), su_sinr_db)
 
 
 def dump_channels(channels: ChannelSet, path) -> None:

@@ -14,6 +14,12 @@ def crandn(rng: np.random.Generator, *shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
+def blocks(precoder) -> list[np.ndarray]:
+    """The users' W_k (t x p_k): the precoder's stacked W split by layer count."""
+    ends = np.cumsum([len(v) for v in precoder.reduced.matrices])[:-1]
+    return np.split(precoder.stacked, ends, axis=1)
+
+
 def single_user(channels: ChannelSet, k: int) -> ChannelSet:
     """User k's channel alone, with the same antennas, power budget and seed."""
     s = channels.scenario

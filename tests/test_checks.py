@@ -72,7 +72,7 @@ def test_pool_decomposes_seeds_in_stacked_chunks(monkeypatch):
 
     monkeypatch.setattr(linalg, "svd_reduced", counting)
     assert all(res.passed for res in checks.run_all_checks())
-    chunk = checks._POOL_CHUNK
+    chunk = system.SEED_CHUNK
     assert shapes == [(chunk * USERS_PER_SEED, 4, 64), (chunk, 16, 64)] * (EZF_SEEDS // chunk)
 
 

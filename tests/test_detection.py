@@ -31,7 +31,7 @@ from mimosim.precoding import (
 )
 from mimosim.system import Scenario, generate_channels
 
-from conftest import crandn
+from conftest import blocks, crandn
 
 DEFAULT = Scenario(t=64, users=((4, 2),) * 8, total_power=1.0, seed=1)
 
@@ -83,7 +83,7 @@ class TestBuildCovariance:
         prec = rczf_precode(reduce_ezf(channels), 1.0)
         a, r = white_covariance(channels, prec, 0.3)
         np.testing.assert_allclose(r[0], 0.09 * np.eye(4), atol=1e-12)
-        np.testing.assert_allclose(a[0], channels.matrices[0] @ prec.blocks[0], atol=1e-14)
+        np.testing.assert_allclose(a[0], channels.matrices[0] @ blocks(prec)[0], atol=1e-14)
 
     def test_two_user_noiseless_matches_direct_sum(self):
         scenario = Scenario(t=16, users=((4, 2), (4, 2)), seed=3)
@@ -91,7 +91,7 @@ class TestBuildCovariance:
         prec = rczf_precode(reduce_ezf(channels), 1.0)
         (stack,) = build_covariance(channels, prec)
         for k, j in ((0, 1), (1, 0)):
-            h, w = channels.matrices[k], prec.blocks[j]
+            h, w = channels.matrices[k], blocks(prec)[j]
             direct = h @ w @ w.conj().T @ h.conj().T
             r = stack.interference[k]
             assert np.linalg.norm(r - direct) < 1e-10 * np.linalg.norm(direct)
@@ -115,7 +115,7 @@ class TestBuildCovariance:
         r = stack.interference + factors @ factors.conj().swapaxes(-1, -2)
         for k in range(2):
             j = 1 - k
-            h, w, l = channels.matrices[k], prec.blocks[j], factors[k]
+            h, w, l = channels.matrices[k], blocks(prec)[j], factors[k]
             direct = h @ w @ w.conj().T @ h.conj().T + l @ l.conj().T
             assert np.linalg.norm(r[k] - direct) < 1e-10 * np.linalg.norm(direct)
         assert np.isfinite(mmse_irc(stack.effective, r)).all()
@@ -189,7 +189,7 @@ class TestPlainMmse:
             h = channels.matrices[k]
             for j in range(8):
                 if j != k:
-                    hw = h @ prec.blocks[j]
+                    hw = h @ blocks(prec)[j]
                     leaks.append(
                         np.linalg.norm(g[k] @ hw)
                         / (np.linalg.norm(g[k]) * np.linalg.norm(hw))
@@ -351,12 +351,12 @@ class TestReferenceIc:
         for k in range(8):
             gh = ref[k] @ channels.matrices[k]
             for j in range(8):
-                t = gh @ prec.blocks[j]
+                t = gh @ blocks(prec)[j]
                 if j == k:
                     assert np.linalg.norm(t - np.eye(2)) < 1e-8
                 else:
                     assert np.linalg.norm(t) < 1e-8 * (
-                        np.linalg.norm(channels.matrices[k]) * np.linalg.norm(prec.blocks[j])
+                        np.linalg.norm(channels.matrices[k]) * np.linalg.norm(blocks(prec)[j])
                     )
 
     def test_scale_bookkeeping(self):
@@ -418,8 +418,8 @@ def test_necessity_no_detector_for_mrt():
     keeping the own link near identity is infeasible for the matched filter."""
     channels, prec, _, _ = default_pipeline(precoder="mrt")
     h = channels.matrices[0]
-    a = h @ prec.blocks[0]
-    cross = np.hstack([h @ prec.blocks[j] for j in range(1, 8)])
+    a = h @ blocks(prec)[0]
+    cross = np.hstack([h @ blocks(prec)[j] for j in range(1, 8)])
     u, s, _ = np.linalg.svd(cross, full_matrices=True)
     rank = int(np.sum(s > 1e-12 * s[0]))
     if rank >= h.shape[0]:

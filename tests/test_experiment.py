@@ -5,10 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from mimosim import linalg
+from mimosim import detection, experiment, linalg, metrics, system
 from mimosim.cli import main as cli_main
 from mimosim.detection import StackedDetector
-from mimosim.errors import ConfigError, NeedsExternalNoiseError, SingularMatrixError
+from mimosim.errors import (
+    ChannelGenerationError,
+    ConfigError,
+    NeedsExternalNoiseError,
+    SingularMatrixError,
+)
 from mimosim.experiment import (
     CSV_HEADER,
     SweepConfig,
@@ -78,8 +83,9 @@ def test_each_channel_is_decomposed_once_per_trial(monkeypatch):
 
 
 def test_one_filters_call_per_trial_pair_and_stack(monkeypatch):
-    # fig3 at 2 trials: 1 precoder x 2 detectors x 1 shape group per trial,
-    # each call over the whole 9-point grid (a per-point sweep makes 36).
+    # fig3: 1 precoder x 2 detectors x 1 shape group per chunk of trials, each
+    # call over the whole 9-point grid and the chunk's trials (a per-point,
+    # per-trial sweep makes 36 calls at 2 trials).
     shapes = []
     original = StackedDetector.filters
 
@@ -88,9 +94,62 @@ def test_one_filters_call_per_trial_pair_and_stack(monkeypatch):
         return original(self, s2)
 
     monkeypatch.setattr(StackedDetector, "filters", counting)
-    cfg = dataclasses.replace(parse_config((CONFIG_DIR / "fig3.cfg").read_text()), trials=2)
-    run_sweep(cfg)
-    assert shapes == [(9,)] * 4
+    fig3 = parse_config((CONFIG_DIR / "fig3.cfg").read_text())
+    run_sweep(dataclasses.replace(fig3, trials=2))
+    assert shapes == [(9, 2)] * 2
+    shapes.clear()
+    run_sweep(dataclasses.replace(fig3, trials=11))
+    assert shapes == [(9, 10)] * 2 + [(9, 1)] * 2
+
+
+def test_sweep_draws_each_chunk_once_and_never_one_trial_alone(monkeypatch):
+    # The sweep reaches user stacks only through the seed-stacked stages.
+    draws = []
+    original = experiment.generate_groups
+
+    def counting(scenario, seeds):
+        draws.append(len(seeds))
+        return original(scenario, seeds)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_sweep called a one-seed stage")
+
+    monkeypatch.setattr(experiment, "generate_groups", counting)
+    for module in (system, detection, metrics, experiment):
+        for name in ("generate_channels", "build_covariance"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    run_sweep(dataclasses.replace(parse_config(SMALL), trials=23))
+    assert draws == [10, 10, 3]
+
+
+CHUNKED = {
+    "fig3-shaped": SweepConfig(64, ((4, 2),) * 8, 1.0, (0.0, 20.0, 40.0), ("ezf",),
+                               ("mmse-irc", "qr-mld"), 1, 5, "x.csv"),
+    "mixed": SweepConfig(32, ((4, 2),) * 2 + ((2, 1),) * 2 + ((8, 4),), 1.0, (5.0, 35.0),
+                         ("ezf", "mrt"), ("gen-lse(0.1)", "lse-limit", "mmse"), 1, 9, "x.csv"),
+}
+
+
+@pytest.mark.parametrize("trials", [11, 23])
+@pytest.mark.parametrize("name", list(CHUNKED))
+def test_chunked_rows_equal_the_per_trial_reports(name, trials):
+    # 11 and 23 trials cross chunk boundaries; each row must still be the mean,
+    # summed in trial order, of su_mu_report at each trial alone.
+    cfg = dataclasses.replace(CHUNKED[name], trials=trials)
+    channels = [
+        generate_channels(Scenario(cfg.t, cfg.users, cfg.total_power, trial_seed(cfg.base_seed, i)))
+        for i in range(trials)
+    ]
+    for row in run_sweep(cfg):
+        sums = np.zeros(4)
+        for trial in channels:
+            sigma = calibrate_noise(trial, row.su_sinr_db)
+            report = su_mu_report(trial, row.precoder, row.detector, sigma)
+            sums += (report.mu_se, report.su_se, report.ratio, report.interference_power)
+        got = (row.mu_se_mean, row.su_se_mean, row.ratio_mean, row.interference_power_mean)
+        np.testing.assert_allclose(got, sums / trials, rtol=1e-12, atol=0.0,
+                                   err_msg=f"{row.precoder}/{row.detector} at {row.su_sinr_db}")
 
 
 class TestParseConfig:
@@ -303,11 +362,15 @@ class TestFailingSweepPoint:
         row = rows[0]
         values = (row.mu_se_mean, row.su_se_mean, row.ratio_mean, row.interference_power_mean)
         assert all(np.isfinite(values))
-        channels = generate_channels(
-            Scenario(fig3.t, fig3.users, fig3.total_power, trial_seed(fig3.base_seed, 0))
-        )
-        sigma = calibrate_noise(channels, 120.0)
-        assert row.su_se_mean == su_spectral_efficiency(su_layer_gains(channels), sigma)
+        su_se = 0.0
+        for i in range(fig3.trials):
+            channels = generate_channels(
+                Scenario(fig3.t, fig3.users, fig3.total_power, trial_seed(fig3.base_seed, i))
+            )
+            sigma = calibrate_noise(channels, 120.0)
+            gains = su_layer_gains(channels.scenario, channels.groups)
+            su_se += su_spectral_efficiency(gains, sigma)
+        assert row.su_se_mean == su_se / fig3.trials
 
     def test_missing_noise_names_point(self, fig3):
         cfg = dataclasses.replace(fig3, su_sinr_grid_db=(130.0,), detectors=("qr-mld",))
@@ -392,6 +455,38 @@ class TestFailingSweepPoint:
         assert "numerical failure: precoder ezf" in err
         assert "detector mmse, su_sinr_db 130, trial 0" in err
         assert not (tmp_path / "out.csv").exists()
+
+
+class TestFailingSweepPointInAChunk(TestFailingSweepPoint):
+    """The same failures at 12 trials: trial 0 now fails inside a chunk of ten
+    trials, and every error keeps the class, text and cause it has alone."""
+
+    @pytest.fixture(scope="class")
+    def fig3(self):
+        return dataclasses.replace(
+            parse_config((CONFIG_DIR / "fig3.cfg").read_text()), trials=12
+        )
+
+
+def test_generation_failure_names_the_trial_not_the_chunk(monkeypatch):
+    # Trial 13's user 2 is rank deficient on every draw; trial 13 sits in the
+    # second chunk, whose own error would name a seed.
+    cfg = dataclasses.replace(parse_config(SMALL), users=((4, 2),) * 3, trials=20)
+    bad_seed = trial_seed(cfg.base_seed, 13)
+    original = system._draw_user
+
+    def draw(scenario, k, attempt):
+        h = original(scenario, k, attempt)
+        if scenario.seed == bad_seed and k == 2:
+            h[1] = h[0]
+        return h
+
+    monkeypatch.setattr(system, "_draw_user", draw)
+    with pytest.raises(ChannelGenerationError) as info:
+        run_sweep(cfg)
+    assert str(info.value) == "trial 13: user 2: no full-rank channel after 4 draws"
+    assert type(info.value.__cause__) is ChannelGenerationError
+    assert str(info.value.__cause__) == "user 2: no full-rank channel after 4 draws"
 
 
 class TestHighSnrEdge:

@@ -5,14 +5,13 @@ import pytest
 
 from mimosim import linalg
 from mimosim.detection import build_covariance, reference_ic
-from mimosim.errors import ConfigError, InvalidInputError
+from mimosim.errors import ConfigError, DimensionMismatchError, InvalidInputError
 from mimosim.experiment import parse_config, trial_seed
 from mimosim.metrics import (
     DETECTOR_SCHEMES,
     SINR_CAP,
     LinkReport,
     effective_links,
-    make_precoder,
     parse_detector_scheme,
     sinr_per_layer,
     spectral_efficiency,
@@ -20,7 +19,7 @@ from mimosim.metrics import (
     su_mu_report,
     su_spectral_efficiency,
 )
-from mimosim.precoding import mrt_precode, rczf_precode, reduce_ezf
+from mimosim.precoding import mrt_precode, rczf_precode, reduce_ezf, reduce_full_zf
 from mimosim.system import (
     ChannelSet,
     Scenario,
@@ -29,7 +28,7 @@ from mimosim.system import (
     su_layer_gains,
 )
 
-from conftest import CONFIG_DIR, crandn, single_user
+from conftest import CONFIG_DIR, blocks, crandn, single_user
 from test_precoding import block_channels
 
 DEFAULT = Scenario(t=64, users=((4, 2),) * 8, total_power=1.0, seed=1)
@@ -61,7 +60,7 @@ class TestEffectiveLinks:
         scenario = Scenario(t=16, users=((4, 2),), seed=2)
         channels = generate_channels(scenario)
         prec = rczf_precode(reduce_ezf(channels), 1.0)
-        g = linalg.pinv(channels.matrices[0] @ prec.blocks[0])
+        g = linalg.pinv(channels.matrices[0] @ blocks(prec)[0])
         (stack,) = build_covariance(channels, prec)
         links = effective_links(stack, g[np.newaxis])
         assert np.linalg.norm(links[0][:, 0:2] - np.eye(2)) < 1e-10
@@ -163,16 +162,25 @@ class TestSchemeDispatch:
     def test_all_detectors_build(self):
         channels = generate_channels(DEFAULT)
         sigma = calibrate_noise(channels, 20.0)
-        prec = make_precoder(channels, "ezf", 1.0)
-        stacks = build_covariance(channels, prec)
+        stacks = build_covariance(channels, rczf_precode(reduce_ezf(channels), 1.0))
         for name in ("mmse-irc", "mmse", "gen-lse", "gen-lse(0.1)", "lse-limit", "qr-mld"):
             cores = stacked_detectors(stacks, name)
             assert sum(len(core.filters(sigma**2)) for core in cores) == 8
 
     def test_unknown_precoder_rejected(self):
         channels = generate_channels(DEFAULT)
-        with pytest.raises(ConfigError):
-            make_precoder(channels, "rzf", 1.0)
+        with pytest.raises(ConfigError, match="unknown precoder 'rzf'"):
+            su_mu_report(channels, "rzf", "mmse-irc", 0.1)
+
+    def test_zf_with_fewer_layers_than_antennas_rejected(self):
+        # The text reduce_full_zf raises, naming the first user with p_k < q_k.
+        channels = generate_channels(Scenario(t=16, users=((2, 2), (4, 2), (3, 1)), seed=1))
+        with pytest.raises(DimensionMismatchError) as info:
+            su_mu_report(channels, "zf", "mmse-irc", 0.1)
+        message = "user 1: full zero-forcing needs p_k = q_k, got p=2, q=4"
+        assert str(info.value) == message
+        with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
+            reduce_full_zf(channels)
 
 
 class TestSuMuReport:
@@ -261,10 +269,12 @@ class TestSingleUserClosedForm:
                     dataclasses.replace(solo.scenario, total_power=share * p_k), solo.matrices
                 )
                 se = su_mu_report(alone, "ezf", scheme, sigma).mu_se
-                closed_form = su_spectral_efficiency(su_layer_gains(alone), sigma)
+                gains = su_layer_gains(alone.scenario, alone.groups)
+                closed_form = su_spectral_efficiency(gains, sigma)
                 np.testing.assert_allclose(se, closed_form, rtol=1e-12, atol=0.0)
                 total += se
-            closed_form = su_spectral_efficiency(su_layer_gains(channels), sigma)
+            gains = su_layer_gains(channels.scenario, channels.groups)
+            closed_form = su_spectral_efficiency(gains, sigma)
             np.testing.assert_allclose(total, closed_form, rtol=1e-12, atol=0.0)
 
     def test_su_mu_report_rejects_invalid_sigma(self):

@@ -9,17 +9,17 @@ from mimosim.errors import (
     InfeasibleZeroForcingError,
     InvalidInputError,
 )
-from mimosim.metrics import make_precoder
 from mimosim.precoding import (
     custom_reduction,
     mrt_precode,
+    precode,
     rczf_precode,
     reduce_ezf,
     reduce_full_zf,
 )
 from mimosim.system import ChannelSet, Scenario, generate_channels
 
-from conftest import crandn
+from conftest import blocks, crandn
 
 DEFAULT = Scenario(t=64, users=((4, 2),) * 8, total_power=1.0, seed=1)
 
@@ -118,7 +118,7 @@ class TestRczfPrecode:
         )
         prec = rczf_precode(red, 2.0)
         np.testing.assert_allclose(
-            np.hstack(prec.blocks), [[1, 0], [0, 1], [0, 0]], atol=1e-12
+            np.hstack(blocks(prec)), [[1, 0], [0, 1], [0, 0]], atol=1e-12
         )
         assert prec.scale == pytest.approx(1.0)
 
@@ -128,7 +128,7 @@ class TestRczfPrecode:
         channels = ChannelSet(Scenario(2, ((1, 1), (1, 1)), 1.0, 0), (h[:1], h[1:]))
         red = custom_reduction(channels, (np.eye(1), np.eye(1)))
         prec = rczf_precode(red, 1.0)
-        w0 = np.hstack(prec.blocks) / prec.scale
+        w0 = np.hstack(blocks(prec)) / prec.scale
         np.testing.assert_allclose(w0, np.diag([0.5, 1.0]), atol=1e-12)
         v = np.vstack(red.matrices)
         np.testing.assert_allclose(v @ w0, np.eye(2), atol=1e-12)
@@ -138,7 +138,7 @@ class TestRczfPrecode:
         prec = rczf_precode(reduce_ezf(channels), 1.0)
         w_norm = np.linalg.norm(prec.stacked)
         worst = max(
-            np.linalg.norm(prec.reduced.matrices[i] @ prec.blocks[j])
+            np.linalg.norm(prec.reduced.matrices[i] @ blocks(prec)[j])
             for i in range(8)
             for j in range(8)
             if i != j
@@ -148,7 +148,7 @@ class TestRczfPrecode:
     def test_own_product_is_scaled_identity(self):
         channels = generate_channels(DEFAULT)
         prec = rczf_precode(reduce_ezf(channels), 1.0)
-        for v, w in zip(prec.reduced.matrices, prec.blocks):
+        for v, w in zip(prec.reduced.matrices, blocks(prec)):
             t = v @ w
             assert np.linalg.norm(t - prec.scale * np.eye(2)) < 1e-8 * prec.scale
 
@@ -162,7 +162,7 @@ class TestRczfPrecode:
         channels = generate_channels(DEFAULT)
         p1 = rczf_precode(reduce_ezf(channels), 1.0)
         p2 = rczf_precode(reduce_ezf(channels), 2.0)
-        for w1, w2 in zip(p1.blocks, p2.blocks):
+        for w1, w2 in zip(blocks(p1), blocks(p2)):
             assert np.linalg.norm(w2 - np.sqrt(2.0) * w1) < 1e-14 * np.linalg.norm(w1)
 
     def test_colinear_users_rejected(self):
@@ -180,7 +180,7 @@ class TestMrt:
             Scenario(2, ((2, 1),), 1.0, 0), (np.diag([3.0, 1.0]).astype(complex),)
         )
         prec = mrt_precode(channels, 1.0)
-        np.testing.assert_allclose(prec.blocks[0], [[1.0], [0.0]], atol=1e-12)
+        np.testing.assert_allclose(blocks(prec)[0], [[1.0], [0.0]], atol=1e-12)
 
     def test_orthogonal_users_coincide_with_zero_forcing(self):
         channels = block_channels(8, [(4, 2), (4, 2)], seed=1)
@@ -190,14 +190,14 @@ class TestMrt:
         for i in range(2):
             for j in range(2):
                 if i != j:
-                    assert np.linalg.norm(red.matrices[i] @ mrt.blocks[j]) < 1e-9 * w_norm
+                    assert np.linalg.norm(red.matrices[i] @ blocks(mrt)[j]) < 1e-9 * w_norm
 
     def test_generic_scenario_is_not_zero_forcing(self):
         channels = generate_channels(DEFAULT)
         prec = mrt_precode(channels, 1.0)
         w_norm = np.linalg.norm(prec.stacked)
         worst = max(
-            np.linalg.norm(prec.reduced.matrices[i] @ prec.blocks[j])
+            np.linalg.norm(prec.reduced.matrices[i] @ blocks(prec)[j])
             for i in range(8)
             for j in range(8)
             if i != j
@@ -214,8 +214,10 @@ class TestMrt:
 @pytest.mark.parametrize("scheme", ["ezf", "mrt"])
 def test_power_must_be_finite_and_positive(scheme, power):
     channels = generate_channels(Scenario(t=16, users=((4, 2),) * 2, seed=1))
+    precoder = {"ezf": lambda: rczf_precode(reduce_ezf(channels), power),
+                "mrt": lambda: mrt_precode(channels, power)}[scheme]
     with pytest.raises(InvalidInputError, match="total_power must be finite and > 0"):
-        make_precoder(channels, scheme, power)
+        precoder()
 
 
 class TestCustomReduction:
@@ -233,11 +235,14 @@ class TestCustomReduction:
 
 
 @pytest.mark.parametrize("scheme", ["zf", "ezf", "mrt"])
-def test_blocks_split_the_stored_stack(scheme):
-    channels = generate_channels(Scenario(t=32, users=((4, 4), (2, 2), (3, 3)), seed=2))
-    prec = make_precoder(channels, scheme, 1.0)
-    assert [w.shape for w in prec.blocks] == [(32, 4), (32, 2), (32, 3)]
-    assert np.array_equal(np.hstack(prec.blocks), prec.stacked)
+def test_precode_equals_the_one_stack_precoders(scheme):
+    # Users of three shapes: the dispatcher stacks their reduced channels in user order.
+    channels = generate_channels(Scenario(t=32, users=((4, 4), (2, 2), (4, 4), (3, 3)), seed=2))
+    one = {"zf": lambda: rczf_precode(reduce_full_zf(channels), 1.0),
+           "ezf": lambda: rczf_precode(reduce_ezf(channels), 1.0),
+           "mrt": lambda: mrt_precode(channels, 1.0)}[scheme]()
+    w, scale = precode(channels.groups, channels.scenario, scheme)
+    assert w.tobytes() == one.stacked.tobytes() and scale == one.scale
 
 
 @pytest.mark.parametrize("seed", range(1, 6))
@@ -250,8 +255,8 @@ def test_rczf_membership_bullets(seed):
     for k in range(8):
         v, b, h = red.matrices[k], red.reducers[k], channels.matrices[k]
         assert np.linalg.norm(v - b @ h) <= 1e-8 * np.linalg.norm(v)
-        s = np.linalg.svd(v @ prec.blocks[k], compute_uv=False)
+        s = np.linalg.svd(v @ blocks(prec)[k], compute_uv=False)
         assert s[-1] > 1e-8 * s[0]  # rank p_k
         for j in range(8):
             if j != k:
-                assert np.linalg.norm(v @ prec.blocks[j]) <= 1e-8 * w_norm
+                assert np.linalg.norm(v @ blocks(prec)[j]) <= 1e-8 * w_norm

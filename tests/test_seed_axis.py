@@ -3,9 +3,11 @@
 `system.generate_groups`, `precoding.ezf_groups`, `precoding.zero_forcing`,
 `precoding.matched_filter` and `detection.user_stacks` take a leading seed
 axis; `generate_channels`, `reduce_ezf`, `rczf_precode`, `mrt_precode` and
-`build_covariance` are their one-seed cases. Over random scenarios, seed i
-of each stacked stage must equal the one-seed function at seed i bit for
-bit, and the stacked zero-forcing precoders must null every cross link.
+`build_covariance` are their one-seed cases. The detector cores' `filters`
+and `metrics.mu_report` take a (G, S) noise grid for S seeds. Over random
+scenarios, seed i of each stacked stage must equal the one-seed function at
+seed i bit for bit, and the stacked zero-forcing precoders must null every
+cross link.
 """
 
 import dataclasses
@@ -14,6 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 
 from mimosim.detection import build_covariance, user_stacks
+from mimosim.metrics import DETECTOR_SCHEMES, mu_pairs, mu_report, su_spectral_efficiency
 from mimosim.precoding import (
     ezf_groups,
     matched_filter,
@@ -22,7 +25,14 @@ from mimosim.precoding import (
     reduce_ezf,
     zero_forcing,
 )
-from mimosim.system import Scenario, generate_channels, generate_groups, ungroup
+from mimosim.system import (
+    Scenario,
+    generate_channels,
+    generate_groups,
+    noise_for_target,
+    su_layer_gains,
+    ungroup,
+)
 
 from conftest import scenarios
 
@@ -68,6 +78,34 @@ def test_seed_stacked_stages_equal_each_seeds_functions(case):
     w, scales = zf
     gram = v @ w / scales[:, np.newaxis, np.newaxis]
     assert np.abs(gram - np.eye(v.shape[-2])).max() < 1e-10
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(scenarios())
+def test_seed_stacked_reports_equal_each_seeds_reports(case):
+    # S seeds under a (G, S) noise grid: filters and reports at seed i are the
+    # one-seed calls at seed i's (G,) noise levels, bit for bit.
+    scenario, seeds = case
+    groups = generate_groups(scenario, seeds)
+    gains = su_layer_gains(scenario, groups)
+    sigma = np.array([[noise_for_target(power, db) for power in np.mean(gains, axis=-1)]
+                      for db in (0.0, 15.0, 30.0)])
+    su_se = su_spectral_efficiency(gains, sigma)
+    one = [generate_channels(dataclasses.replace(scenario, seed=seed)) for seed in seeds]
+    for precoder in ("ezf", "mrt"):
+        pairs = mu_pairs(groups, scenario, precoder, DETECTOR_SCHEMES)
+        for (_, detector), (stacks, cores) in pairs.items():
+            filters = [core.filters(sigma**2) for core in cores]
+            reports = mu_report(stacks, cores, sigma, su_se)
+            for i, channels in enumerate(one):
+                ((one_stacks, one_cores),) = mu_pairs(
+                    channels.groups, channels.scenario, precoder, (detector,)).values()
+                for g, core in zip(filters, one_cores):
+                    np.testing.assert_array_equal(g[:, i], core.filters(sigma[:, i] ** 2))
+                one_reports = mu_report(one_stacks, one_cores, sigma[:, i], su_se[:, i])
+                assert len(reports) == len(one_reports) == 4
+                for report, one_report in zip(reports, one_reports):
+                    np.testing.assert_array_equal(report[:, i], one_report)
 
 
 def test_power_scale_divides_by_each_flattened_norm():

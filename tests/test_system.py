@@ -18,7 +18,7 @@ from mimosim.system import (
     su_layer_gains,
 )
 
-from conftest import single_user
+from conftest import blocks, single_user
 
 DEFAULT = Scenario(t=64, users=((4, 2),) * 8, total_power=1.0, seed=1)
 
@@ -110,7 +110,7 @@ class TestSharedDecomposition:
 
         monkeypatch.setattr(linalg, "svd_reduced", counting)
         channels = generate_channels(self.MIXED)
-        su_layer_gains(channels)
+        su_layer_gains(channels.scenario, channels.groups)
         reduce_ezf(channels)
         assert calls == [(2, 4, 64), (2, 2, 64), (1, 8, 64)]
         assert channels.groups is channels.groups
@@ -138,7 +138,8 @@ class TestSharedDecomposition:
             share * np.linalg.svd(channels.matrices[k], compute_uv=False)[:p] ** 2
             for k, p in ((0, 2), (3, 2), (1, 1), (4, 1), (2, 4))
         ])
-        np.testing.assert_allclose(su_layer_gains(channels), expected, rtol=1e-13)
+        gains = su_layer_gains(channels.scenario, channels.groups)
+        np.testing.assert_allclose(gains, expected, rtol=1e-13)
 
 
 def _two_call_draw(seed, k, attempt, shape=(4, 64)):
@@ -248,12 +249,13 @@ class TestCalibration:
             alone = single_user(channels, k)
             _, p = DEFAULT.users[k]
             prec = rczf_precode(reduce_ezf(alone), share * p)
-            a = alone.matrices[0] @ prec.blocks[0]
+            a = alone.matrices[0] @ blocks(prec)[0]
             powers.extend(np.sum(np.abs(a) ** 2, axis=0))
         oracle = float(np.mean(powers))
         sigma = calibrate_noise(channels, 0.0)
         assert sigma**2 == pytest.approx(oracle, rel=1e-10)
-        assert np.mean(su_layer_gains(channels)) == pytest.approx(oracle, rel=1e-10)
+        gains = su_layer_gains(channels.scenario, channels.groups)
+        assert np.mean(gains) == pytest.approx(oracle, rel=1e-10)
 
     def test_ten_db_scales_sigma_squared_by_ten(self):
         channels = generate_channels(DEFAULT)
@@ -277,7 +279,7 @@ class TestCalibration:
             (stack,) = build_covariance(alone, prec)
             noise = sigma**2 * np.eye(DEFAULT.users[k][0])
             (g,) = mmse_irc(stack.effective, stack.interference + noise)
-            t = g @ alone.matrices[0] @ prec.blocks[0]
+            t = g @ alone.matrices[0] @ blocks(prec)[0]
             sinrs.extend(sinr_per_layer(t, 0, g, sigma))
         measured_db = 10.0 * math.log10(float(np.mean(sinrs)))
         assert abs(measured_db - 20.0) < 0.1
