@@ -51,8 +51,6 @@ from .metrics import (
     su_mu_report,
 )
 from .precoding import (
-    Precoder,
-    ReducedChannel,
     custom_reduction,
     mrt_precode,
     precode,

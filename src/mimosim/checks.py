@@ -11,7 +11,7 @@ default EZF scenarios of all seeds as one stack of users, built SEED_CHUNK
 seeds at a time through the seed-stacked stages as the sweep is, and the
 synthetic pairs as one stack. A suite passes a whole pool to one call of the
 public detector function per noise level or regularizer weight. The
-necessity suite runs the same stages under `matched_filter`.
+necessity suite runs the same stages under the `mrt` precoder.
 """
 
 import contextvars
@@ -32,7 +32,7 @@ from .detection import (
     user_stacks,
 )
 from .linalg import herm
-from .precoding import ReducedChannel, ezf_groups, matched_filter, zero_forcing
+from .precoding import precode
 from .system import SEED_CHUNK, Scenario, generate_groups
 
 DEFAULT_SCENARIO_SEEDS = tuple(range(1, 101))
@@ -62,25 +62,23 @@ def _pooled(key, build):
     return pools[key]
 
 
-def _over_chunks(seeds, precode, fields) -> list[np.ndarray]:
+def _over_chunks(seeds, scheme, fields) -> list[np.ndarray]:
     """`fields` of the default scenario at `seeds`, SEED_CHUNK seeds at a time, joined.
 
-    Per chunk, `fields` gets H, the EZF (V, B), `precode`'s precoders W and
-    scales, and the user stack, seed axis first; each array it returns is
-    concatenated over the chunks. In a run, the necessity suite's draws are
-    pooled for it; other draws, and each chunk's stacks, are dropped once used.
+    Per chunk, `fields` gets the channel groups, `precode`'s W, scales and
+    reduction under `scheme`, and the user stack, seed axis first; each array it
+    returns is concatenated over the chunks. In a run, the necessity suite's draws
+    are pooled for it; other draws, and each chunk's stacks, are dropped once used.
     """
     scenario = Scenario(t=64, users=_DEFAULT_USERS, total_power=1.0)
     seeds, parts = tuple(seeds), []
     for chunk in (seeds[i:i + SEED_CHUNK] for i in range(0, len(seeds), SEED_CHUNK)):
         draw = partial(generate_groups, scenario, chunk)
         groups = _pooled(("draws", chunk), draw) if set(chunk) <= set(NECESSITY_SEEDS) else draw()
-        ((_, h, _, _),) = groups  # one group: every user is 4x2
-        ((v, b),) = ezf_groups(groups, scenario.layer_counts)
-        w, scales = precode(v.reshape(len(chunk), -1, scenario.t), scenario.total_power)
+        w, scales, reduced = precode(groups, scenario, scheme)
         (stack,) = user_stacks(groups, scenario.layer_counts, w)
-        parts.append(fields(h, v, b, w, scales, stack))
-        del groups, h, v, b, w, stack  # before the next chunk is drawn
+        parts.append(fields(groups, w, scales, reduced, stack))
+        del groups, w, reduced, stack  # before the next chunk is drawn
     return [np.concatenate(arrays) for arrays in zip(*parts)]
 
 
@@ -109,13 +107,14 @@ class _ScenarioPool:
 
     @classmethod
     def build(cls, seeds) -> "_ScenarioPool":
-        return cls(len(_DEFAULT_USERS), *_over_chunks(seeds, zero_forcing, cls._fields))
+        return cls(len(_DEFAULT_USERS), *_over_chunks(seeds, "ezf", cls._fields))
 
     @staticmethod
-    def _fields(h, v, b, w, scales, stack) -> tuple:
+    def _fields(groups, w, scales, reduced, stack) -> tuple:
         """One chunk's arrays of the fields after `users`, in field order."""
-        ref = np.concatenate([np.stack(reference_ic(ReducedChannel(vs, bs), float(scale)))
-                              for vs, bs, scale in zip(v, b, scales)])
+        ((_, h, _, _),) = groups  # one group: every user is 4x2
+        ((_, ref),) = reference_ic(reduced, scales)
+        ref = _flat(ref)
         blocks = np.stack(np.split(w, len(_DEFAULT_USERS), axis=-1), axis=1)
         return (_flat(stack.effective), _flat(stack.interference), ref, ref @ _flat(stack.links),
                 np.linalg.norm(h, axis=(-2, -1)).ravel(), np.linalg.norm(blocks, axis=(-2, -1)))
@@ -190,7 +189,7 @@ def necessity_suite(seeds=NECESSITY_SEEDS) -> CheckResult:
     decomposed in one stacked SVD, and the users of each rank share one
     stacked `linalg.pinv`.
     """
-    cross, effective = _over_chunks(seeds, matched_filter, _cross_links)
+    cross, effective = _over_chunks(seeds, "mrt", _cross_links)
     p = effective.shape[-1]
     u, s, _ = np.linalg.svd(cross, full_matrices=True)
     ranks = linalg.rank(s)

@@ -19,8 +19,7 @@ from .errors import (
     UniquenessError,
 )
 from .linalg import herm
-from .precoding import Precoder, ReducedChannel
-from .system import ChannelSet, shape_groups
+from .system import ChannelSet
 
 
 @dataclass(frozen=True)
@@ -71,9 +70,9 @@ class UserStack:
     interference: np.ndarray
 
 
-def build_covariance(channels: ChannelSet, precoder: Precoder) -> tuple[UserStack, ...]:
-    """The users of each `ChannelSet.groups` shape group stacked under the precoder."""
-    return user_stacks(channels.groups, channels.scenario.layer_counts, precoder.stacked)
+def build_covariance(channels: ChannelSet, w: np.ndarray) -> tuple[UserStack, ...]:
+    """The users of each `ChannelSet.groups` shape group stacked under the precoder W."""
+    return user_stacks(channels.groups, channels.scenario.layer_counts, w)
 
 
 def user_stacks(groups, layer_counts, w: np.ndarray) -> tuple[UserStack, ...]:
@@ -286,27 +285,25 @@ def qr_mld_detect(
     return s_hat[:, 0] if single else s_hat
 
 
-def reference_ic(reduced: ReducedChannel, scale: float) -> tuple[np.ndarray, ...]:
-    """The unique interference-cancellation filters for a matching precoder.
+def reference_ic(reduced, scale) -> tuple:
+    """The unique interference-cancellation filters (users, B / scale) per reduction group.
 
-    G_k = B_k / scale for each user in order, valid when every reducing map
-    B_k has full row rank; paired with the zero-forcing precoder built from
-    `reduced` at power scale `scale`, it gives G_k H_k W_k = I and
-    G_k H_k W_j = 0 exactly. The rank is checked with one stacked
-    `linalg.is_full_rank` per reducer shape; an error names the first
-    deficient user.
+    Valid when every reducing map B_k has full row rank (one `linalg.is_full_rank`
+    per group; an error names the lowest deficient user). With the zero-forcing
+    precoder of `reduced` at power scale `scale` (one per seed, for seed axes),
+    G_k H_k W_k = I and G_k H_k W_j = 0 exactly.
     """
-    if not (math.isfinite(scale) and scale > 0):
+    scales = np.asarray(scale, dtype=float)
+    if not (np.isfinite(scales).all() and (scales > 0).all()):
         raise InvalidInputError(f"scale must be finite and > 0, got {scale}")
-    reducers = reduced.reducers
-    deficient = [
-        group[i]
-        for group in shape_groups(b.shape for b in reducers)
-        for i in np.flatnonzero(~linalg.is_full_rank(np.stack([reducers[k] for k in group])))
-    ]
+    seed_axes = reduced[0][2].shape[:-3]
+    if scales.shape != seed_axes:
+        raise DimensionMismatchError(f"scales of shape {scales.shape} for seed axes {seed_axes}")
+    deficient = [k for users, _, b in reduced
+                 for k in users[np.nonzero(~linalg.is_full_rank(b))[-1]]]
     if deficient:
         raise UniquenessError(
             f"user {min(deficient)}: reducing map is rank deficient; the interference-"
             "cancellation detector is not unique"
         )
-    return tuple(b / scale for b in reducers)
+    return tuple((users, b / np.expand_dims(scales, (-3, -2, -1))) for users, _, b in reduced)

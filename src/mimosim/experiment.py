@@ -86,7 +86,8 @@ class SweepRow:
     base_seed: int
 
 
-def _parse_users(value: str, line_no: int) -> tuple[tuple[int, int], ...]:
+def _parse_users(value: str, line_no: int, t: int) -> tuple[tuple[int, int], ...]:
+    """`QxP *N` groups; more than t users (each needs a layer) is an error before expansion."""
     users = []
     for group in value.split(","):
         group = group.strip()
@@ -113,6 +114,9 @@ def _parse_users(value: str, line_no: int) -> tuple[tuple[int, int], ...]:
             q, p = int(parts[0]), int(parts[1])
         except ValueError:
             raise ConfigError(f"line {line_no}: non-integer antenna/layer count in 'users'") from None
+        if count > t - len(users):
+            raise ConfigError(f"line {line_no}: {len(users) + count} users exceed antenna count "
+                              f"t={t} (each user needs at least one layer)")
         users.extend([(q, p)] * count)
     return tuple(users)
 
@@ -180,7 +184,7 @@ def parse_config(text: str) -> SweepConfig:
         seen.setdefault(key, (default, 0))
 
     t = _parse_int(seen["t"][0], "t", seen["t"][1])
-    users = _parse_users(seen["users"][0], seen["users"][1])
+    users = _parse_users(seen["users"][0], seen["users"][1], t)
     power = _parse_float(seen["power"][0], "power", seen["power"][1])
     grid = _parse_grid(seen["grid"][0], seen["grid"][1])
     precoders = tuple(p.strip() for p in seen["precoders"][0].split(",") if p.strip())

@@ -124,7 +124,7 @@ def mu_pairs(groups, scenario: Scenario, precoder: str, detectors) -> dict:
 
     `groups` are `ChannelSet.groups`, or from `system.generate_groups` with a seed axis.
     """
-    w, _ = precode(groups, scenario, precoder)
+    w, _, _ = precode(groups, scenario, precoder)
     stacks = user_stacks(groups, scenario.layer_counts, w)
     return {(precoder, d): (stacks, stacked_detectors(stacks, d)) for d in detectors}
 

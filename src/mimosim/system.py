@@ -8,6 +8,7 @@ hits a requested dB target.
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,6 +22,14 @@ _GENERATION_RETRIES = 3
 SEED_CHUNK = 10
 
 
+def _integer(value, what: str) -> int:
+    """`value` as an int through `operator.index`; a float or any other type is rejected."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Transmit-side dimensions, per-user (antennas, layers), power budget, seed."""
@@ -31,7 +40,12 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "users", tuple((int(q), int(p)) for q, p in self.users))
+        object.__setattr__(self, "t", _integer(self.t, "antenna count t"))
+        object.__setattr__(self, "users", tuple(
+            (_integer(q, f"user {k}: antenna count q_k"), _integer(p, f"user {k}: layer count p_k"))
+            for k, (q, p) in enumerate(self.users)
+        ))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if self.t < 1:
             raise InvalidInputError(f"antenna count t must be >= 1, got {self.t}")
         if not self.users:
@@ -48,7 +62,7 @@ class Scenario:
             )
         if not (math.isfinite(self.total_power) and self.total_power > 0):
             raise InvalidInputError(f"total_power must be positive, got {self.total_power}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise InvalidInputError("seed must fit in 64 bits")
 
     @property

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from mimosim.system import ChannelSet, Scenario
+from mimosim.system import ChannelSet, Scenario, ungroup
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -14,10 +14,16 @@ def crandn(rng: np.random.Generator, *shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def blocks(precoder) -> list[np.ndarray]:
-    """The users' W_k (t x p_k): the precoder's stacked W split by layer count."""
-    ends = np.cumsum([len(v) for v in precoder.reduced.matrices])[:-1]
-    return np.split(precoder.stacked, ends, axis=1)
+def per_user(reduced) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The users' V_k and B_k in user order, from a (users, V, B) per group reduction."""
+    return (ungroup((users, v) for users, v, _ in reduced),
+            ungroup((users, b) for users, _, b in reduced))
+
+
+def blocks(w: np.ndarray, reduced) -> list[np.ndarray]:
+    """The users' W_k (t x p_k): the stacked W split by the reduction's layer counts."""
+    ends = np.cumsum([len(v) for v in per_user(reduced)[0]])[:-1]
+    return np.split(w, ends, axis=1)
 
 
 def single_user(channels: ChannelSet, k: int) -> ChannelSet:

@@ -228,15 +228,15 @@ def test_criterion_09_qr_mld_sic_end_to_end():
     scenario = Scenario(t=64, users=((4, 2),) * 8, total_power=1.0, seed=1)
     channels = generate_channels(scenario)
     sigma = calibrate_noise(channels, 30.0)
-    prec = rczf_precode(reduce_ezf(channels), 1.0)
-    (stack,) = build_covariance(channels, prec)
+    w, _ = rczf_precode(reduce_ezf(channels), 1.0)
+    (stack,) = build_covariance(channels, w)
     r = stack.interference + sigma**2 * np.eye(4)
     c = qpsk()
     rng = np.random.default_rng(2024)
     n_vec = 10_000
     idx = rng.integers(0, 4, size=(16, n_vec))
     sent = c.points[idx]
-    x = prec.stacked @ sent
+    x = w @ sent
     errors = 0
     for k, h in enumerate(channels.matrices):
         y = h @ x + sigma * crandn(rng, 4, n_vec)

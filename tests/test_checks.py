@@ -40,6 +40,24 @@ def _perturb_nth_filter(fn, n: int):
     return wrapper
 
 
+def _perturb_nth_reference(n: int):
+    """`checks.reference_ic` with the n-th pooled filter, counted over all its calls,
+    scaled by 1 + 1e-3: the (seed, user) filters of a call's one shape group, seed-major."""
+    real = checks.reference_ic
+
+    def flat(reduced, scale):
+        ((_, g),) = real(reduced, scale)
+        return g.reshape(-1, *g.shape[-2:])
+
+    perturbed = _perturb_nth_filter(flat, n)
+
+    def wrapper(reduced, scale):
+        ((users, _, b),) = reduced
+        return ((users, perturbed(reduced, scale).reshape(b.shape)),)
+
+    return wrapper
+
+
 def test_scenarios_built_once_per_run_and_not_kept(monkeypatch):
     draws = []
     real = system._draw_user
@@ -107,7 +125,7 @@ def test_each_pool_goes_whole_to_one_detector_call(monkeypatch):
 )
 def test_perturbed_reference_filter_fails(monkeypatch, suite, seed, user):
     n = (seed - 1) * USERS_PER_SEED + user + 1
-    monkeypatch.setattr(checks, "reference_ic", _perturb_nth_filter(checks.reference_ic, n))
+    monkeypatch.setattr(checks, "reference_ic", _perturb_nth_reference(n))
     res = suite()
     assert not res.passed, res.detail
 

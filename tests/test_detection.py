@@ -17,6 +17,7 @@ from mimosim.detection import (
     reference_ic,
 )
 from mimosim.errors import (
+    DimensionMismatchError,
     InvalidInputError,
     NeedsExternalNoiseError,
     SingularMatrixError,
@@ -29,16 +30,16 @@ from mimosim.precoding import (
     reduce_ezf,
     reduce_full_zf,
 )
-from mimosim.system import Scenario, generate_channels
+from mimosim.system import Scenario, generate_channels, ungroup
 
-from conftest import blocks, crandn
+from conftest import blocks, crandn, per_user
 
 DEFAULT = Scenario(t=64, users=((4, 2),) * 8, total_power=1.0, seed=1)
 
 
-def white_covariance(channels, prec, sigma):
+def white_covariance(channels, w, sigma):
     """Links A and covariances R_int + sigma^2 I of the users' one shape group."""
-    (stack,) = build_covariance(channels, prec)
+    (stack,) = build_covariance(channels, w)
     eye = np.eye(stack.effective.shape[-2])
     return stack.effective, stack.interference + sigma**2 * eye
 
@@ -46,12 +47,13 @@ def white_covariance(channels, prec, sigma):
 def default_pipeline(seed=1, sigma=0.0, precoder="ezf"):
     scenario = Scenario(t=64, users=((4, 2),) * 8, total_power=1.0, seed=seed)
     channels = generate_channels(scenario)
+    red = reduce_ezf(channels)
     if precoder == "ezf":
-        prec = rczf_precode(reduce_ezf(channels), 1.0)
+        w, scale = rczf_precode(red, 1.0)
     else:
-        prec = mrt_precode(channels, 1.0)
-    a, r = white_covariance(channels, prec, sigma)
-    return channels, prec, a, r
+        w, scale = mrt_precode(channels, 1.0)
+    a, r = white_covariance(channels, w, sigma)
+    return channels, (w, scale, red), a, r
 
 
 class TestConstellations:
@@ -80,18 +82,20 @@ class TestBuildCovariance:
     def test_single_user_white_noise(self):
         scenario = Scenario(t=16, users=((4, 2),), seed=2)
         channels = generate_channels(scenario)
-        prec = rczf_precode(reduce_ezf(channels), 1.0)
-        a, r = white_covariance(channels, prec, 0.3)
+        red = reduce_ezf(channels)
+        w, _ = rczf_precode(red, 1.0)
+        a, r = white_covariance(channels, w, 0.3)
         np.testing.assert_allclose(r[0], 0.09 * np.eye(4), atol=1e-12)
-        np.testing.assert_allclose(a[0], channels.matrices[0] @ blocks(prec)[0], atol=1e-14)
+        np.testing.assert_allclose(a[0], channels.matrices[0] @ blocks(w, red)[0], atol=1e-14)
 
     def test_two_user_noiseless_matches_direct_sum(self):
         scenario = Scenario(t=16, users=((4, 2), (4, 2)), seed=3)
         channels = generate_channels(scenario)
-        prec = rczf_precode(reduce_ezf(channels), 1.0)
+        red = reduce_ezf(channels)
+        prec, _ = rczf_precode(red, 1.0)
         (stack,) = build_covariance(channels, prec)
         for k, j in ((0, 1), (1, 0)):
-            h, w = channels.matrices[k], blocks(prec)[j]
+            h, w = channels.matrices[k], blocks(prec, red)[j]
             direct = h @ w @ w.conj().T @ h.conj().T
             r = stack.interference[k]
             assert np.linalg.norm(r - direct) < 1e-10 * np.linalg.norm(direct)
@@ -109,13 +113,14 @@ class TestBuildCovariance:
         # default calibration only produces sigma * I.
         scenario = Scenario(t=16, users=((4, 2), (4, 2)), seed=7)
         channels = generate_channels(scenario)
-        prec = rczf_precode(reduce_ezf(channels), 1.0)
+        red = reduce_ezf(channels)
+        prec, _ = rczf_precode(red, 1.0)
         factors = np.stack([0.1 * crandn(rng, 4, 4) for _ in range(2)])
         (stack,) = build_covariance(channels, prec)
         r = stack.interference + factors @ factors.conj().swapaxes(-1, -2)
         for k in range(2):
             j = 1 - k
-            h, w, l = channels.matrices[k], blocks(prec)[j], factors[k]
+            h, w, l = channels.matrices[k], blocks(prec, red)[j], factors[k]
             direct = h @ w @ w.conj().T @ h.conj().T + l @ l.conj().T
             assert np.linalg.norm(r[k] - direct) < 1e-10 * np.linalg.norm(direct)
         assert np.isfinite(mmse_irc(stack.effective, r)).all()
@@ -131,8 +136,8 @@ class TestMmseIrc:
         np.testing.assert_allclose(g[0], np.eye(3), atol=1e-12)
 
     def test_noiseless_equals_reference(self):
-        _, prec, a, r = default_pipeline(sigma=0.0)
-        ref = reference_ic(prec.reduced, prec.scale)
+        _, (_, scale, red), a, r = default_pipeline(sigma=0.0)
+        ref = ungroup(reference_ic(red, scale))
         for g, g0 in zip(mmse_irc(a, r), ref):
             assert np.linalg.norm(g - g0) < 1e-8 * np.linalg.norm(g0)
 
@@ -140,17 +145,17 @@ class TestMmseIrc:
         # One 2-antenna user alone with one layer and no noise: rank 1 < q_k.
         scenario = Scenario(t=8, users=((2, 1),), seed=4)
         channels = generate_channels(scenario)
-        prec = rczf_precode(reduce_ezf(channels), 1.0)
-        a, r = white_covariance(channels, prec, 0.0)
+        w, _ = rczf_precode(reduce_ezf(channels), 1.0)
+        a, r = white_covariance(channels, w, 0.0)
         with pytest.raises(SingularMatrixError, match="layers in total"):
             mmse_irc(a, r)
 
     def test_quadratic_convergence_rate(self):
-        channels, prec, _, _ = default_pipeline()
-        ref = reference_ic(prec.reduced, prec.scale)
+        channels, (w, scale, red), _, _ = default_pipeline()
+        ref = ungroup(reference_ic(red, scale))
         errs = {}
         for sigma in (1e-2, 1e-3):
-            g = mmse_irc(*white_covariance(channels, prec, sigma))
+            g = mmse_irc(*white_covariance(channels, w, sigma))
             errs[sigma] = max(np.linalg.norm(gk - g0) for gk, g0 in zip(g, ref))
         assert 50.0 <= errs[1e-2] / errs[1e-3] <= 200.0
 
@@ -182,14 +187,14 @@ class TestPlainMmse:
 
     def test_does_not_cancel_reduced_rank_interference(self):
         sigma = 1e-3
-        channels, prec, a, _ = default_pipeline(sigma=sigma)
+        channels, (w, _, red), a, _ = default_pipeline(sigma=sigma)
         g = plain_mmse(a, sigma)
         leaks = []
         for k in range(8):
             h = channels.matrices[k]
             for j in range(8):
                 if j != k:
-                    hw = h @ blocks(prec)[j]
+                    hw = h @ blocks(w, red)[j]
                     leaks.append(
                         np.linalg.norm(g[k] @ hw)
                         / (np.linalg.norm(g[k]) * np.linalg.norm(hw))
@@ -269,9 +274,9 @@ class TestQrMldLinear:
         assert np.linalg.norm(g_qr - g_lim) < 1e-9 * np.linalg.norm(g_lim)
 
     def test_limit_matches_reference(self):
-        channels, prec, _, _ = default_pipeline()
-        g = qr_mld_linear(*white_covariance(channels, prec, 1e-4))
-        ref = reference_ic(prec.reduced, prec.scale)
+        channels, (w, scale, red), _, _ = default_pipeline()
+        g = qr_mld_linear(*white_covariance(channels, w, 1e-4))
+        ref = ungroup(reference_ic(red, scale))
         for gk, g0 in zip(g, ref):
             assert np.linalg.norm(gk - g0) < 1e-6 * np.linalg.norm(g0)
 
@@ -341,46 +346,50 @@ class TestReferenceIc:
     def test_full_zf_identity_reducer(self):
         scenario = Scenario(t=8, users=((2, 2), (2, 2)), seed=6)
         channels = generate_channels(scenario)
-        prec = rczf_precode(reduce_full_zf(channels), 1.0)
-        for g in reference_ic(prec.reduced, prec.scale):
-            np.testing.assert_allclose(g, np.eye(2) / prec.scale, atol=1e-12)
+        red = reduce_full_zf(channels)
+        _, scale = rczf_precode(red, 1.0)
+        for g in ungroup(reference_ic(red, scale)):
+            np.testing.assert_allclose(g, np.eye(2) / scale, atol=1e-12)
 
     def test_cancels_interference(self):
-        channels, prec, _, _ = default_pipeline()
-        ref = reference_ic(prec.reduced, prec.scale)
+        channels, (w, scale, red), _, _ = default_pipeline()
+        ref, ws = ungroup(reference_ic(red, scale)), blocks(w, red)
         for k in range(8):
             gh = ref[k] @ channels.matrices[k]
             for j in range(8):
-                t = gh @ blocks(prec)[j]
+                t = gh @ ws[j]
                 if j == k:
                     assert np.linalg.norm(t - np.eye(2)) < 1e-8
                 else:
                     assert np.linalg.norm(t) < 1e-8 * (
-                        np.linalg.norm(channels.matrices[k]) * np.linalg.norm(blocks(prec)[j])
+                        np.linalg.norm(channels.matrices[k]) * np.linalg.norm(ws[j])
                     )
 
     def test_scale_bookkeeping(self):
-        channels, prec, _, _ = default_pipeline()
-        doubled = reference_ic(prec.reduced, 2.0 * prec.scale)
-        base = reference_ic(prec.reduced, prec.scale)
+        channels, (_, scale, red), _, _ = default_pipeline()
+        doubled = ungroup(reference_ic(red, 2.0 * scale))
+        base = ungroup(reference_ic(red, scale))
         for g2, g1 in zip(doubled, base):
             np.testing.assert_allclose(g2, 0.5 * g1, atol=1e-15)
 
     def test_rank_deficient_reducer_rejected(self):
-        channels, prec, _, _ = default_pipeline()
-        red = prec.reduced
-        bad = tuple(np.vstack([b[:1], b[:1]]) for b in red.reducers)
-        from mimosim.precoding import ReducedChannel
-
-        broken = ReducedChannel(red.matrices, bad)
+        channels, (_, scale, red), _, _ = default_pipeline()
+        bad = tuple(np.vstack([b[:1], b[:1]]) for b in per_user(red)[1])
+        broken = custom_reduction(channels, bad)
         with pytest.raises(UniquenessError):
-            reference_ic(broken, prec.scale)
+            reference_ic(broken, scale)
 
     @pytest.mark.parametrize("scale", [-1.0, 0.0, float("nan"), float("inf")])
     def test_scale_must_be_finite_and_positive(self, scale):
-        _, prec, _, _ = default_pipeline()
+        _, (_, _, red), _, _ = default_pipeline()
         with pytest.raises(InvalidInputError, match="scale must be finite and > 0"):
-            reference_ic(prec.reduced, scale)
+            reference_ic(red, scale)
+
+    def test_one_scale_per_seed_required(self):
+        _, (_, scale, red), _, _ = default_pipeline()
+        message = r"^scales of shape \(2,\) for seed axes \(\)$"
+        with pytest.raises(DimensionMismatchError, match=message):
+            reference_ic(red, [scale, scale])
 
     @staticmethod
     def _reducers(rng, users, deficient):
@@ -406,7 +415,7 @@ class TestReferenceIc:
     def test_names_the_first_rank_deficient_user(self, rng, users, deficient, named):
         channels = generate_channels(Scenario(t=32, users=users, seed=4))
         full = custom_reduction(channels, self._reducers(rng, users, set()))
-        assert len(reference_ic(full, 1.0)) == len(users)
+        assert len(ungroup(reference_ic(full, 1.0))) == len(users)
         broken = custom_reduction(channels, self._reducers(rng, users, deficient))
         message = rf"^user {named}: reducing map is rank deficient"
         with pytest.raises(UniquenessError, match=message):
@@ -416,10 +425,10 @@ class TestReferenceIc:
 def test_necessity_no_detector_for_mrt():
     """Constrained least-squares oracle: nulling all cross links while
     keeping the own link near identity is infeasible for the matched filter."""
-    channels, prec, _, _ = default_pipeline(precoder="mrt")
-    h = channels.matrices[0]
-    a = h @ blocks(prec)[0]
-    cross = np.hstack([h @ blocks(prec)[j] for j in range(1, 8)])
+    channels, (w, _, red), _, _ = default_pipeline(precoder="mrt")
+    h, ws = channels.matrices[0], blocks(w, red)
+    a = h @ ws[0]
+    cross = np.hstack([h @ ws[j] for j in range(1, 8)])
     u, s, _ = np.linalg.svd(cross, full_matrices=True)
     rank = int(np.sum(s > 1e-12 * s[0]))
     if rank >= h.shape[0]:
@@ -428,3 +437,39 @@ def test_necessity_no_detector_for_mrt():
         na = u[:, rank:].conj().T @ a
         resid = np.linalg.norm(linalg.pinv(na) @ na - np.eye(a.shape[1]))
     assert resid > 0.1
+
+
+def _random_reducers(scenario):
+    """Seeded i.i.d. complex Gaussian B_k (p_k x q_k), each from its own generator.
+
+    The generators are keyed apart from the channel substreams, so the channel
+    draws are those of the scenario.
+    """
+    return [crandn(np.random.default_rng((scenario.seed, k, 0xB)), p, q)
+            for k, (q, p) in enumerate(scenario.users)]
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [Scenario(t=64, users=((4, 2),) * 8, seed=seed) for seed in range(1, 6)]
+    + [Scenario(t=64, users=((4, 2), (2, 1), (8, 4), (4, 2), (2, 1)), seed=5)],
+    ids=[f"8x4x2-seed{seed}" for seed in range(1, 6)] + ["mixed"],
+)
+def test_reference_holds_over_the_rczf_class(scenario):
+    """Any full-rank reduction B_k, not just the eigen one: the noiseless MMSE-IRC
+    filters and the small-noise QR filters reach the reference B_k / scale."""
+    channels = generate_channels(scenario)
+    red = custom_reduction(channels, _random_reducers(scenario))
+    w, scale = rczf_precode(red, scenario.total_power)
+    stacks = build_covariance(channels, w)
+    refs = reference_ic(red, scale)
+    assert len(stacks) == len(refs) == len(channels.groups)
+    for stack, (users, g0) in zip(stacks, refs):
+        assert np.array_equal(stack.users, users)
+        noise = 1e-4**2 * np.eye(stack.effective.shape[-2])  # sigma = 1e-4
+        for name, g, bound in (
+            ("mmse-irc", mmse_irc(stack.effective, stack.interference), 1e-7),
+            ("qr-mld", qr_mld_linear(stack.effective, stack.interference + noise), 1e-6),
+        ):
+            norms = np.linalg.norm(g - g0, axis=(-2, -1)) / np.linalg.norm(g0, axis=(-2, -1))
+            assert norms.max() < bound, (name, norms.max())

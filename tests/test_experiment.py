@@ -210,6 +210,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(MINIMAL.replace("t = 64", "t = 8"))
 
+    @pytest.mark.parametrize("users, total", [("4x2 *100000000000", 100000000000),
+                                              ("4x2 *60, 2x1 *5", 65)])
+    def test_more_users_than_antennas_rejected_before_expansion(self, users, total):
+        # Each user needs a layer of the t = 64: a huge repeat count is a config
+        # error naming the line, not a list of that many users.
+        message = rf"^line 3: {total} users exceed antenna count t=64 \(each user needs at"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(MINIMAL.replace("4x2 *8", users))
+        assert len(parse_config(MINIMAL.replace("4x2 *8", "1x1 *64")).users) == 64
+
 
 class TestTrialSeeds:
     def test_frozen_values(self):
@@ -572,6 +582,16 @@ class TestCli:
         path = self._write(tmp_path, "t = 64\n")
         assert cli_main(["run", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_huge_user_repeat_count_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        cfg = SMALL.replace("4x2 *2", "4x2 *100000000000").replace("out.csv", str(out))
+        assert cli_main(["run", str(self._write(tmp_path, cfg))]) == 1
+        assert capsys.readouterr().err == (
+            "config error: line 4: 100000000000 users exceed antenna count t=16 "
+            "(each user needs at least one layer)\n"
+        )
+        assert not out.exists()
 
     def test_missing_file_exit_code(self):
         assert cli_main(["run", "/nonexistent/cfg"]) == 1

@@ -37,9 +37,11 @@ DEFAULT = Scenario(t=64, users=((4, 2),) * 8, total_power=1.0, seed=1)
 class TestEffectiveLinks:
     def test_reference_detector_gives_identity_blocks(self):
         channels = generate_channels(DEFAULT)
-        prec = rczf_precode(reduce_ezf(channels), 1.0)
-        (stack,) = build_covariance(channels, prec)
-        links = effective_links(stack, np.stack(reference_ic(prec.reduced, prec.scale)))
+        red = reduce_ezf(channels)
+        w, scale = rczf_precode(red, 1.0)
+        (stack,) = build_covariance(channels, w)
+        ((_, g0),) = reference_ic(red, scale)  # one group: every user is 4x2
+        links = effective_links(stack, g0)
         for k in range(8):
             for j in range(8):
                 if j == k:
@@ -49,8 +51,8 @@ class TestEffectiveLinks:
 
     def test_zero_detector_gives_zero_blocks(self):
         channels = generate_channels(DEFAULT)
-        prec = rczf_precode(reduce_ezf(channels), 1.0)
-        (stack,) = build_covariance(channels, prec)
+        w, _ = rczf_precode(reduce_ezf(channels), 1.0)
+        (stack,) = build_covariance(channels, w)
         links = effective_links(stack, np.zeros((8, 2, 4), dtype=complex))
         assert all(
             np.all(links[k][:, 2 * j:2 * j + 2] == 0) for k in range(8) for j in range(8)
@@ -59,9 +61,10 @@ class TestEffectiveLinks:
     def test_single_user_pinv_link(self):
         scenario = Scenario(t=16, users=((4, 2),), seed=2)
         channels = generate_channels(scenario)
-        prec = rczf_precode(reduce_ezf(channels), 1.0)
-        g = linalg.pinv(channels.matrices[0] @ blocks(prec)[0])
-        (stack,) = build_covariance(channels, prec)
+        red = reduce_ezf(channels)
+        w, _ = rczf_precode(red, 1.0)
+        g = linalg.pinv(channels.matrices[0] @ blocks(w, red)[0])
+        (stack,) = build_covariance(channels, w)
         links = effective_links(stack, g[np.newaxis])
         assert np.linalg.norm(links[0][:, 0:2] - np.eye(2)) < 1e-10
 
@@ -126,8 +129,8 @@ class TestSinrPerLayer:
     def test_mrt_has_cross_interference(self):
         scenario = Scenario(t=16, users=((4, 2), (4, 2)), seed=5)
         channels = generate_channels(scenario)
-        prec = mrt_precode(channels, 1.0)
-        stacks = build_covariance(channels, prec)
+        w, _ = mrt_precode(channels, 1.0)
+        stacks = build_covariance(channels, w)
         (core,) = stacked_detectors(stacks, "qr-mld")
         links = effective_links(stacks[0], core.filters(0.01**2))
         cross = np.linalg.norm(links[0][:, 2:4])
@@ -162,7 +165,7 @@ class TestSchemeDispatch:
     def test_all_detectors_build(self):
         channels = generate_channels(DEFAULT)
         sigma = calibrate_noise(channels, 20.0)
-        stacks = build_covariance(channels, rczf_precode(reduce_ezf(channels), 1.0))
+        stacks = build_covariance(channels, rczf_precode(reduce_ezf(channels), 1.0)[0])
         for name in ("mmse-irc", "mmse", "gen-lse", "gen-lse(0.1)", "lse-limit", "qr-mld"):
             cores = stacked_detectors(stacks, name)
             assert sum(len(core.filters(sigma**2)) for core in cores) == 8
@@ -287,9 +290,11 @@ class TestSingleUserClosedForm:
 def test_noiseless_interference_criterion():
     """Zero-forcing + reference detector: cross power below 1e-12 of signal."""
     channels = generate_channels(DEFAULT)
-    prec = rczf_precode(reduce_ezf(channels), 1.0)
-    (stack,) = build_covariance(channels, prec)
-    links = effective_links(stack, np.stack(reference_ic(prec.reduced, prec.scale)))
+    red = reduce_ezf(channels)
+    w, scale = rczf_precode(red, 1.0)
+    (stack,) = build_covariance(channels, w)
+    ((_, g0),) = reference_ic(red, scale)  # one group: every user is 4x2
+    links = effective_links(stack, g0)
     for k in range(8):
         own = links[k][:, 2 * k:2 * k + 2]
         for i in range(2):

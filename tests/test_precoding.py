@@ -19,7 +19,7 @@ from mimosim.precoding import (
 )
 from mimosim.system import ChannelSet, Scenario, generate_channels
 
-from conftest import blocks, crandn
+from conftest import blocks, crandn, per_user
 
 DEFAULT = Scenario(t=64, users=((4, 2),) * 8, total_power=1.0, seed=1)
 
@@ -40,17 +40,17 @@ class TestFullZf:
     def test_copies_channel(self):
         scenario = Scenario(t=8, users=((2, 2), (3, 3)), seed=4)
         channels = generate_channels(scenario)
-        red = reduce_full_zf(channels)
-        for v, h in zip(red.matrices, channels.matrices):
+        vs, bs = per_user(reduce_full_zf(channels))
+        for v, h in zip(vs, channels.matrices):
             assert np.array_equal(v, h)
-        for b, (q, _) in zip(red.reducers, scenario.users):
+        for b, (q, _) in zip(bs, scenario.users):
             assert np.array_equal(b, np.eye(q))
 
     def test_identity_channel(self):
         scenario = Scenario(t=3, users=((3, 3),), seed=0)
         channels = ChannelSet(scenario, (np.eye(3, dtype=complex),))
-        red = reduce_full_zf(channels)
-        assert np.array_equal(red.matrices[0], np.eye(3))
+        vs, _ = per_user(reduce_full_zf(channels))
+        assert np.array_equal(vs[0], np.eye(3))
 
     def test_reduced_rank_rejected(self):
         channels = generate_channels(Scenario(t=8, users=((4, 2),), seed=1))
@@ -62,26 +62,26 @@ class TestEzf:
     def test_diagonal_channel(self):
         scenario = Scenario(t=2, users=((2, 1),), seed=0)
         channels = ChannelSet(scenario, (np.diag([3.0, 1.0]).astype(complex),))
-        red = reduce_ezf(channels)
-        np.testing.assert_allclose(red.matrices[0], [[1.0, 0.0]], atol=1e-12)
+        vs, _ = per_user(reduce_ezf(channels))
+        np.testing.assert_allclose(vs[0], [[1.0, 0.0]], atol=1e-12)
 
     def test_full_rank_rows_orthonormal(self):
         channels = generate_channels(Scenario(t=16, users=((4, 4),), seed=2))
-        red = reduce_ezf(channels)
-        v = red.matrices[0]
+        vs, _ = per_user(reduce_ezf(channels))
+        v = vs[0]
         assert np.linalg.norm(v @ v.conj().T - np.eye(4)) < 1e-9
 
     def test_spans_dominant_right_singular_subspace(self):
         channels = generate_channels(Scenario(t=64, users=((4, 2),), seed=3))
-        red = reduce_ezf(channels)
+        vs, _ = per_user(reduce_ezf(channels))
         _, _, vh = np.linalg.svd(channels.matrices[0])
-        angles = subspace_angles(red.matrices[0].conj().T, vh[:2].conj().T)
+        angles = subspace_angles(vs[0].conj().T, vh[:2].conj().T)
         assert np.max(angles) < 1e-8
 
     def test_definitional_product(self):
         channels = generate_channels(DEFAULT)
-        red = reduce_ezf(channels)
-        for v, b, h in zip(red.matrices, red.reducers, channels.matrices):
+        vs, bs = per_user(reduce_ezf(channels))
+        for v, b, h in zip(vs, bs, channels.matrices):
             assert np.linalg.norm(v - b @ h) < 1e-10 * np.linalg.norm(v)
             assert b.shape == (2, 4)
             assert v.shape == (2, 64)
@@ -116,29 +116,31 @@ class TestRczfPrecode:
             ChannelSet(Scenario(3, ((1, 1), (1, 1)), 2.0, 0), (v[:1], v[1:])),
             (np.eye(1), np.eye(1)),
         )
-        prec = rczf_precode(red, 2.0)
+        w, scale = rczf_precode(red, 2.0)
         np.testing.assert_allclose(
-            np.hstack(blocks(prec)), [[1, 0], [0, 1], [0, 0]], atol=1e-12
+            np.hstack(blocks(w, red)), [[1, 0], [0, 1], [0, 0]], atol=1e-12
         )
-        assert prec.scale == pytest.approx(1.0)
+        assert scale == pytest.approx(1.0)
 
     def test_two_by_two_pseudo_inverse(self):
         # Hand oracle: pinv(diag(2, 1)) = diag(0.5, 1).
         h = np.diag([2.0, 1.0]).astype(complex)
         channels = ChannelSet(Scenario(2, ((1, 1), (1, 1)), 1.0, 0), (h[:1], h[1:]))
         red = custom_reduction(channels, (np.eye(1), np.eye(1)))
-        prec = rczf_precode(red, 1.0)
-        w0 = np.hstack(blocks(prec)) / prec.scale
+        w, scale = rczf_precode(red, 1.0)
+        w0 = np.hstack(blocks(w, red)) / scale
         np.testing.assert_allclose(w0, np.diag([0.5, 1.0]), atol=1e-12)
-        v = np.vstack(red.matrices)
+        v = np.vstack(per_user(red)[0])
         np.testing.assert_allclose(v @ w0, np.eye(2), atol=1e-12)
 
     def test_zero_forcing_property(self):
         channels = generate_channels(DEFAULT)
-        prec = rczf_precode(reduce_ezf(channels), 1.0)
-        w_norm = np.linalg.norm(prec.stacked)
+        red = reduce_ezf(channels)
+        w, _ = rczf_precode(red, 1.0)
+        w_norm = np.linalg.norm(w)
+        vs, ws = per_user(red)[0], blocks(w, red)
         worst = max(
-            np.linalg.norm(prec.reduced.matrices[i] @ blocks(prec)[j])
+            np.linalg.norm(vs[i] @ ws[j])
             for i in range(8)
             for j in range(8)
             if i != j
@@ -147,22 +149,24 @@ class TestRczfPrecode:
 
     def test_own_product_is_scaled_identity(self):
         channels = generate_channels(DEFAULT)
-        prec = rczf_precode(reduce_ezf(channels), 1.0)
-        for v, w in zip(prec.reduced.matrices, blocks(prec)):
-            t = v @ w
-            assert np.linalg.norm(t - prec.scale * np.eye(2)) < 1e-8 * prec.scale
+        red = reduce_ezf(channels)
+        w, scale = rczf_precode(red, 1.0)
+        for v, wk in zip(per_user(red)[0], blocks(w, red)):
+            t = v @ wk
+            assert np.linalg.norm(t - scale * np.eye(2)) < 1e-8 * scale
 
     def test_power_normalization(self):
         channels = generate_channels(DEFAULT)
         for power in (1.0, 4.0):
-            prec = rczf_precode(reduce_ezf(channels), power)
-            assert np.linalg.norm(prec.stacked) ** 2 == pytest.approx(power, rel=1e-9)
+            w, _ = rczf_precode(reduce_ezf(channels), power)
+            assert np.linalg.norm(w) ** 2 == pytest.approx(power, rel=1e-9)
 
     def test_scale_covariance(self):
         channels = generate_channels(DEFAULT)
-        p1 = rczf_precode(reduce_ezf(channels), 1.0)
-        p2 = rczf_precode(reduce_ezf(channels), 2.0)
-        for w1, w2 in zip(blocks(p1), blocks(p2)):
+        red = reduce_ezf(channels)
+        p1, _ = rczf_precode(red, 1.0)
+        p2, _ = rczf_precode(red, 2.0)
+        for w1, w2 in zip(blocks(p1, red), blocks(p2, red)):
             assert np.linalg.norm(w2 - np.sqrt(2.0) * w1) < 1e-14 * np.linalg.norm(w1)
 
     def test_colinear_users_rejected(self):
@@ -179,25 +183,28 @@ class TestMrt:
         channels = ChannelSet(
             Scenario(2, ((2, 1),), 1.0, 0), (np.diag([3.0, 1.0]).astype(complex),)
         )
-        prec = mrt_precode(channels, 1.0)
-        np.testing.assert_allclose(blocks(prec)[0], [[1.0], [0.0]], atol=1e-12)
+        w, _ = mrt_precode(channels, 1.0)
+        np.testing.assert_allclose(blocks(w, reduce_ezf(channels))[0], [[1.0], [0.0]], atol=1e-12)
 
     def test_orthogonal_users_coincide_with_zero_forcing(self):
         channels = block_channels(8, [(4, 2), (4, 2)], seed=1)
-        mrt = mrt_precode(channels, 1.0)
+        mrt, _ = mrt_precode(channels, 1.0)
         red = reduce_ezf(channels)
-        w_norm = np.linalg.norm(mrt.stacked)
+        w_norm = np.linalg.norm(mrt)
+        vs, ws = per_user(red)[0], blocks(mrt, red)
         for i in range(2):
             for j in range(2):
                 if i != j:
-                    assert np.linalg.norm(red.matrices[i] @ blocks(mrt)[j]) < 1e-9 * w_norm
+                    assert np.linalg.norm(vs[i] @ ws[j]) < 1e-9 * w_norm
 
     def test_generic_scenario_is_not_zero_forcing(self):
         channels = generate_channels(DEFAULT)
-        prec = mrt_precode(channels, 1.0)
-        w_norm = np.linalg.norm(prec.stacked)
+        w, _ = mrt_precode(channels, 1.0)
+        w_norm = np.linalg.norm(w)
+        red = reduce_ezf(channels)
+        vs, ws = per_user(red)[0], blocks(w, red)
         worst = max(
-            np.linalg.norm(prec.reduced.matrices[i] @ blocks(prec)[j])
+            np.linalg.norm(vs[i] @ ws[j])
             for i in range(8)
             for j in range(8)
             if i != j
@@ -206,8 +213,8 @@ class TestMrt:
 
     def test_power_normalization(self):
         channels = generate_channels(DEFAULT)
-        prec = mrt_precode(channels, 3.0)
-        assert np.linalg.norm(prec.stacked) ** 2 == pytest.approx(3.0, rel=1e-9)
+        w, _ = mrt_precode(channels, 3.0)
+        assert np.linalg.norm(w) ** 2 == pytest.approx(3.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("power", [-1.0, 0.0, float("nan"), float("inf")])
@@ -241,22 +248,23 @@ def test_precode_equals_the_one_stack_precoders(scheme):
     one = {"zf": lambda: rczf_precode(reduce_full_zf(channels), 1.0),
            "ezf": lambda: rczf_precode(reduce_ezf(channels), 1.0),
            "mrt": lambda: mrt_precode(channels, 1.0)}[scheme]()
-    w, scale = precode(channels.groups, channels.scenario, scheme)
-    assert w.tobytes() == one.stacked.tobytes() and scale == one.scale
+    w, scale, _ = precode(channels.groups, channels.scenario, scheme)
+    assert w.tobytes() == one[0].tobytes() and scale == one[1]
 
 
 @pytest.mark.parametrize("seed", range(1, 6))
 def test_rczf_membership_bullets(seed):
     """The three defining conditions, checked numerically at 1e-8 relative."""
     channels = generate_channels(Scenario(t=64, users=((4, 2),) * 8, seed=seed))
-    prec = rczf_precode(reduce_ezf(channels), 1.0)
-    red = prec.reduced
-    w_norm = np.linalg.norm(prec.stacked)
+    red = reduce_ezf(channels)
+    w, _ = rczf_precode(red, 1.0)
+    (vs, bs), ws = per_user(red), blocks(w, red)
+    w_norm = np.linalg.norm(w)
     for k in range(8):
-        v, b, h = red.matrices[k], red.reducers[k], channels.matrices[k]
+        v, b, h = vs[k], bs[k], channels.matrices[k]
         assert np.linalg.norm(v - b @ h) <= 1e-8 * np.linalg.norm(v)
-        s = np.linalg.svd(v @ blocks(prec)[k], compute_uv=False)
+        s = np.linalg.svd(v @ ws[k], compute_uv=False)
         assert s[-1] > 1e-8 * s[0]  # rank p_k
         for j in range(8):
             if j != k:
-                assert np.linalg.norm(v @ blocks(prec)[j]) <= 1e-8 * w_norm
+                assert np.linalg.norm(v @ ws[j]) <= 1e-8 * w_norm

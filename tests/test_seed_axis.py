@@ -1,9 +1,10 @@
 """Seed-stacked stages against their one-seed functions.
 
 `system.generate_groups`, `precoding.ezf_groups`, `precoding.zero_forcing`,
-`precoding.matched_filter` and `detection.user_stacks` take a leading seed
-axis; `generate_channels`, `reduce_ezf`, `rczf_precode`, `mrt_precode` and
-`build_covariance` are their one-seed cases. The detector cores' `filters`
+`precoding.matched_filter`, `detection.user_stacks` and `detection.reference_ic`
+take a leading seed axis; `generate_channels`, `reduce_ezf`, `rczf_precode`,
+`mrt_precode`, `build_covariance` and `reference_ic` at one scale are their
+one-seed cases. The detector cores' `filters`
 and `metrics.mu_report` take a (G, S) noise grid for S seeds. Over random
 scenarios, seed i of each stacked stage must equal the one-seed function at
 seed i bit for bit, and the stacked zero-forcing precoders must null every
@@ -15,7 +16,7 @@ import dataclasses
 import numpy as np
 from hypothesis import given, settings
 
-from mimosim.detection import build_covariance, user_stacks
+from mimosim.detection import build_covariance, reference_ic, user_stacks
 from mimosim.metrics import DETECTOR_SCHEMES, mu_pairs, mu_report, su_spectral_efficiency
 from mimosim.precoding import (
     ezf_groups,
@@ -34,7 +35,7 @@ from mimosim.system import (
     ungroup,
 )
 
-from conftest import scenarios
+from conftest import per_user, scenarios
 
 
 def _same(a: np.ndarray, b: np.ndarray) -> bool:
@@ -49,31 +50,34 @@ def test_seed_stacked_stages_equal_each_seeds_functions(case):
     groups = generate_groups(scenario, seeds)
     reduced = ezf_groups(groups, scenario.layer_counts)
     # Every seed's reduced channels stacked in user order: (seeds, layers, t).
-    v = np.concatenate(ungroup(
-        (users, vg.swapaxes(0, 1)) for (users, *_), (vg, _) in zip(groups, reduced)
-    ), axis=-2)
+    v = np.concatenate(ungroup((users, vg.swapaxes(0, 1)) for users, vg, _ in reduced), axis=-2)
     zf, mrt = zero_forcing(v, power), matched_filter(v, power)
     stacks = {"zf": user_stacks(groups, scenario.layer_counts, zf[0]),
               "mrt": user_stacks(groups, scenario.layer_counts, mrt[0])}
+    refs = reference_ic(reduced, zf[1])
     for i, seed in enumerate(seeds):
         channels = generate_channels(dataclasses.replace(scenario, seed=seed))
         one_reduced = reduce_ezf(channels)
-        for (users, h, u, s), (vg, bg), (_, one_h, one_u, one_s) in zip(
+        one_v, one_b = per_user(one_reduced)
+        for (users, h, u, s), (_, vg, bg), (_, one_h, one_u, one_s) in zip(
             groups, reduced, channels.groups
         ):
             assert _same(h[i], one_h) and _same(u[i], one_u) and _same(s[i], one_s)
             for j, k in enumerate(users):
-                assert _same(vg[i, j], one_reduced.matrices[k])
-                assert _same(bg[i, j], one_reduced.reducers[k])
+                assert _same(vg[i, j], one_v[k])
+                assert _same(bg[i, j], one_b[k])
         precoders = {"zf": (zf, rczf_precode(one_reduced, power)),
                      "mrt": (mrt, mrt_precode(channels, power))}
-        for name, ((w, scales), precoder) in precoders.items():
-            assert _same(w[i], precoder.stacked) and scales[i] == precoder.scale, name
-            for stack, one in zip(stacks[name], build_covariance(channels, precoder)):
+        for name, ((w, scales), (one_w, one_scale)) in precoders.items():
+            assert _same(w[i], one_w) and scales[i] == one_scale, name
+            for stack, one in zip(stacks[name], build_covariance(channels, one_w)):
                 assert np.array_equal(stack.users, one.users)
                 assert np.array_equal(stack.starts, one.starts)
                 for field in ("links", "effective", "interference"):
                     assert _same(getattr(stack, field)[i], getattr(one, field)), (name, field)
+        # Each seed's reference filters are its own B_k / scale.
+        for (users, g), (one_users, one_g) in zip(refs, reference_ic(one_reduced, zf[1][i])):
+            assert np.array_equal(users, one_users) and _same(g[i], one_g)
     # V_i W_j = scale * delta_ij I: each seed's V W is its scaled identity.
     w, scales = zf
     gram = v @ w / scales[:, np.newaxis, np.newaxis]
@@ -113,7 +117,7 @@ def test_power_scale_divides_by_each_flattened_norm():
     a lone matrix; a Frobenius norm over the last two axes differs from it by an ulp
     on some of these seeds."""
     scenario = Scenario(64, ((4, 2),) * 8)
-    ((v, _),) = ezf_groups(generate_groups(scenario, range(1, 11)), scenario.layer_counts)
+    ((_, v, _),) = ezf_groups(generate_groups(scenario, range(1, 11)), scenario.layer_counts)
     v = v.reshape(10, 16, 64)
     u, s, vh = np.linalg.svd(v, full_matrices=False)
     pinv = vh.conj().swapaxes(-1, -2) @ ((1.0 / s)[..., np.newaxis] * u.conj().swapaxes(-1, -2))

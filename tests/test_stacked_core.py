@@ -66,11 +66,10 @@ def oracle_sinr(g, h, w_stacked, start, sigma):
 @pytest.mark.parametrize("precoder_name", ["ezf", "mrt"])
 def test_stacked_core_matches_per_user_oracle(precoder_name, scheme):
     channels = generate_channels(SCENARIO)
-    precoder = PRECODERS[precoder_name](channels, SCENARIO.total_power)
-    w = precoder.stacked
+    w, _ = PRECODERS[precoder_name](channels, SCENARIO.total_power)
     starts = np.cumsum((0,) + SCENARIO.layer_counts)
     blocks = np.split(w, starts[1:-1], axis=1)
-    stacks = build_covariance(channels, precoder)
+    stacks = build_covariance(channels, w)
     assert [len(s.users) for s in stacks] == [3, 2, 1]
     cores = stacked_detectors(stacks, scheme)
     for db in GRID_DB:
@@ -105,7 +104,7 @@ def test_grid_filters_equal_each_points_filters(precoder_name, scheme):
     # The sweep's one call over the grid, bit for bit against a one-point
     # grid and against the scalar noise power the detector functions pass.
     channels = generate_channels(SCENARIO)
-    stacks = build_covariance(channels, PRECODERS[precoder_name](channels, 1.0))
+    stacks = build_covariance(channels, PRECODERS[precoder_name](channels, 1.0)[0])
     s2 = np.array([calibrate_noise(channels, db) ** 2 for db in GRID_DB])
     for core in stacked_detectors(stacks, scheme):
         grid = core.filters(s2)

@@ -38,6 +38,23 @@ class TestScenario:
         with pytest.raises(InvalidInputError):
             Scenario(t=8, users=((2, 2),), total_power=0.0)
 
+    @pytest.mark.parametrize("kwargs, what", [
+        ({"t": 8, "users": ((4.7, 2),)}, "user 0: antenna count q_k"),
+        ({"t": 8, "users": ((4, 2), (4, 2.0))}, "user 1: layer count p_k"),
+        ({"t": 8.5, "users": ((4, 2),)}, "antenna count t"),
+        ({"t": 8, "users": ((4, 2),), "seed": 1.9}, "seed"),
+        ({"t": "8", "users": ((4, 2),)}, "antenna count t"),
+    ])
+    def test_non_integer_counts_and_seed_rejected(self, kwargs, what):
+        # Not truncated to 4x2, t = 8 or seed 1: rejected before any draw.
+        with pytest.raises(InvalidInputError, match=f"^{what} must be an integer, got "):
+            Scenario(**kwargs)
+
+    def test_integer_like_counts_stored_as_int(self):
+        s = Scenario(t=np.int64(8), users=((np.int32(4), np.uint8(2)),), seed=np.uint64(3))
+        assert (s.t, s.users, s.seed) == (8, ((4, 2),), 3)
+        assert all(type(v) is int for v in (s.t, *s.users[0], s.seed))
+
     def test_totals(self):
         assert DEFAULT.total_layers == 16
         assert DEFAULT.num_users == 8
@@ -248,8 +265,9 @@ class TestCalibration:
         for k in range(DEFAULT.num_users):
             alone = single_user(channels, k)
             _, p = DEFAULT.users[k]
-            prec = rczf_precode(reduce_ezf(alone), share * p)
-            a = alone.matrices[0] @ blocks(prec)[0]
+            red = reduce_ezf(alone)
+            w, _ = rczf_precode(red, share * p)
+            a = alone.matrices[0] @ blocks(w, red)[0]
             powers.extend(np.sum(np.abs(a) ** 2, axis=0))
         oracle = float(np.mean(powers))
         sigma = calibrate_noise(channels, 0.0)
@@ -273,13 +291,14 @@ class TestCalibration:
         for k in range(DEFAULT.num_users):
             alone = single_user(channels, k)
             _, p = DEFAULT.users[k]
-            prec = rczf_precode(reduce_ezf(alone), share * p)
+            red = reduce_ezf(alone)
+            w, _ = rczf_precode(red, share * p)
             from mimosim.detection import build_covariance, mmse_irc
 
-            (stack,) = build_covariance(alone, prec)
+            (stack,) = build_covariance(alone, w)
             noise = sigma**2 * np.eye(DEFAULT.users[k][0])
             (g,) = mmse_irc(stack.effective, stack.interference + noise)
-            t = g @ alone.matrices[0] @ blocks(prec)[0]
+            t = g @ alone.matrices[0] @ blocks(w, red)[0]
             sinrs.extend(sinr_per_layer(t, 0, g, sigma))
         measured_db = 10.0 * math.log10(float(np.mean(sinrs)))
         assert abs(measured_db - 20.0) < 0.1
