@@ -170,34 +170,32 @@ def identity_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
 
 
 def _cross_links(*stages) -> tuple[np.ndarray, np.ndarray]:
-    """Each user's cross links and own links A, from one chunk's `_over_chunks` stages."""
+    """Each user's cross links X and whole link block, from one chunk's `_over_chunks` stages.
+
+    The link block holds X's columns and the own link A's, so its rank is rank([X A]).
+    """
     stack = stages[-1]
     p = stack.effective.shape[-1]
     # Column j of user i's cross links is link column j, or j + p past its own block.
     cols = np.arange(stack.links.shape[-1] - p)
     other = (cols + p * (cols >= stack.starts[:, np.newaxis]))[np.newaxis, :, np.newaxis]
-    return _flat(np.take_along_axis(stack.links, other, axis=-1)), _flat(stack.effective)
+    return _flat(np.take_along_axis(stack.links, other, axis=-1)), _flat(stack.links)
 
 
 def necessity_suite(seeds=NECESSITY_SEEDS) -> CheckResult:
     """No linear detector can null matched-filter interference and keep the link.
 
-    For each user, restrict G to the left null space of the stacked cross
-    links, then least-squares fit G H W_k to I; the residual stays large.
-    Cross links of full rank leave an empty null space and a residual of
-    exactly sqrt(p_k). The cross links of every user of every seed are
-    decomposed in one stacked SVD, and the users of each rank share one
-    stacked `linalg.pinv`.
+    For each user, restrict G to the left null space N of its stacked cross
+    links X, then least-squares fit G A to I; the residual stays large. It is
+    sqrt(p_k - rank(N^H A)), and rank(N^H A) = rank([X A]) - rank(X), so the
+    suite counts two ranks per user, each with `linalg.rank` over the singular
+    values of every user of every seed at once. Cross links of full rank q_k
+    leave an empty null space and a residual of exactly sqrt(p_k).
     """
-    cross, effective = _over_chunks(seeds, "mrt", _cross_links)
-    p = effective.shape[-1]
-    u, s, _ = np.linalg.svd(cross, full_matrices=True)
-    ranks = linalg.rank(s)
-    min_resid = np.inf
-    for rank in np.unique(ranks):
-        na = herm(u[ranks == rank, :, rank:]) @ effective[ranks == rank]
-        proj = linalg.pinv(na) @ na
-        min_resid = min(min_resid, float(np.linalg.norm(proj - np.eye(p), axis=(-2, -1)).min()))
+    cross, links = _over_chunks(seeds, "mrt", _cross_links)
+    p = links.shape[-1] - cross.shape[-1]
+    rank_xa, rank_x = (linalg.rank(np.linalg.svd(m, compute_uv=False)) for m in (links, cross))
+    min_resid = float(np.sqrt(p - rank_xa + rank_x).min())
     passed = min_resid > 0.1
     return CheckResult(
         "necessity (matched filter admits no interference-free detector)",
@@ -256,29 +254,15 @@ def _synthetic_pair(seed: int, q: int = 4, p: int = 2) -> tuple[np.ndarray, np.n
     return a, 0.5 * (r + herm(r))
 
 
-@dataclass(frozen=True)
-class _SyntheticPool:
-    """The synthetic pairs of seeds 1..count stacked: links A, covariances R, Cholesky L."""
-
-    effective: np.ndarray
-    covariances: np.ndarray
-    whiteners: np.ndarray
-
-    @classmethod
-    def build(cls, count: int) -> "_SyntheticPool":
-        pairs = [_synthetic_pair(seed) for seed in range(1, count + 1)]
-        r = np.stack([pair[1] for pair in pairs])
-        return cls(np.stack([pair[0] for pair in pairs]), r, linalg.cholesky(r))
-
-
-def _synthetic_pool(count: int) -> _SyntheticPool:
-    return _pooled(("synthetic", count), lambda: _SyntheticPool.build(count))
+def _synthetic_pool(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The synthetic pairs of seeds 1..count stacked: links A and covariances R."""
+    pairs = (_synthetic_pair(seed) for seed in range(1, count + 1))
+    return _pooled(("synthetic", count), lambda: tuple(map(np.stack, zip(*pairs))))
 
 
 def _worst_against_limit(count: int, detector) -> float:
     """Worst relative deviation of `detector` from `lse_limit` over the synthetic pairs."""
-    pool = _synthetic_pool(count)
-    a, r = pool.effective, pool.covariances
+    a, r = _synthetic_pool(count)
     g_lim = lse_limit(a, r)
     return float(_rel_rows(detector(a, r) - g_lim, g_lim).max())
 
@@ -311,11 +295,10 @@ def _rotation_seed_matrix(seed: int) -> np.ndarray:
 
 def whitener_invariance_suite(count: int = 100) -> CheckResult:
     """The QR filter is unchanged when the whitener is rotated by a unitary."""
-    pool = _synthetic_pool(count)
-    a, r = pool.effective, pool.covariances
+    a, r = _synthetic_pool(count)
     u, _ = linalg.qr(np.stack([_rotation_seed_matrix(seed) for seed in range(1, count + 1)]))
     g_default = qr_mld_parts(a, r)[3]
-    g_rotated = qr_mld_parts(a, r, whitener=pool.whiteners @ u)[3]
+    g_rotated = qr_mld_parts(a, r, whitener=linalg.cholesky(r) @ u)[3]
     worst = float(_rel_rows(g_rotated - g_default, g_default).max())
     return CheckResult(
         "qr-mld whitener-rotation invariance",

@@ -100,6 +100,20 @@ def user_stacks(groups, layer_counts, w: np.ndarray) -> tuple[UserStack, ...]:
     return tuple(stacks)
 
 
+# Each eigen scheme's guard error: its class, and its text, which gets q, p and the shift s2
+# of the first failing grid point's first failing user.
+_GUARDS = {
+    "mmse-irc": (SingularMatrixError, "signal-plus-noise covariance is singular; invertibility "
+                 "requires at least q_k={q} layers in total across users"),
+    "mmse": (SingularMatrixError, "signal-plus-noise covariance A A^H + sigma^2 I is singular: "
+             "the link has rank p_k={p} in q_k={q} dimensions and sigma^2={s2:.3g} is too small "
+             "to fill the rest"),
+    "lse-limit": (NeedsExternalNoiseError, "covariance is singular; non-zero external noise is "
+                  "required for the whitened limit"),
+}
+_GUARDS["gen-lse"] = _GUARDS["mmse-irc"]
+
+
 class StackedDetector:
     """One detector scheme on a user stack, split at the noise power s2.
 
@@ -129,52 +143,35 @@ class StackedDetector:
         on a stack with a leading axis of S seeds (G, S, n, p_k, q_k): one batched
         computation. A guard error names the first failing point's first failing user.
         """
-        a, (q, p) = self.a, self.a.shape[-2:]
+        a, q = self.a, self.a.shape[-2]
         s2 = np.asarray(s2, dtype=float)
         # (G, [S,] 1, 1) against the stacked eigenvalues ([S,] n, q_k).
         shift = s2.reshape(s2.shape + (1,) * (a.ndim - max(s2.ndim, 1)))
         if self.scheme == "qr-mld":
             r = self.r0 + shift[..., np.newaxis] * np.eye(q)
             g = qr_mld_parts(a, r, users=self.users)[3]
-        elif self.scheme == "lse-limit":
-            rinv_a = self._solve(
-                a, shift, NeedsExternalNoiseError,
-                "covariance is singular; non-zero external noise is required for the "
-                "whitened limit",
-            )
-            names = [f"user {k} normal matrix" for k in self.users]
-            g = linalg.solve_shifted(linalg.eigh(herm(a) @ rinv_a), herm(rinv_a), names=names)
-        elif self.scheme == "mmse":
-            g = herm(self._solve(
-                a, shift, SingularMatrixError,
-                "signal-plus-noise covariance A A^H + sigma^2 I is singular: the link has "
-                "rank p_k={p} in q_k={q} dimensions and sigma^2={s2:.3g} is too small to "
-                "fill the rest",
-            ))
         else:
-            g = herm(self._solve(
-                a, self.lam * shift, SingularMatrixError,
-                "signal-plus-noise covariance is singular; invertibility requires at least "
-                "q_k={q} layers in total across users",
-            ))
+            # lam is 1.0 for every scheme but gen-lse, so the product is exact.
+            rinv_a = self._solve(a, self.lam * shift)
+            g = herm(rinv_a)
+            if self.scheme == "lse-limit":
+                names = [f"user {k} normal matrix" for k in self.users]
+                g = linalg.solve_shifted(linalg.eigh(herm(a) @ rinv_a), g, names=names)
         finite = np.isfinite(g).all(axis=(-2, -1))
         if not finite.all():
             k = self.users[int(np.argmin(finite)) % len(self.users)]
             raise InvalidInputError(f"user {k}: detector filter has non-finite entries")
         return g
 
-    def _solve(self, b, shift, error, why) -> np.ndarray:
-        """`linalg.solve_shifted` on `eig`; a guard trip re-raises as `error`.
-
-        `why` is formatted with q, p and the failing point's shift s2, after
-        the first failing user of the first failing grid point.
-        """
+    def _solve(self, b, shift) -> np.ndarray:
+        """`linalg.solve_shifted` on `eig`; a guard trip raises the scheme's `_GUARDS` error."""
         try:
             return linalg.solve_shifted(self.eig, b, shift, [f"user {k}" for k in self.users])
         except SingularMatrixError as exc:
             bad = ~(linalg.shifted_condition(self.eig[0], shift) < linalg.CONDITION_LIMIT)
             point, i = divmod(int(np.argmax(bad)), len(self.users))
             q, p = self.a.shape[-2:]
+            error, why = _GUARDS[self.scheme]
             s2 = shift.reshape(-1)[point]
             raise error(f"user {self.users[i]}: " + why.format(q=q, p=p, s2=s2)) from exc
 

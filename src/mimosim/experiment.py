@@ -7,6 +7,7 @@ seeds are derived up front and every row accumulates in fixed trial order.
 """
 
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
@@ -51,6 +52,10 @@ class SweepConfig:
             raise ConfigError(f"grid points must be finite, got {self.su_sinr_grid_db}")
         if any(b <= a for a, b in zip(self.su_sinr_grid_db, self.su_sinr_grid_db[1:])):
             raise ConfigError("grid must be strictly increasing")
+        try:
+            object.__setattr__(self, "trials", operator.index(self.trials))
+        except TypeError:
+            raise ConfigError(f"trials must be an integer, got {self.trials!r}") from None
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not self.precoders or not self.detectors:

@@ -13,6 +13,7 @@ import pytest
 
 from mimosim import checks, linalg, system
 from mimosim.cli import main
+from mimosim.precoding import mrt_precode
 
 EZF_SEEDS = len(checks.DEFAULT_SCENARIO_SEEDS)
 NECESSITY_SEEDS = 20
@@ -136,26 +137,35 @@ def test_perturbed_qr_filter_fails_factor_identity(monkeypatch):
     assert not res.passed, res.detail
 
 
-def _spy_pinv(monkeypatch) -> list:
-    """Record every stack the necessity suite hands to `linalg.pinv`."""
-    seen = []
-    real = checks.linalg.pinv
+def _least_squares_fits(users, seeds) -> tuple[list[int], list[float]]:
+    """Each user's constrained least-squares fit under MRT, computed here with numpy.
 
-    def spy(m):
-        seen.append(np.array(m))
-        return real(m)
+    G is restricted to the left null space N of the user's stacked cross links
+    and G A fitted to I; returns each user's null-space dimension and residual
+    ||pinv(N^H A) N^H A - I||, seed by seed.
+    """
+    dims, resids = [], []
+    for seed in seeds:
+        scenario = system.Scenario(t=64, users=users, total_power=1.0, seed=seed)
+        channels = system.generate_channels(scenario)
+        w, _ = mrt_precode(channels, 1.0)
+        ws = np.split(w, np.cumsum(scenario.layer_counts)[:-1], axis=1)
+        for k, h in enumerate(channels.matrices):
+            a = h @ ws[k]
+            cross = np.hstack([h @ wj for j, wj in enumerate(ws) if j != k])
+            u, s, _ = np.linalg.svd(cross, full_matrices=True)
+            na = u[:, int(np.sum(s > 1e-12 * s[0])):].conj().T @ a
+            dims.append(na.shape[0])
+            resids.append(np.linalg.norm(np.linalg.pinv(na) @ na - np.eye(a.shape[1])))
+    return dims, resids
 
-    monkeypatch.setattr(checks.linalg, "pinv", spy)
-    return seen
 
-
-def test_necessity_full_rank_cross_links_leave_sqrt_p(monkeypatch):
-    seen = _spy_pinv(monkeypatch)
+def test_necessity_full_rank_cross_links_leave_sqrt_p():
+    # 7 users x 2 layers of cross links span C^4: every null space is empty.
+    dims, resids = _least_squares_fits(checks._DEFAULT_USERS, checks.NECESSITY_SEEDS)
+    assert dims == [0] * (NECESSITY_SEEDS * USERS_PER_SEED)
+    np.testing.assert_allclose(resids, np.sqrt(2.0), rtol=0, atol=1e-12)
     res = checks.necessity_suite()
-    # 7 users x 2 layers of cross links span C^4: every null basis is empty.
-    # All users share that rank, so one stack holds them all.
-    assert [stack.shape for stack in seen] == [(NECESSITY_SEEDS * USERS_PER_SEED, 0, 2)]
-    assert {na.shape for stack in seen for na in stack} == {(0, 2)}
     assert res.passed
     assert "residual = 1.414 " in res.detail
 
@@ -163,16 +173,28 @@ def test_necessity_full_rank_cross_links_leave_sqrt_p(monkeypatch):
 @pytest.mark.parametrize("users", [((4, 1),) * 3, ((4, 2),) * 2], ids=["3x4x1", "2x4x2"])
 def test_necessity_low_rank_cross_links_admit_a_nulling_filter(monkeypatch, users):
     """Cross links leaving a null space of dimension >= p_k let a filter null MRT
-    interference exactly, so the least-squares path finds residual ~0 and the suite fails."""
+    interference exactly, so the least-squares fit leaves residual ~0 and the suite fails."""
     monkeypatch.setattr(checks, "_DEFAULT_USERS", users)
-    seen = _spy_pinv(monkeypatch)
+    dims, resids = _least_squares_fits(users, (1, 2, 3))
+    assert len(dims) == 3 * len(users)
+    assert min(dims) >= users[0][1]
+    assert max(resids) < 1e-10
     res = checks.necessity_suite(seeds=(1, 2, 3))
-    matrices = [na for stack in seen for na in stack]
-    assert len(matrices) == 3 * len(users)
-    assert all(na.shape[0] >= na.shape[1] for na in matrices)
-    resid = min(np.linalg.norm(np.linalg.pinv(na) @ na - np.eye(na.shape[1])) for na in matrices)
-    assert resid < 1e-10
     assert not res.passed, res.detail
+    assert "residual = 0.000 " in res.detail
+
+
+def test_necessity_one_vector_null_space_leaves_residual_one(monkeypatch):
+    """2 users x 2 layers of cross links span 4 of C^5: each user keeps one of its
+    p_k = 2 layers, so the residual is exactly sqrt(2 - 1) = 1, strictly between 0 and sqrt(p_k)."""
+    users = ((5, 2),) * 3
+    monkeypatch.setattr(checks, "_DEFAULT_USERS", users)
+    dims, resids = _least_squares_fits(users, (1, 2, 3))
+    assert dims == [1] * 9
+    np.testing.assert_allclose(resids, 1.0, rtol=0, atol=1e-12)
+    res = checks.necessity_suite(seeds=(1, 2, 3))
+    assert res.passed, res.detail
+    assert "residual = 1.000 " in res.detail
 
 
 def test_cli_check_passes(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -676,3 +677,16 @@ def test_sweep_config_direct_validation():
 def test_sweep_config_rejects_non_finite_grid_point(grid):
     with pytest.raises(ConfigError, match=r"^grid points must be finite, got \("):
         SweepConfig(16, ((4, 2),), 1.0, grid, ("ezf",), ("mmse",), 1, 1, "x.csv")
+
+
+@pytest.mark.parametrize("trials", [2.5, np.float64(2.0), "3"], ids=["float", "np-float", "str"])
+def test_sweep_config_rejects_non_integer_trials(trials):
+    message = f"^trials must be an integer, got {re.escape(repr(trials))}$"
+    with pytest.raises(ConfigError, match=message):
+        SweepConfig(16, ((4, 2),), 1.0, (0.0,), ("ezf",), ("mmse",), trials, 1, "x.csv")
+
+
+def test_sweep_config_stores_integer_like_trials_as_int():
+    cfg = SweepConfig(16, ((4, 2),), 1.0, (0.0,), ("ezf",), ("mmse",), np.int64(2), 1, "x.csv")
+    assert type(cfg.trials) is int and cfg.trials == 2
+    assert len(run_sweep(cfg)) == 1

@@ -1,8 +1,10 @@
 """What the benchmark relies on in mimosim.
 
-`bench/tracer.py` names its spans by module and function. A rename or a
-deletion in `src/mimosim` would otherwise show only when the benchmark
-runs. The tracer is loaded from its file, as the benchmark loads it.
+`bench/tracer.py` names its spans by module and function, and the check
+workload of `bench/workloads.py` warms up by calling every suite with
+`seeds=(1,)` or `count=1`. A rename or a deletion in `src/mimosim` would
+otherwise show only when the benchmark runs. Both files are loaded from
+their paths, as the benchmark loads them.
 
 The benchmark's set-up time and peak memory include what `import mimosim`
 loads; scipy is a test dependency only, and the package must not pull it in.
@@ -22,23 +24,28 @@ import mimosim
 from mimosim import linalg
 from mimosim.errors import SingularMatrixError
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("mimosim_bench_tracer", TRACER)
+def _bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"mimosim_bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_targets_and_error_sites_resolve():
-    tracer = _tracer()
+    tracer = _bench_module("tracer")
     names = [f"{mod}.{fn}" for mod, fns in tracer.TARGETS.items() for fn in fns]
     for name in names + list(tracer.ERROR_SITES):
         mod, fn = name.split(".")
         target = getattr(importlib.import_module(f"mimosim.{mod}"), fn, None)
         assert callable(target), f"tracer target {name} is not a mimosim function"
+
+
+def test_check_workload_warm_up_runs():
+    # Every suite must keep the `seeds` or `count` parameter the warm-up passes.
+    _bench_module("workloads").CheckWorkload().setup()
 
 
 def test_self_check_guard_site_raises():
