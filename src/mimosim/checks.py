@@ -29,6 +29,7 @@ from .detection import (
     qr_mld_linear,
     qr_mld_parts,
     reference_ic,
+    split_columns,
     user_stacks,
 )
 from .linalg import herm
@@ -89,45 +90,45 @@ def _flat(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _ScenarioPool:
-    """The default scenarios of some seeds under EZF, all users of all seeds stacked.
+    """The default scenarios of some seeds under EZF, as `user_stacks` stacks them.
 
-    Row i is user i % users of the (i // users)-th seed: its own link
-    A = H W_k, noise-free interference covariance R_int, reference filter
-    G0 = B / scale, G0 H W over every layer, and ||H||. w_norms[s, j] is
-    ||W_j|| of the s-th seed.
+    Entry [s, k] is user k of the s-th seed: its own link A = H W_k, noise-free
+    interference covariance R_int, reference filter G0 = B / scale, own block G0 H W_k,
+    and reference_cross[s, k, j] = ||G0 H W_j|| / (||H|| ||W_j||), zero for j = k.
     """
 
-    users: int
     effective: np.ndarray
     interference: np.ndarray
     reference: np.ndarray
-    reference_links: np.ndarray
-    h_norms: np.ndarray
-    w_norms: np.ndarray
-
-    @classmethod
-    def build(cls, seeds) -> "_ScenarioPool":
-        return cls(len(_DEFAULT_USERS), *_over_chunks(seeds, "ezf", cls._fields))
+    reference_own: np.ndarray
+    reference_cross: np.ndarray
 
     @staticmethod
     def _fields(groups, w, scales, reduced, stack) -> tuple:
-        """One chunk's arrays of the fields after `users`, in field order."""
+        """One chunk's arrays of the fields, in field order. Cross blocks are split per chunk
+        and W per user: a split broadcast over more users copies its input once per user."""
         ((_, h, _, _),) = groups  # one group: every user is 4x2
         ((_, ref),) = reference_ic(reduced, scales)
-        ref = _flat(ref)
-        blocks = np.stack(np.split(w, len(_DEFAULT_USERS), axis=-1), axis=1)
-        return (_flat(stack.effective), _flat(stack.interference), ref, ref @ _flat(stack.links),
-                np.linalg.norm(h, axis=(-2, -1)).ravel(), np.linalg.norm(blocks, axis=(-2, -1)))
+        p = ref.shape[-2]
+        own, cross = split_columns(ref @ stack.links, stack.starts, p)
+        # t[s, k, j] = G0 H W_j for user k of seed s (every W_j is p wide), zero for j = k.
+        t, _ = split_columns(cross[:, :, np.newaxis], stack.starts, p)
+        w_own = np.stack([split_columns(w, start, p)[0] for start in stack.starts], axis=1)
+        h_norms = np.linalg.norm(h, axis=(-2, -1))[..., np.newaxis]
+        w_norms = np.linalg.norm(w_own, axis=(-2, -1))[:, np.newaxis, :]
+        return (stack.effective, stack.interference, ref, own,
+                np.linalg.norm(t, axis=(-2, -1)) / (h_norms * w_norms))
 
     def covariance(self, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-        """Links A and covariances R = R_int + sigma^2 I of every pooled user."""
+        """Links A and covariances R = R_int + sigma^2 I of every pooled user, one stack."""
         q = self.interference.shape[-1]
-        return self.effective, self.interference + sigma**2 * np.eye(q)
+        return _flat(self.effective), _flat(self.interference + sigma**2 * np.eye(q))
 
 
 def _scenario_pool(seeds) -> _ScenarioPool:
     seeds = tuple(seeds)
-    return _pooled(("scenarios", seeds), lambda: _ScenarioPool.build(seeds))
+    return _pooled(("scenarios", seeds),
+                   lambda: _ScenarioPool(*_over_chunks(seeds, "ezf", _ScenarioPool._fields)))
 
 
 def _rel_rows(diff: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -136,8 +137,8 @@ def _rel_rows(diff: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 
 def _deviations(pool: _ScenarioPool, sigma: float, detector) -> np.ndarray:
-    """||G - G0|| per pooled user, G from `detector` at external noise sigma."""
-    g = detector(*pool.covariance(sigma))
+    """||G - G0|| per pooled (seed, user), G from `detector` at external noise sigma."""
+    g = detector(*pool.covariance(sigma)).reshape(pool.reference.shape)
     return np.linalg.norm(g - pool.reference, axis=(-2, -1))
 
 
@@ -150,16 +151,9 @@ def _worst_against_reference(pool: _ScenarioPool, sigma: float, detector) -> flo
 def identity_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
     """Zero-forcing + reference detector: own links are I, cross links vanish."""
     pool = _scenario_pool(seeds)
-    m, p = pool.users, pool.reference.shape[1]
-    # t[s, k, j] = G0 H W_j for user k of seed s; all blocks are p x p here.
-    t = pool.reference_links.reshape(-1, m, p, m, p).swapaxes(2, 3)
-    own = np.arange(m)
-    diag = t[:, own, own] - np.eye(p)
-    max_diag = float(np.linalg.norm(diag, axis=(-2, -1)).max())
-    denom = pool.h_norms.reshape(-1, m, 1) * pool.w_norms[:, np.newaxis, :]
-    cross = np.linalg.norm(t, axis=(-2, -1)) / denom
-    cross[:, own, own] = 0.0
-    max_cross = float(cross.max())
+    own = pool.reference_own
+    max_diag = float(np.linalg.norm(own - np.eye(own.shape[-1]), axis=(-2, -1)).max())
+    max_cross = float(pool.reference_cross.max())
     passed = max_diag < 1e-8 and max_cross < 1e-8
     return CheckResult(
         "identity (zero-forcing cancels interference)",
@@ -170,16 +164,10 @@ def identity_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
 
 
 def _cross_links(*stages) -> tuple[np.ndarray, np.ndarray]:
-    """Each user's cross links X and whole link block, from one chunk's `_over_chunks` stages.
-
-    The link block holds X's columns and the own link A's, so its rank is rank([X A]).
-    """
+    """Per user, X = H W with the own columns zeroed (the cross links' rank) and H W,
+    whose rank is rank([X A]), from one chunk's `_over_chunks` stages."""
     stack = stages[-1]
-    p = stack.effective.shape[-1]
-    # Column j of user i's cross links is link column j, or j + p past its own block.
-    cols = np.arange(stack.links.shape[-1] - p)
-    other = (cols + p * (cols >= stack.starts[:, np.newaxis]))[np.newaxis, :, np.newaxis]
-    return _flat(np.take_along_axis(stack.links, other, axis=-1)), _flat(stack.links)
+    return split_columns(stack.links, stack.starts, stack.effective.shape[-1])[1], stack.links
 
 
 def necessity_suite(seeds=NECESSITY_SEEDS) -> CheckResult:
@@ -193,7 +181,7 @@ def necessity_suite(seeds=NECESSITY_SEEDS) -> CheckResult:
     leave an empty null space and a residual of exactly sqrt(p_k).
     """
     cross, links = _over_chunks(seeds, "mrt", _cross_links)
-    p = links.shape[-1] - cross.shape[-1]
+    p = _DEFAULT_USERS[0][1]  # one shape group
     rank_xa, rank_x = (linalg.rank(np.linalg.svd(m, compute_uv=False)) for m in (links, cross))
     min_resid = float(np.sqrt(p - rank_xa + rank_x).min())
     passed = min_resid > 0.1
@@ -218,10 +206,7 @@ def mmse_irc_rate_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
     """The MMSE-IRC filter error decays quadratically in the external-noise scale."""
     pool = _scenario_pool(seeds)
     # Per seed: the worst user's error at each sigma.
-    err = [
-        _deviations(pool, sigma, mmse_irc).reshape(-1, pool.users).max(axis=1)
-        for sigma in (1e-2, 1e-3)
-    ]
+    err = [_deviations(pool, sigma, mmse_irc).max(axis=1) for sigma in (1e-2, 1e-3)]
     ratio = err[0] / err[1]
     lo, hi = float(ratio.min()), float(ratio.max())
     passed = lo >= 50.0 and hi <= 200.0

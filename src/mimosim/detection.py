@@ -70,6 +70,21 @@ class UserStack:
     interference: np.ndarray
 
 
+def split_columns(x: np.ndarray, starts, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's own columns start:start + p of its row block (m x P) over the stacked
+    W = [W_1 ... W_K] in x, and a copy of x, broadcast alike, with them set to +0.0.
+
+    `starts` holds one first own column per block of the axes before x's last two (a
+    scalar for one block); leading (seed, grid) axes and singleton axes of x broadcast.
+    """
+    cols = np.asarray(starts)[..., np.newaxis, np.newaxis] + np.arange(p)
+    cols = cols.reshape((1,) * (x.ndim - cols.ndim) + cols.shape)
+    own = np.take_along_axis(x, cols, axis=-1)
+    cross = np.broadcast_to(x, own.shape[:-1] + x.shape[-1:]).copy()
+    np.put_along_axis(cross, cols, 0.0, axis=-1)
+    return own, cross
+
+
 def build_covariance(channels: ChannelSet, w: np.ndarray) -> tuple[UserStack, ...]:
     """The users of each `ChannelSet.groups` shape group stacked under the precoder W."""
     return user_stacks(channels.groups, channels.scenario.layer_counts, w)
@@ -87,14 +102,9 @@ def user_stacks(groups, layer_counts, w: np.ndarray) -> tuple[UserStack, ...]:
     offsets = np.cumsum((0,) + tuple(layer_counts))
     stacks = []
     for users, h, _, _ in groups:
-        p = layer_counts[users[0]]
         starts = offsets[users]
         hw = h @ w
-        own = (starts[:, np.newaxis] + np.arange(p))[:, np.newaxis, :]
-        own = own.reshape((1,) * (hw.ndim - 3) + own.shape)
-        a = np.take_along_axis(hw, own, axis=-1)
-        x = hw.copy()
-        np.put_along_axis(x, own, 0.0, axis=-1)
+        a, x = split_columns(hw, starts, layer_counts[users[0]])
         r = x @ herm(x)
         stacks.append(UserStack(users, starts, hw, a, 0.5 * (r + herm(r))))
     return tuple(stacks)

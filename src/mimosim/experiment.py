@@ -27,6 +27,9 @@ CSV_HEADER = (
 _KEYS = ("t", "users", "power", "grid", "precoders", "detectors", "trials", "seed", "output")
 _REQUIRED = ("t", "users", "grid", "precoders", "detectors")
 _DEFAULTS = {"power": "1.0", "trials": "100", "seed": "1", "output": "sweep.csv"}
+# A chunk's sweep over G points peaks at ~0.4-0.5 MB per point for 16 users of 4x2,
+# so this keeps one chunk under ~0.5 GB; the shipped grids have 9 points.
+MAX_GRID_POINTS = 1000
 
 
 @dataclass(frozen=True)
@@ -140,8 +143,10 @@ def _parse_grid(value: str, line_no: int) -> tuple[float, ...]:
         raise ConfigError(f"line {line_no}: 'grid' step must be > 0")
     if stop < start:
         raise ConfigError(f"line {line_no}: 'grid' stop must be >= start")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return tuple(start + i * step for i in range(n))
+    span = (stop - start) / step + 1e-9
+    if span >= MAX_GRID_POINTS:
+        raise ConfigError(f"line {line_no}: 'grid' has more than {MAX_GRID_POINTS} points")
+    return tuple(start + i * step for i in range(int(span) + 1))
 
 
 def _parse_int(value: str, key: str, line_no: int) -> int:

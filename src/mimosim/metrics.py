@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import StackedDetector, UserStack, user_stacks
+from .detection import StackedDetector, UserStack, split_columns, user_stacks
 from .errors import ConfigError, InvalidInputError
 from .precoding import precode
 from .system import ChannelSet, Scenario, su_layer_gains
@@ -48,16 +48,20 @@ def effective_links(stack: UserStack, g: np.ndarray) -> np.ndarray:
     return g @ stack.links
 
 
-def _cross_power(power: np.ndarray, start) -> np.ndarray:
-    """Per-row power in the other users' columns of |link|^2 row blocks.
-
-    Summed over those columns directly: subtracting the own columns from the
-    row total would lose a cross leak ~1e-9 of the signal to cancellation.
-    """
-    cols = np.arange(power.shape[-1])
-    start = np.asarray(start)[..., np.newaxis]
-    others = (cols < start) | (cols >= start + power.shape[-2])
-    return np.sum(power * others[..., np.newaxis, :], axis=-1)
+def _sinr_and_cross(link: np.ndarray, start, g: np.ndarray, sigma):
+    """`sinr_per_layer`, and each layer's power in the other users' columns: summed directly,
+    as the row total minus the own columns would lose a ~1e-9 leak to cancellation."""
+    own, cross = split_columns(np.abs(link) ** 2, start, link.shape[-2])
+    cross = np.sum(cross, axis=-1)
+    signal = np.diagonal(own, axis1=-2, axis2=-1)
+    self_leak = own.sum(axis=-1) - signal
+    noise = np.sum(np.abs(sigma * g) ** 2, axis=-1)
+    denom = self_leak + cross + noise
+    out = np.full(signal.shape, SINR_CAP)
+    below_cap = denom > signal / SINR_CAP
+    out[below_cap] = np.minimum(signal[below_cap] / denom[below_cap], SINR_CAP)
+    out[signal == 0.0] = 0.0
+    return out, cross
 
 
 def sinr_per_layer(link: np.ndarray, start, g: np.ndarray, sigma) -> np.ndarray:
@@ -71,26 +75,14 @@ def sinr_per_layer(link: np.ndarray, start, g: np.ndarray, sigma) -> np.ndarray:
     and `g`, `start` holds one offset per entry; further leading (grid) axes
     broadcast, `sigma` against `g`.
     """
-    p = link.shape[-2]
-    power = np.abs(link) ** 2
-    own_cols = np.asarray(start)[..., np.newaxis, np.newaxis] + np.arange(p)
-    own = np.take_along_axis(power, np.broadcast_to(own_cols, power.shape[:-1] + (p,)), axis=-1)
-    signal = np.diagonal(own, axis1=-2, axis2=-1)
-    self_leak = own.sum(axis=-1) - signal
-    noise = np.sum(np.abs(sigma * g) ** 2, axis=-1)
-    denom = self_leak + _cross_power(power, start) + noise
-    out = np.full(signal.shape, SINR_CAP)
-    below_cap = denom > signal / SINR_CAP
-    out[below_cap] = np.minimum(signal[below_cap] / denom[below_cap], SINR_CAP)
-    out[signal == 0.0] = 0.0
-    return out
+    return _sinr_and_cross(link, start, g, sigma)[0]
 
 
 def spectral_efficiency(sinrs):
     """Shannon sum over layers (the last axis), sum log2(1 + sinr_i), in bits/s/Hz."""
     sinrs = np.asarray(sinrs, dtype=float)
-    if np.any(sinrs < 0):
-        raise ValueError("SINR values must be >= 0")
+    if not np.all(sinrs >= 0):
+        raise InvalidInputError("SINR values must be >= 0 and not NaN")
     return np.sum(np.log2(1.0 + sinrs), axis=-1)
 
 
@@ -133,17 +125,17 @@ def mu_report(stacks: tuple, detectors: list, sigma: np.ndarray, su_se: np.ndarr
     """MU SE, the given SU SE, SU/MU ratio and mean cross leak power at G grid points.
 
     `sigma` and `su_se` are (G,), or (G, S) for stacks with a leading axis of S
-    seeds, and so are the results. Per stack: one filters call, one batched
-    G @ H W product and one `sinr_per_layer` call.
+    seeds, and so are the results. Per stack: one filters call, one batched G @ H W
+    product and one |G H W|^2 split, whose cross sums feed both the SINR and the leak.
     """
     n = sum(len(s.users) for s in stacks)
     ses, leaks = np.empty(sigma.shape + (n,)), np.empty(sigma.shape + (n,))
     for stack, detector in zip(stacks, detectors):
         g = detector.filters(sigma**2)
         link = effective_links(stack, g)
-        sinr = sinr_per_layer(link, stack.starts, g, sigma.reshape(sigma.shape + (1, 1, 1)))
+        sinr, cross = _sinr_and_cross(link, stack.starts, g, sigma.reshape(sigma.shape + (1, 1, 1)))
         ses[..., stack.users] = spectral_efficiency(sinr)
-        leaks[..., stack.users] = np.sum(_cross_power(np.abs(link) ** 2, stack.starts), axis=-1)
+        leaks[..., stack.users] = np.sum(cross, axis=-1)
     mu_se = np.sum(ses, axis=-1)
     ratio = np.divide(su_se, mu_se, out=np.full(mu_se.shape, math.inf), where=mu_se > 0)
     return mu_se, su_se, ratio, np.mean(leaks, axis=-1)

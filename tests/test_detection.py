@@ -15,6 +15,7 @@ from mimosim.detection import (
     qr_mld_linear,
     qr_mld_parts,
     reference_ic,
+    split_columns,
 )
 from mimosim.errors import (
     DimensionMismatchError,
@@ -54,6 +55,42 @@ def default_pipeline(seed=1, sigma=0.0, precoder="ezf"):
         w, scale = mrt_precode(channels, 1.0)
     a, r = white_covariance(channels, w, sigma)
     return channels, (w, scale, red), a, r
+
+
+class TestSplitColumns:
+    """The one own/cross column split against naive slicing at the layer offsets."""
+
+    USERS = ((4, 2),) * 4 + ((2, 1),) * 4 + ((8, 4),) * 2
+    OFFSETS = np.cumsum((0,) + tuple(p for _, p in USERS))
+
+    def _own_and_rest(self, x, k):
+        """User k's own columns of a row block x, and x with them set to +0.0."""
+        cols = slice(self.OFFSETS[k], self.OFFSETS[k + 1])
+        rest = x.copy()
+        rest[..., cols] = 0.0
+        return np.ascontiguousarray(x[..., cols]), rest
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["stack", "seed-axis", "grid-axis"])
+    def test_matches_per_user_slices_per_shape_group(self, rng, lead):
+        for shape in sorted(set(self.USERS)):
+            users = np.array([k for k, u in enumerate(self.USERS) if u == shape])
+            q, p = shape
+            x = crandn(rng, *lead, len(users), q, self.OFFSETS[-1])
+            own, cross = split_columns(x, self.OFFSETS[users], p)
+            assert own.shape == x.shape[:-1] + (p,) and cross.shape == x.shape
+            for i, k in enumerate(users):
+                want_own, want_rest = self._own_and_rest(x[..., i, :, :], k)
+                assert own[..., i, :, :].tobytes() == want_own.tobytes()
+                assert cross[..., i, :, :].tobytes() == want_rest.tobytes()
+
+    def test_scalar_start_for_one_user(self, rng):
+        for k, (q, p) in enumerate(self.USERS):
+            for lead in ((), (3,)):
+                x = crandn(rng, *lead, q, self.OFFSETS[-1])
+                own, cross = split_columns(x, self.OFFSETS[k], p)
+                want_own, want_rest = self._own_and_rest(x, k)
+                assert own.tobytes() == want_own.tobytes() and own.shape == want_own.shape
+                assert cross.tobytes() == want_rest.tobytes() and cross.shape == x.shape
 
 
 class TestConstellations:

@@ -190,6 +190,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="start:stop:step"):
             parse_config(MINIMAL.replace("0:40:20", "0,40"))
 
+    def test_grid_point_bound(self):
+        assert len(parse_config(MINIMAL.replace("0:40:20", "0:999:1")).su_sinr_grid_db) == 1000
+        for grid in ("0:1000:1", "0:1e15:1", "-1e308:1e308:1e-300"):
+            with pytest.raises(ConfigError, match=r"^line \d+: 'grid' has more than 1000 points$"):
+                parse_config(MINIMAL.replace("0:40:20", grid))
+
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config(SMALL)
         assert cfg.trials == 2
@@ -593,6 +599,13 @@ class TestCli:
             "(each user needs at least one layer)\n"
         )
         assert not out.exists()
+
+    def test_oversized_grid_is_a_config_error(self, tmp_path, capsys):
+        # Rejected from start, stop and step before any grid point is built.
+        cfg = SMALL.replace("0:10:10", "0:1e15:1").replace("out.csv", str(tmp_path / "out.csv"))
+        assert cli_main(["run", str(self._write(tmp_path, cfg))]) == 1
+        assert capsys.readouterr().err == "config error: line 6: 'grid' has more than 1000 points\n"
+        assert not (tmp_path / "out.csv").exists()
 
     def test_missing_file_exit_code(self):
         assert cli_main(["run", "/nonexistent/cfg"]) == 1

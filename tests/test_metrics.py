@@ -148,8 +148,10 @@ class TestSpectralEfficiency:
         assert spectral_efficiency([3.0, 15.0]) == pytest.approx(6.0)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            spectral_efficiency([-0.5])
+        # NaN too, as a ValueError the CLI reports as a numerical failure.
+        for sinrs in ([-0.5], [np.nan, 1.0]):
+            with pytest.raises(InvalidInputError, match="SINR values must be >= 0"):
+                spectral_efficiency(sinrs)
 
 
 class TestSchemeDispatch:

@@ -1,10 +1,11 @@
 """What the benchmark relies on in mimosim.
 
-`bench/tracer.py` names its spans by module and function, and the check
+`bench/tracer.py` names its spans by module and function, the check
 workload of `bench/workloads.py` warms up by calling every suite with
-`seeds=(1,)` or `count=1`. A rename or a deletion in `src/mimosim` would
-otherwise show only when the benchmark runs. Both files are loaded from
-their paths, as the benchmark loads them.
+`seeds=(1,)` or `count=1`, and each sweep workload's pass at the default
+seed must match its `bench/reference/*.csv` rows. A rename, a deletion or
+a drifted row in `src/mimosim` would otherwise show only when the benchmark
+runs. Both files are loaded from their paths, as the benchmark loads them.
 
 The benchmark's set-up time and peak memory include what `import mimosim`
 loads; scipy is a test dependency only, and the package must not pull it in.
@@ -46,6 +47,16 @@ def test_targets_and_error_sites_resolve():
 def test_check_workload_warm_up_runs():
     # Every suite must keep the `seeds` or `count` parameter the warm-up passes.
     _bench_module("workloads").CheckWorkload().setup()
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig5", "mixed"])
+def test_sweep_workload_pass_matches_its_reference(name):
+    # mixed is the only reference with more than one shape group.
+    workloads = _bench_module("workloads")
+    workload = workloads.make(name, workloads.DEFAULT_SEED)
+    workload.setup()
+    assert workload.gate.startswith("reference CSV")
+    assert workload.failed_ops(workload.run_pass()) == 0
 
 
 def test_self_check_guard_site_raises():
