@@ -230,12 +230,12 @@ def lambda_independence_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
     )
 
 
-def _synthetic_pair(seed: int, q: int = 4, p: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """Well-conditioned effective link and PD covariance for one user."""
+def _synthetic_pair(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Well-conditioned 4x2 effective link and PD covariance for one user."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    a = (rng.standard_normal((q, p)) + 1j * rng.standard_normal((q, p))) / np.sqrt(2.0)
-    c = (rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))) / np.sqrt(2.0)
-    r = c @ herm(c) + 0.5 * np.eye(q)
+    a = (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))) / np.sqrt(2.0)
+    c = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / np.sqrt(2.0)
+    r = c @ herm(c) + 0.5 * np.eye(4)
     return a, 0.5 * (r + herm(r))
 
 

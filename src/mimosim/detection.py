@@ -124,66 +124,55 @@ _GUARDS = {
 _GUARDS["gen-lse"] = _GUARDS["mmse-irc"]
 
 
-class StackedDetector:
-    """One detector scheme on a user stack, split at the noise power s2.
+def filters(scheme: str, lam: float, users, a: np.ndarray, r0: np.ndarray, s2) -> np.ndarray:
+    """Stacked filters G (n x p_k x q_k) of one detector scheme on a user stack.
 
     R = R0 + s2 I, R0 noise-free (sweep) or the whole covariance with s2 = 0
-    (the detector functions below). The s2-free factorization is taken once,
-    here; `filters(s2)` is then a diagonal scaling of its eigenvalues:
+    (the detector functions below). The s2-free part is factored once per
+    call and every noise power is a diagonal scaling of its eigenvalues:
 
     - mmse-irc / gen-lse(lam): eigh(A A^H + lam R0), shifted by lam s2;
     - mmse: eigh(A A^H), shifted by s2 (the q_k x q_k guard is kept);
     - lse-limit: eigh(R0), shifted by s2, then the p_k x p_k normal matrix;
     - qr-mld: Cholesky + positive-diagonal QR of R0 + s2 I (`qr_mld_parts`).
+
+    A (G,) vector of noise powers gives (G, n, p_k, q_k), and a (G, S) grid on
+    a stack with a leading axis of S seeds (G, S, n, p_k, q_k). A guard error
+    names the first failing point's first failing user of `users`.
     """
+    users, q = tuple(users), a.shape[-2]
+    s2 = np.asarray(s2, dtype=float)
+    # (G, [S,] 1, 1) against the stacked eigenvalues ([S,] n, q_k).
+    shift = s2.reshape(s2.shape + (1,) * (a.ndim - max(s2.ndim, 1)))
+    if scheme == "qr-mld":
+        g = qr_mld_parts(a, r0 + shift[..., np.newaxis] * np.eye(q), users=users)[3]
+    else:
+        eig = linalg.eigh(r0 if scheme == "lse-limit" else
+                          a @ herm(a) if scheme == "mmse" else a @ herm(a) + lam * r0)
+        # lam is 1.0 for every scheme but gen-lse, so the product is exact.
+        rinv_a = _solve(scheme, users, eig, a, lam * shift)
+        g = herm(rinv_a)
+        if scheme == "lse-limit":
+            names = [f"user {k} normal matrix" for k in users]
+            g = linalg.solve_shifted(linalg.eigh(herm(a) @ rinv_a), g, names=names)
+    finite = np.isfinite(g).all(axis=(-2, -1))
+    if not finite.all():
+        k = users[int(np.argmin(finite)) % len(users)]
+        raise InvalidInputError(f"user {k}: detector filter has non-finite entries")
+    return g
 
-    def __init__(self, scheme: str, lam: float, users, a: np.ndarray, r0: np.ndarray):
-        self.scheme, self.lam, self.users, self.a, self.r0 = scheme, lam, tuple(users), a, r0
-        if scheme in ("mmse-irc", "gen-lse"):
-            self.eig = linalg.eigh(a @ herm(a) + lam * r0)
-        elif scheme == "mmse":
-            self.eig = linalg.eigh(a @ herm(a))
-        elif scheme == "lse-limit":
-            self.eig = linalg.eigh(r0)
 
-    def filters(self, s2) -> np.ndarray:
-        """Stacked filters G (n x p_k x q_k) at noise power s2.
-
-        A (G,) vector of noise powers gives (G, n, p_k, q_k), and a (G, S) grid
-        on a stack with a leading axis of S seeds (G, S, n, p_k, q_k): one batched
-        computation. A guard error names the first failing point's first failing user.
-        """
-        a, q = self.a, self.a.shape[-2]
-        s2 = np.asarray(s2, dtype=float)
-        # (G, [S,] 1, 1) against the stacked eigenvalues ([S,] n, q_k).
-        shift = s2.reshape(s2.shape + (1,) * (a.ndim - max(s2.ndim, 1)))
-        if self.scheme == "qr-mld":
-            r = self.r0 + shift[..., np.newaxis] * np.eye(q)
-            g = qr_mld_parts(a, r, users=self.users)[3]
-        else:
-            # lam is 1.0 for every scheme but gen-lse, so the product is exact.
-            rinv_a = self._solve(a, self.lam * shift)
-            g = herm(rinv_a)
-            if self.scheme == "lse-limit":
-                names = [f"user {k} normal matrix" for k in self.users]
-                g = linalg.solve_shifted(linalg.eigh(herm(a) @ rinv_a), g, names=names)
-        finite = np.isfinite(g).all(axis=(-2, -1))
-        if not finite.all():
-            k = self.users[int(np.argmin(finite)) % len(self.users)]
-            raise InvalidInputError(f"user {k}: detector filter has non-finite entries")
-        return g
-
-    def _solve(self, b, shift) -> np.ndarray:
-        """`linalg.solve_shifted` on `eig`; a guard trip raises the scheme's `_GUARDS` error."""
-        try:
-            return linalg.solve_shifted(self.eig, b, shift, [f"user {k}" for k in self.users])
-        except SingularMatrixError as exc:
-            bad = ~(linalg.shifted_condition(self.eig[0], shift) < linalg.CONDITION_LIMIT)
-            point, i = divmod(int(np.argmax(bad)), len(self.users))
-            q, p = self.a.shape[-2:]
-            error, why = _GUARDS[self.scheme]
-            s2 = shift.reshape(-1)[point]
-            raise error(f"user {self.users[i]}: " + why.format(q=q, p=p, s2=s2)) from exc
+def _solve(scheme: str, users: tuple, eig, a: np.ndarray, shift) -> np.ndarray:
+    """`linalg.solve_shifted` of A on `eig`; a guard trip raises the scheme's `_GUARDS` error."""
+    error, why = _GUARDS[scheme]  # up front: a scheme with no guard is a KeyError, not a guess
+    try:
+        return linalg.solve_shifted(eig, a, shift, [f"user {k}" for k in users])
+    except SingularMatrixError as exc:
+        bad = ~(linalg.shifted_condition(eig[0], shift) < linalg.CONDITION_LIMIT)
+        point, i = divmod(int(np.argmax(bad)), len(users))
+        q, p = a.shape[-2:]
+        s2 = shift.reshape(-1)[point]
+        raise error(f"user {users[i]}: " + why.format(q=q, p=p, s2=s2)) from exc
 
 
 # The detector functions take one same-shape user stack, links A (n x q x p)
@@ -193,14 +182,14 @@ class StackedDetector:
 
 def mmse_irc(a: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Interference-aware MMSE filters G_k = A_k^H (A_k A_k^H + R_k)^{-1}."""
-    return StackedDetector("mmse-irc", 1.0, range(len(a)), a, r).filters(0.0)
+    return filters("mmse-irc", 1.0, range(len(a)), a, r, 0.0)
 
 
 def plain_mmse(a: np.ndarray, sigma: float) -> np.ndarray:
     """White-noise MMSE G_k = A_k^H (A_k A_k^H + sigma^2 I)^{-1}: no interference term."""
     if not (math.isfinite(sigma) and sigma >= 0):
         raise InvalidInputError(f"sigma must be finite and >= 0, got {sigma}")
-    return StackedDetector("mmse", 1.0, range(len(a)), a, None).filters(sigma**2)
+    return filters("mmse", 1.0, range(len(a)), a, None, sigma**2)
 
 
 def gen_lse(a: np.ndarray, r: np.ndarray, lam: float) -> np.ndarray:
@@ -211,12 +200,12 @@ def gen_lse(a: np.ndarray, r: np.ndarray, lam: float) -> np.ndarray:
     """
     if not (math.isfinite(lam) and lam > 0):
         raise InvalidInputError(f"lam must be finite and > 0, got {lam}")
-    return StackedDetector("gen-lse", lam, range(len(a)), a, r).filters(0.0)
+    return filters("gen-lse", lam, range(len(a)), a, r, 0.0)
 
 
 def lse_limit(a: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Whitened least-squares limit G_k = (A_k^H R_k^{-1} A_k)^{-1} A_k^H R_k^{-1}."""
-    return StackedDetector("lse-limit", 1.0, range(len(a)), a, r).filters(0.0)
+    return filters("lse-limit", 1.0, range(len(a)), a, r, 0.0)
 
 
 def qr_mld_parts(
@@ -258,7 +247,7 @@ def qr_mld_parts(
 
 def qr_mld_linear(a: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Linear part of the QR detector, G_k = T_k^{-1} Q_k^H F_k^{-1}."""
-    return StackedDetector("qr-mld", 1.0, range(len(a)), a, r).filters(0.0)
+    return filters("qr-mld", 1.0, range(len(a)), a, r, 0.0)
 
 
 def qr_mld_detect(

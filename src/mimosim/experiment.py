@@ -14,9 +14,10 @@ from itertools import product
 
 import numpy as np
 
+from .detection import user_stacks
 from .errors import ConfigError, InvalidInputError, MimoSimError
-from .metrics import mu_pairs, mu_report, parse_detector_scheme, su_spectral_efficiency
-from .precoding import PRECODER_SCHEMES
+from .metrics import mu_report, parse_detector_scheme, su_spectral_efficiency
+from .precoding import PRECODER_SCHEMES, precode
 from .system import SEED_CHUNK, Scenario, generate_groups, noise_for_target, su_layer_gains
 
 CSV_HEADER = (
@@ -30,6 +31,8 @@ _DEFAULTS = {"power": "1.0", "trials": "100", "seed": "1", "output": "sweep.csv"
 # A chunk's sweep over G points peaks at ~0.4-0.5 MB per point for 16 users of 4x2,
 # so this keeps one chunk under ~0.5 GB; the shipped grids have 9 points.
 MAX_GRID_POINTS = 1000
+# |dB| bound on grid points: 10^(dB/10) and the noise powers and products it sets stay in float64.
+MAX_GRID_DB = 1000.0
 
 
 @dataclass(frozen=True)
@@ -53,6 +56,8 @@ class SweepConfig:
             raise ConfigError("grid must be non-empty")
         if not all(math.isfinite(db) for db in self.su_sinr_grid_db):
             raise ConfigError(f"grid points must be finite, got {self.su_sinr_grid_db}")
+        if max(map(abs, self.su_sinr_grid_db)) > MAX_GRID_DB:
+            raise ConfigError(f"grid points must lie within +-{MAX_GRID_DB:g} dB")
         if any(b <= a for a, b in zip(self.su_sinr_grid_db, self.su_sinr_grid_db[1:])):
             raise ConfigError("grid must be strictly increasing")
         try:
@@ -252,8 +257,8 @@ def _reports(config: SweepConfig, trials: range) -> dict:
     """Each pair's (mu_se, su_se, ratio, leak) at G grid points and S trials: (4, G, S).
 
     One draw of the trials' seeds gives the noise levels and SU SEs that all
-    pairs share; every pair is built before one `mu_report` per pair. A
-    report that raises is replayed point by point, in (grid point, detector,
+    pairs share; each precoder's user stacks are built before one `mu_report` per
+    pair. A report that raises is replayed point by point, in (grid point, detector,
     precoder) order. Errors name trial `trials[0]`; `run_sweep` reads them at one trial.
     """
     grid, where = config.su_sinr_grid_db, f"trial {trials[0]}"
@@ -266,17 +271,19 @@ def _reports(config: SweepConfig, trials: range) -> dict:
     sigma = np.array([[noise_for_target(power, db) for power in np.mean(gains, axis=-1)]
                       for db in grid])
     su_se = su_spectral_efficiency(gains, sigma)
-    pairs = {}
+    stacks = {}
     for name in precoders:
         with _sweep_point(f"precoder {name}, {where}"):
-            pairs.update(mu_pairs(groups, scenario, name, detectors))
+            w = precode(groups, scenario, name)[0]
+            stacks[name] = user_stacks(groups, scenario.layer_counts, w)
     try:
-        return {key: np.array(mu_report(*pair, sigma, su_se)) for key, pair in pairs.items()}
+        return {(name, detector): np.array(mu_report(stacks[name], detector, sigma, su_se))
+                for name in precoders for detector in detectors}
     except MimoSimError:
         for (i, db), detector, name in product(enumerate(grid), detectors, precoders):
             point = f"precoder {name}, detector {detector}, su_sinr_db {db:g}, {where}"
             with _sweep_point(point):
-                mu_report(*pairs[(name, detector)], sigma[i:i + 1], su_se[i:i + 1])
+                mu_report(stacks[name], detector, sigma[i:i + 1], su_se[i:i + 1])
         raise
 
 

@@ -9,9 +9,9 @@ drops; schemes that leak interference saturate and the ratio diverges.
 
 Each user's links are one p_k x p row block G_k H_k W of the stacked
 precoder W = [W_1 ... W_K]; its own layers are its columns, the others are
-cross-user leakage. `mu_pairs` builds the multi-user leg on users stacked by
-shape, and `mu_report` reports it over a grid of G noise levels and, in a
-sweep, the seed axis of a chunk of trials.
+cross-user leakage. `mu_report` reports the multi-user leg on users stacked
+by shape over a grid of G noise levels and, in a sweep, the seed axis of a
+chunk of trials.
 """
 
 import math
@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import StackedDetector, UserStack, split_columns, user_stacks
+from .detection import UserStack, filters, split_columns, user_stacks
 from .errors import ConfigError, InvalidInputError
 from .precoding import precode
-from .system import ChannelSet, Scenario, su_layer_gains
+from .system import ChannelSet, su_layer_gains
 
 # Noiseless perfect links cap here instead of producing infinite SE.
 SINR_CAP = 1e12
@@ -105,33 +105,19 @@ def parse_detector_scheme(name: str) -> tuple[str, float]:
     return name, 1.0
 
 
-def stacked_detectors(stacks: tuple[UserStack, ...], scheme: str) -> list[StackedDetector]:
-    """A named detector scheme on each user stack, with its noise-free part factored."""
-    base, lam = parse_detector_scheme(scheme)
-    return [StackedDetector(base, lam, s.users, s.effective, s.interference) for s in stacks]
-
-
-def mu_pairs(groups, scenario: Scenario, precoder: str, detectors) -> dict:
-    """Per (precoder, detector) pair of one precoder: its user stacks and the detector's cores.
-
-    `groups` are `ChannelSet.groups`, or from `system.generate_groups` with a seed axis.
-    """
-    w, _, _ = precode(groups, scenario, precoder)
-    stacks = user_stacks(groups, scenario.layer_counts, w)
-    return {(precoder, d): (stacks, stacked_detectors(stacks, d)) for d in detectors}
-
-
-def mu_report(stacks: tuple, detectors: list, sigma: np.ndarray, su_se: np.ndarray):
+def mu_report(stacks: tuple, detector: str, sigma: np.ndarray, su_se: np.ndarray):
     """MU SE, the given SU SE, SU/MU ratio and mean cross leak power at G grid points.
 
-    `sigma` and `su_se` are (G,), or (G, S) for stacks with a leading axis of S
-    seeds, and so are the results. Per stack: one filters call, one batched G @ H W
-    product and one |G H W|^2 split, whose cross sums feed both the SINR and the leak.
+    `detector` is a scheme token such as "gen-lse(0.1)". `sigma` and `su_se` are
+    (G,), or (G, S) for stacks with a leading axis of S seeds, and so are the
+    results. Per stack: one `filters` call, one batched G @ H W product and one
+    |G H W|^2 split, whose cross sums feed both the SINR and the leak.
     """
+    scheme, lam = parse_detector_scheme(detector)
     n = sum(len(s.users) for s in stacks)
     ses, leaks = np.empty(sigma.shape + (n,)), np.empty(sigma.shape + (n,))
-    for stack, detector in zip(stacks, detectors):
-        g = detector.filters(sigma**2)
+    for stack in stacks:
+        g = filters(scheme, lam, stack.users, stack.effective, stack.interference, sigma**2)
         link = effective_links(stack, g)
         sinr, cross = _sinr_and_cross(link, stack.starts, g, sigma.reshape(sigma.shape + (1, 1, 1)))
         ses[..., stack.users] = spectral_efficiency(sinr)
@@ -160,13 +146,14 @@ def su_mu_report(
 
     The single-user leg gives each user its share P * p_k / p of the power, so
     the SU/MU ratio isolates the cost of sharing the channel, not the power
-    split. This is the sweep's route, `mu_pairs` then `mu_report`, at one seed
-    and one grid point. A negative, infinite or NaN sigma raises InvalidInputError.
+    split. This is the sweep's route (`precode`, `user_stacks`, `mu_report`) at one
+    seed and one grid point. A negative, infinite or NaN sigma raises InvalidInputError.
     """
     if not (math.isfinite(sigma) and sigma >= 0):
         raise InvalidInputError(f"sigma must be finite and >= 0, got {sigma}")
     scenario, groups = channels.scenario, channels.groups
-    ((stacks, cores),) = mu_pairs(groups, scenario, precoder_scheme, (detector_scheme,)).values()
+    w = precode(groups, scenario, precoder_scheme)[0]
+    stacks = user_stacks(groups, scenario.layer_counts, w)
     sigma = np.array([sigma])
     su_se = su_spectral_efficiency(su_layer_gains(scenario, groups), sigma)
-    return LinkReport(*(float(v[0]) for v in mu_report(stacks, cores, sigma, su_se)))
+    return LinkReport(*(float(v[0]) for v in mu_report(stacks, detector_scheme, sigma, su_se)))

@@ -132,7 +132,7 @@ def _decomposed(stacks) -> tuple:
     return tuple((users, h, *linalg.svd_reduced(h)[:2]) for users, h in stacks)
 
 
-def _user_rng(seed: int, user: int, attempt: int = 0) -> np.random.Generator:
+def _user_rng(seed: int, user: int, attempt: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(user, attempt))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -201,7 +201,12 @@ def noise_for_target(su_layer_power: float, su_sinr_db: float) -> float:
     """White-noise sigma putting `su_layer_power` at `su_sinr_db` above sigma^2."""
     if not math.isfinite(su_sinr_db):
         raise InvalidInputError(f"su_sinr_db must be finite, got {su_sinr_db}")
-    sigma2 = su_layer_power / 10.0 ** (su_sinr_db / 10.0)
+    try:
+        sigma2 = su_layer_power / 10.0 ** (su_sinr_db / 10.0)
+    except (OverflowError, ZeroDivisionError):  # 10^(dB/10) overflows, or underflows to 0
+        sigma2 = math.inf
+    if sigma2 == math.inf:
+        raise InvalidInputError(f"su_sinr_db {su_sinr_db:g} puts the noise power out of float range")
     return math.sqrt(sigma2)
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from mimosim.detection import filters
+from mimosim.metrics import parse_detector_scheme
 from mimosim.system import ChannelSet, Scenario, ungroup
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -24,6 +26,12 @@ def blocks(w: np.ndarray, reduced) -> list[np.ndarray]:
     """The users' W_k (t x p_k): the stacked W split by the reduction's layer counts."""
     ends = np.cumsum([len(v) for v in per_user(reduced)[0]])[:-1]
     return np.split(w, ends, axis=1)
+
+
+def stack_filters(stack, scheme: str, s2) -> np.ndarray:
+    """`detection.filters` of a scheme token such as "gen-lse(0.1)" on a user stack."""
+    base, lam = parse_detector_scheme(scheme)
+    return filters(base, lam, stack.users, stack.effective, stack.interference, s2)
 
 
 def single_user(channels: ChannelSet, k: int) -> ChannelSet:

@@ -1,8 +1,11 @@
-"""The test suite's third-party imports are declared in pyproject.toml.
+"""The test suite's third-party imports are declared in pyproject.toml, and the
+library's modules carry no dead imports or private names.
 
 An environment built from `pip install .[test]` must be able to collect every
 test module: each package a test imports is named in `dependencies` or in the
-`test` extra.
+`test` extra. In `src/mimosim`, what a deletion leaves behind fails here: an
+import the module no longer uses, or a private module-level name nothing in it
+references. `__init__.py` is skipped, as its imports are the public API.
 """
 
 import ast
@@ -14,6 +17,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 PYPROJECT = TESTS.parent / "pyproject.toml"
+PACKAGE = TESTS.parent / "src" / "mimosim"
 
 
 def _import_roots(path: Path) -> set[str]:
@@ -44,3 +48,30 @@ def test_every_third_party_test_import_is_a_declared_dependency():
     roots = set().union(*map(_import_roots, modules)) - set(sys.stdlib_module_names) - local
     assert "hypothesis" in roots and "numpy" in roots
     assert sorted(roots - declared) == []
+
+
+def _unused_names(path: Path) -> list[str]:
+    """Imported names, and private module-level names, that the module never loads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            names = []
+        bound += [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return [f"{path.name}: {name}" for name in bound if name not in loaded]
+
+
+def test_every_library_import_and_private_name_is_used():
+    modules = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+    assert len(modules) >= 8
+    assert [name for path in modules for name in _unused_names(path)] == []

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 
 from mimosim import detection, experiment, linalg, metrics, system
 from mimosim.cli import main as cli_main
-from mimosim.detection import StackedDetector
 from mimosim.errors import (
     ChannelGenerationError,
     ConfigError,
@@ -88,13 +87,13 @@ def test_one_filters_call_per_trial_pair_and_stack(monkeypatch):
     # call over the whole 9-point grid and the chunk's trials (a per-point,
     # per-trial sweep makes 36 calls at 2 trials).
     shapes = []
-    original = StackedDetector.filters
+    original = metrics.filters
 
-    def counting(self, s2):
+    def counting(scheme, lam, users, a, r0, s2):
         shapes.append(np.shape(s2))
-        return original(self, s2)
+        return original(scheme, lam, users, a, r0, s2)
 
-    monkeypatch.setattr(StackedDetector, "filters", counting)
+    monkeypatch.setattr(metrics, "filters", counting)
     fig3 = parse_config((CONFIG_DIR / "fig3.cfg").read_text())
     run_sweep(dataclasses.replace(fig3, trials=2))
     assert shapes == [(9, 2)] * 2
@@ -607,6 +606,13 @@ class TestCli:
         assert capsys.readouterr().err == "config error: line 6: 'grid' has more than 1000 points\n"
         assert not (tmp_path / "out.csv").exists()
 
+    def test_grid_beyond_the_db_bound_is_a_config_error(self, tmp_path, capsys):
+        # 10^(dB/10) overflows a float beyond ~3080 dB; the bound rejects the grid first.
+        cfg = SMALL.replace("0:10:10", "3000:3500:100").replace("out.csv", str(tmp_path / "out.csv"))
+        assert cli_main(["run", str(self._write(tmp_path, cfg))]) == 1
+        assert capsys.readouterr().err == "config error: grid points must lie within +-1000 dB\n"
+        assert not (tmp_path / "out.csv").exists()
+
     def test_missing_file_exit_code(self):
         assert cli_main(["run", "/nonexistent/cfg"]) == 1
 
@@ -689,6 +695,20 @@ def test_sweep_config_direct_validation():
 )
 def test_sweep_config_rejects_non_finite_grid_point(grid):
     with pytest.raises(ConfigError, match=r"^grid points must be finite, got \("):
+        SweepConfig(16, ((4, 2),), 1.0, grid, ("ezf",), ("mmse",), 1, 1, "x.csv")
+
+
+@pytest.mark.parametrize("grid", [(-1000.0,), (1000.0,), (-1000.0, 1000.0)])
+def test_sweep_config_accepts_grid_points_on_the_db_bound(grid):
+    config = SweepConfig(16, ((4, 2),), 1.0, grid, ("ezf",), ("mmse",), 1, 1, "x.csv")
+    assert config.su_sinr_grid_db == grid
+
+
+@pytest.mark.parametrize(
+    "grid", [(-1000.5,), (1000.5,), (0.0, 1000.0 + 1e-9), (-3000.0, 0.0), (3100.0,)]
+)
+def test_sweep_config_rejects_grid_points_beyond_the_db_bound(grid):
+    with pytest.raises(ConfigError, match=r"^grid points must lie within \+-1000 dB$"):
         SweepConfig(16, ((4, 2),), 1.0, grid, ("ezf",), ("mmse",), 1, 1, "x.csv")
 
 

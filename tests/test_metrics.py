@@ -15,7 +15,6 @@ from mimosim.metrics import (
     parse_detector_scheme,
     sinr_per_layer,
     spectral_efficiency,
-    stacked_detectors,
     su_mu_report,
     su_spectral_efficiency,
 )
@@ -28,7 +27,7 @@ from mimosim.system import (
     su_layer_gains,
 )
 
-from conftest import CONFIG_DIR, blocks, crandn, single_user
+from conftest import CONFIG_DIR, blocks, crandn, single_user, stack_filters
 from test_precoding import block_channels
 
 DEFAULT = Scenario(t=64, users=((4, 2),) * 8, total_power=1.0, seed=1)
@@ -131,8 +130,7 @@ class TestSinrPerLayer:
         channels = generate_channels(scenario)
         w, _ = mrt_precode(channels, 1.0)
         stacks = build_covariance(channels, w)
-        (core,) = stacked_detectors(stacks, "qr-mld")
-        links = effective_links(stacks[0], core.filters(0.01**2))
+        links = effective_links(stacks[0], stack_filters(stacks[0], "qr-mld", 0.01**2))
         cross = np.linalg.norm(links[0][:, 2:4])
         assert cross > 1e-6
 
@@ -169,8 +167,7 @@ class TestSchemeDispatch:
         sigma = calibrate_noise(channels, 20.0)
         stacks = build_covariance(channels, rczf_precode(reduce_ezf(channels), 1.0)[0])
         for name in ("mmse-irc", "mmse", "gen-lse", "gen-lse(0.1)", "lse-limit", "qr-mld"):
-            cores = stacked_detectors(stacks, name)
-            assert sum(len(core.filters(sigma**2)) for core in cores) == 8
+            assert sum(len(stack_filters(stack, name, sigma**2)) for stack in stacks) == 8
 
     def test_unknown_precoder_rejected(self):
         channels = generate_channels(DEFAULT)

@@ -4,11 +4,10 @@
 `precoding.matched_filter`, `detection.user_stacks` and `detection.reference_ic`
 take a leading seed axis; `generate_channels`, `reduce_ezf`, `rczf_precode`,
 `mrt_precode`, `build_covariance` and `reference_ic` at one scale are their
-one-seed cases. The detector cores' `filters`
-and `metrics.mu_report` take a (G, S) noise grid for S seeds. Over random
-scenarios, seed i of each stacked stage must equal the one-seed function at
-seed i bit for bit, and the stacked zero-forcing precoders must null every
-cross link.
+one-seed cases. `detection.filters` and `metrics.mu_report` take a (G, S)
+noise grid for S seeds. Over random scenarios, seed i of each stacked stage
+must equal the one-seed function at seed i bit for bit, and the stacked
+zero-forcing precoders must null every cross link.
 """
 
 import dataclasses
@@ -17,11 +16,12 @@ import numpy as np
 from hypothesis import given, settings
 
 from mimosim.detection import build_covariance, reference_ic, user_stacks
-from mimosim.metrics import DETECTOR_SCHEMES, mu_pairs, mu_report, su_spectral_efficiency
+from mimosim.metrics import DETECTOR_SCHEMES, mu_report, su_spectral_efficiency
 from mimosim.precoding import (
     ezf_groups,
     matched_filter,
     mrt_precode,
+    precode,
     rczf_precode,
     reduce_ezf,
     zero_forcing,
@@ -35,11 +35,16 @@ from mimosim.system import (
     ungroup,
 )
 
-from conftest import per_user, scenarios
+from conftest import per_user, scenarios, stack_filters
 
 
 def _same(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _stacks(groups, scenario: Scenario, precoder: str) -> tuple:
+    """The sweep's user stacks of one precoder scheme."""
+    return user_stacks(groups, scenario.layer_counts, precode(groups, scenario, precoder)[0])
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -97,16 +102,16 @@ def test_seed_stacked_reports_equal_each_seeds_reports(case):
     su_se = su_spectral_efficiency(gains, sigma)
     one = [generate_channels(dataclasses.replace(scenario, seed=seed)) for seed in seeds]
     for precoder in ("ezf", "mrt"):
-        pairs = mu_pairs(groups, scenario, precoder, DETECTOR_SCHEMES)
-        for (_, detector), (stacks, cores) in pairs.items():
-            filters = [core.filters(sigma**2) for core in cores]
-            reports = mu_report(stacks, cores, sigma, su_se)
-            for i, channels in enumerate(one):
-                ((one_stacks, one_cores),) = mu_pairs(
-                    channels.groups, channels.scenario, precoder, (detector,)).values()
-                for g, core in zip(filters, one_cores):
-                    np.testing.assert_array_equal(g[:, i], core.filters(sigma[:, i] ** 2))
-                one_reports = mu_report(one_stacks, one_cores, sigma[:, i], su_se[:, i])
+        stacks = _stacks(groups, scenario, precoder)
+        one_stacks = [_stacks(channels.groups, channels.scenario, precoder) for channels in one]
+        for detector in DETECTOR_SCHEMES:
+            filters = [stack_filters(stack, detector, sigma**2) for stack in stacks]
+            reports = mu_report(stacks, detector, sigma, su_se)
+            for i, one_stack in enumerate(one_stacks):
+                for g, stack in zip(filters, one_stack):
+                    np.testing.assert_array_equal(
+                        g[:, i], stack_filters(stack, detector, sigma[:, i] ** 2))
+                one_reports = mu_report(one_stack, detector, sigma[:, i], su_se[:, i])
                 assert len(reports) == len(one_reports) == 4
                 for report, one_report in zip(reports, one_reports):
                     np.testing.assert_array_equal(report[:, i], one_report)

@@ -1,26 +1,28 @@
 """The stacked, noise-split detector core against a per-user numpy oracle.
 
-The sweep and `su_mu_report` stack users by shape, factor each detector's
-noise-free matrix once and take every noise level as a shift of its
-eigenvalues. The oracle here rebuilds each user's covariance
-R_k = sum_{j != k} H_k W_j W_j^H H_k^H + sigma^2 I directly and solves it per
-user with `np.linalg.solve`; it uses nothing from `mimosim.detection`.
+The sweep and `su_mu_report` stack users by shape; `detection.filters`
+factors a detector's noise-free matrix once per call and takes every noise
+level as a shift of its eigenvalues. The oracle here rebuilds each user's
+covariance R_k = sum_{j != k} H_k W_j W_j^H H_k^H + sigma^2 I directly and
+solves it per user with `np.linalg.solve`; it uses nothing from
+`mimosim.detection`.
 """
 
 import numpy as np
 import pytest
 
-from mimosim.detection import build_covariance
+from mimosim.detection import build_covariance, filters
 from mimosim.metrics import (
     DETECTOR_SCHEMES,
     effective_links,
     parse_detector_scheme,
     sinr_per_layer,
-    stacked_detectors,
     su_mu_report,
 )
 from mimosim.precoding import mrt_precode, rczf_precode, reduce_ezf
 from mimosim.system import Scenario, calibrate_noise, generate_channels
+
+from conftest import stack_filters
 
 SCENARIO = Scenario(t=32, users=((4, 2),) * 3 + ((2, 1),) * 2 + ((8, 4),), seed=3)
 SCHEMES = DETECTOR_SCHEMES + ("gen-lse(0.1)", "gen-lse(10)")
@@ -71,12 +73,11 @@ def test_stacked_core_matches_per_user_oracle(precoder_name, scheme):
     blocks = np.split(w, starts[1:-1], axis=1)
     stacks = build_covariance(channels, w)
     assert [len(s.users) for s in stacks] == [3, 2, 1]
-    cores = stacked_detectors(stacks, scheme)
     for db in GRID_DB:
         sigma = calibrate_noise(channels, db)
         filters, sinrs = {}, {}
-        for stack, core in zip(stacks, cores):
-            g = core.filters(sigma**2)
+        for stack in stacks:
+            g = stack_filters(stack, scheme, sigma**2)
             sinr = sinr_per_layer(effective_links(stack, g), stack.starts, g, sigma)
             filters.update(zip(stack.users, g))
             sinrs.update(zip(stack.users, sinr))
@@ -106,10 +107,18 @@ def test_grid_filters_equal_each_points_filters(precoder_name, scheme):
     channels = generate_channels(SCENARIO)
     stacks = build_covariance(channels, PRECODERS[precoder_name](channels, 1.0)[0])
     s2 = np.array([calibrate_noise(channels, db) ** 2 for db in GRID_DB])
-    for core in stacked_detectors(stacks, scheme):
-        grid = core.filters(s2)
-        n, q, p = core.a.shape
+    for stack in stacks:
+        grid = stack_filters(stack, scheme, s2)
+        n, q, p = stack.effective.shape
         assert grid.shape == (len(GRID_DB), n, p, q)
         for i in range(len(GRID_DB)):
-            assert grid[i].tobytes() == core.filters(s2[i:i + 1])[0].tobytes(), (scheme, i)
-            assert grid[i].tobytes() == core.filters(s2[i]).tobytes(), (scheme, i)
+            one_point = stack_filters(stack, scheme, s2[i:i + 1])[0]
+            assert grid[i].tobytes() == one_point.tobytes(), (scheme, i)
+            assert grid[i].tobytes() == stack_filters(stack, scheme, s2[i]).tobytes(), (scheme, i)
+
+
+def test_unknown_scheme_raises_instead_of_running_another():
+    channels = generate_channels(SCENARIO)
+    stack = build_covariance(channels, PRECODERS["ezf"](channels, 1.0)[0])[0]
+    with pytest.raises(KeyError, match="sphere"):
+        filters("sphere", 1.0, stack.users, stack.effective, stack.interference, 0.01)

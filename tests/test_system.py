@@ -15,6 +15,7 @@ from mimosim.system import (
     dump_channels,
     generate_channels,
     load_channels,
+    noise_for_target,
     su_layer_gains,
 )
 
@@ -307,6 +308,12 @@ class TestCalibration:
         channels = generate_channels(DEFAULT)
         sigmas = [calibrate_noise(channels, db) for db in (-10.0, 0.0, 15.0, 30.0)]
         assert all(b < a for a, b in zip(sigmas, sigmas[1:]))
+
+    @pytest.mark.parametrize("db", [3100.0, -3100.0, -3300.0])
+    def test_target_beyond_the_float_range_rejected(self, db):
+        # 10^310 overflows, 1 / 10^-310 is inf and 10^-330 is 0.
+        with pytest.raises(InvalidInputError, match="out of float range"):
+            noise_for_target(1.0, db)
 
     def test_non_finite_target_rejected(self):
         channels = generate_channels(DEFAULT)
