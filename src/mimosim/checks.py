@@ -7,17 +7,18 @@ per suite; the acceptance tests assert the same results.
 
 The suites share their inputs through pools, built once per
 `run_all_checks` call (a suite called on its own builds its own): the
-default EZF scenarios of all seeds as one stack of users, built SEED_CHUNK
-seeds at a time through the seed-stacked stages as the sweep is, and the
-synthetic pairs as one stack. A suite passes a whole pool to one call of the
-public detector function per noise level or regularizer weight. The
-necessity suite runs the same stages under the `mrt` precoder.
+default EZF scenarios of all seeds as one stack per (q_k, p_k) shape group,
+`user_stacks`' groups, built SEED_CHUNK seeds at a time through the
+seed-stacked stages as the sweep is, and the synthetic pairs as one stack.
+A suite passes each group's pool whole to one call of the public detector
+function per noise level or regularizer weight, and reports the worst user of
+any group. The necessity suite walks the same stages under the `mrt` precoder.
 """
 
 import contextvars
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
+from itertools import combinations, starmap
 
 import numpy as np
 
@@ -63,38 +64,35 @@ def _pooled(key, build):
     return pools[key]
 
 
-def _over_chunks(seeds, scheme, fields) -> list[np.ndarray]:
-    """`fields` of the default scenario at `seeds`, SEED_CHUNK seeds at a time, joined.
+def _chunks(seeds, scheme):
+    """The default scenario at `seeds`, SEED_CHUNK seeds at a time, seed axis first.
 
-    Per chunk, `fields` gets the channel groups, `precode`'s W, scales and
-    reduction under `scheme`, and the user stack, seed axis first; each array it
-    returns is concatenated over the chunks. In a run, the necessity suite's draws
-    are pooled for it; other draws, and each chunk's stacks, are dropped once used.
+    Per chunk: the channel groups, `precode`'s W, scales and reduction under
+    `scheme`, and `user_stacks`' stacks. In a run, the necessity suite's draws are
+    pooled for it; other draws, and each chunk's stacks, are dropped once used.
     """
     scenario = Scenario(t=64, users=_DEFAULT_USERS, total_power=1.0)
-    seeds, parts = tuple(seeds), []
+    seeds = tuple(seeds)
     for chunk in (seeds[i:i + SEED_CHUNK] for i in range(0, len(seeds), SEED_CHUNK)):
         draw = partial(generate_groups, scenario, chunk)
         groups = _pooled(("draws", chunk), draw) if set(chunk) <= set(NECESSITY_SEEDS) else draw()
         w, scales, reduced = precode(groups, scenario, scheme)
-        (stack,) = user_stacks(groups, scenario.layer_counts, w)
-        parts.append(fields(groups, w, scales, reduced, stack))
-        del groups, w, reduced, stack  # before the next chunk is drawn
-    return [np.concatenate(arrays) for arrays in zip(*parts)]
+        yield groups, w, scales, reduced, user_stacks(groups, scenario.layer_counts, w)
+        del groups, w, scales, reduced  # before the next chunk is drawn
 
 
-def _flat(a: np.ndarray) -> np.ndarray:
-    """A stack with its seed and user axes merged."""
-    return a.reshape(-1, *a.shape[-2:])
+def _block_norms(x: np.ndarray, starts) -> np.ndarray:
+    """Frobenius norm of each column block of x that begins at one of the sorted `starts`."""
+    return np.sqrt(np.add.reduceat((x.conj() * x).real.sum(axis=-2), starts, axis=-1))
 
 
 @dataclass(frozen=True)
 class _ScenarioPool:
-    """The default scenarios of some seeds under EZF, as `user_stacks` stacks them.
+    """One shape group's users of the default scenarios under EZF, as `user_stacks` stacks them.
 
-    Entry [s, k] is user k of the s-th seed: its own link A = H W_k, noise-free
+    Entry [s, i] is user k = users[i] of the s-th seed: its own link A = H W_k, noise-free
     interference covariance R_int, reference filter G0 = B / scale, own block G0 H W_k,
-    and reference_cross[s, k, j] = ||G0 H W_j|| / (||H|| ||W_j||), zero for j = k.
+    and reference_cross[s, i, j] = ||G0 H W_j|| / (||H|| ||W_j||) for every user j, 0 for j = k.
     """
 
     effective: np.ndarray
@@ -104,31 +102,32 @@ class _ScenarioPool:
     reference_cross: np.ndarray
 
     @staticmethod
-    def _fields(groups, w, scales, reduced, stack) -> tuple:
-        """One chunk's arrays of the fields, in field order. Cross blocks are split per chunk
-        and W per user: a split broadcast over more users copies its input once per user."""
-        ((_, h, _, _),) = groups  # one group: every user is 4x2
-        ((_, ref),) = reference_ic(reduced, scales)
-        p = ref.shape[-2]
-        own, cross = split_columns(ref @ stack.links, stack.starts, p)
-        # t[s, k, j] = G0 H W_j for user k of seed s (every W_j is p wide), zero for j = k.
-        t, _ = split_columns(cross[:, :, np.newaxis], stack.starts, p)
-        w_own = np.stack([split_columns(w, start, p)[0] for start in stack.starts], axis=1)
-        h_norms = np.linalg.norm(h, axis=(-2, -1))[..., np.newaxis]
-        w_norms = np.linalg.norm(w_own, axis=(-2, -1))[:, np.newaxis, :]
-        return (stack.effective, stack.interference, ref, own,
-                np.linalg.norm(t, axis=(-2, -1)) / (h_norms * w_norms))
+    def _fields(groups, w, scales, reduced, stacks) -> list:
+        """Per shape group, one chunk's arrays of the fields in field order. The cross blocks
+        are split and summed chunk by chunk, so no temporary spans a whole pool."""
+        starts = np.sort(np.concatenate([stack.starts for stack in stacks]))
+        w_norms = _block_norms(w, starts)[:, np.newaxis]
+        fields = []
+        for (_, h, _, _), (_, ref), stack in zip(groups, reference_ic(reduced, scales), stacks):
+            own, cross = split_columns(ref @ stack.links, stack.starts, ref.shape[-2])
+            h_norms = np.linalg.norm(h, axis=(-2, -1))[..., np.newaxis]
+            fields.append((stack.effective, stack.interference, ref, own,
+                           _block_norms(cross, starts) / (h_norms * w_norms)))
+        return fields
 
     def covariance(self, sigma: float) -> tuple[np.ndarray, np.ndarray]:
         """Links A and covariances R = R_int + sigma^2 I of every pooled user, one stack."""
         q = self.interference.shape[-1]
-        return _flat(self.effective), _flat(self.interference + sigma**2 * np.eye(q))
+        return (self.effective.reshape(-1, *self.effective.shape[-2:]),
+                (self.interference + sigma**2 * np.eye(q)).reshape(-1, q, q))
 
 
-def _scenario_pool(seeds) -> _ScenarioPool:
+def _scenario_pool(seeds) -> tuple[_ScenarioPool, ...]:
+    """One `_ScenarioPool` per shape group, each field joined over the chunks of `seeds`."""
     seeds = tuple(seeds)
-    return _pooled(("scenarios", seeds),
-                   lambda: _ScenarioPool(*_over_chunks(seeds, "ezf", _ScenarioPool._fields)))
+    return _pooled(("scenarios", seeds), lambda: tuple(
+        _ScenarioPool(*map(np.concatenate, zip(*group)))
+        for group in zip(*starmap(_ScenarioPool._fields, _chunks(seeds, "ezf")))))
 
 
 def _rel_rows(diff: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -142,18 +141,18 @@ def _deviations(pool: _ScenarioPool, sigma: float, detector) -> np.ndarray:
     return np.linalg.norm(g - pool.reference, axis=(-2, -1))
 
 
-def _worst_against_reference(pool: _ScenarioPool, sigma: float, detector) -> float:
+def _worst_against_reference(pools, sigma: float, detector) -> float:
     """Worst relative deviation of `detector` from the reference filters at noise sigma."""
-    ref_norms = np.linalg.norm(pool.reference, axis=(-2, -1))
-    return float((_deviations(pool, sigma, detector) / ref_norms).max())
+    return max(float((_deviations(pool, sigma, detector)
+                      / np.linalg.norm(pool.reference, axis=(-2, -1))).max()) for pool in pools)
 
 
 def identity_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
     """Zero-forcing + reference detector: own links are I, cross links vanish."""
-    pool = _scenario_pool(seeds)
-    own = pool.reference_own
-    max_diag = float(np.linalg.norm(own - np.eye(own.shape[-1]), axis=(-2, -1)).max())
-    max_cross = float(pool.reference_cross.max())
+    pools = _scenario_pool(seeds)
+    max_diag = max(float(np.linalg.norm(own - np.eye(own.shape[-1]), axis=(-2, -1)).max())
+                   for own in (pool.reference_own for pool in pools))
+    max_cross = max(float(pool.reference_cross.max()) for pool in pools)
     passed = max_diag < 1e-8 and max_cross < 1e-8
     return CheckResult(
         "identity (zero-forcing cancels interference)",
@@ -163,13 +162,6 @@ def identity_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
     )
 
 
-def _cross_links(*stages) -> tuple[np.ndarray, np.ndarray]:
-    """Per user, X = H W with the own columns zeroed (the cross links' rank) and H W,
-    whose rank is rank([X A]), from one chunk's `_over_chunks` stages."""
-    stack = stages[-1]
-    return split_columns(stack.links, stack.starts, stack.effective.shape[-1])[1], stack.links
-
-
 def necessity_suite(seeds=NECESSITY_SEEDS) -> CheckResult:
     """No linear detector can null matched-filter interference and keep the link.
 
@@ -177,13 +169,17 @@ def necessity_suite(seeds=NECESSITY_SEEDS) -> CheckResult:
     links X, then least-squares fit G A to I; the residual stays large. It is
     sqrt(p_k - rank(N^H A)), and rank(N^H A) = rank([X A]) - rank(X), so the
     suite counts two ranks per user, each with `linalg.rank` over the singular
-    values of every user of every seed at once. Cross links of full rank q_k
-    leave an empty null space and a residual of exactly sqrt(p_k).
+    values of a chunk's users of one shape group at once, with that group's p_k.
+    Cross links of full rank q_k leave an empty null space and residual sqrt(p_k).
     """
-    cross, links = _over_chunks(seeds, "mrt", _cross_links)
-    p = _DEFAULT_USERS[0][1]  # one shape group
-    rank_xa, rank_x = (linalg.rank(np.linalg.svd(m, compute_uv=False)) for m in (links, cross))
-    min_resid = float(np.sqrt(p - rank_xa + rank_x).min())
+    min_resid = np.inf
+    for *_, stacks in _chunks(seeds, "mrt"):
+        for stack in stacks:
+            p = stack.effective.shape[-1]
+            x = split_columns(stack.links, stack.starts, p)[1]
+            rank_xa, rank_x = (linalg.rank(np.linalg.svd(m, compute_uv=False))
+                               for m in (stack.links, x))
+            min_resid = min(min_resid, float(np.sqrt(p - rank_xa + rank_x).min()))
     passed = min_resid > 0.1
     return CheckResult(
         "necessity (matched filter admits no interference-free detector)",
@@ -204,9 +200,10 @@ def mmse_irc_noiseless_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
 
 def mmse_irc_rate_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
     """The MMSE-IRC filter error decays quadratically in the external-noise scale."""
-    pool = _scenario_pool(seeds)
-    # Per seed: the worst user's error at each sigma.
-    err = [_deviations(pool, sigma, mmse_irc).max(axis=1) for sigma in (1e-2, 1e-3)]
+    pools = _scenario_pool(seeds)
+    # Per seed: the worst user of any group at each sigma.
+    err = [np.concatenate([_deviations(pool, sigma, mmse_irc) for pool in pools], axis=1)
+           .max(axis=1) for sigma in (1e-2, 1e-3)]
     ratio = err[0] / err[1]
     lo, hi = float(ratio.min()), float(ratio.max())
     passed = lo >= 50.0 and hi <= 200.0
@@ -220,9 +217,10 @@ def mmse_irc_rate_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
 
 def lambda_independence_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
     """Noiseless generalized LSE does not depend on the regularizer weight."""
-    a, r = _scenario_pool(seeds).covariance(0.0)
-    gs = [gen_lse(a, r, lam) for lam in (1e-3, 1.0, 1e3)]
-    worst = max(float(_rel_rows(gi - gj, gj).max()) for gi, gj in combinations(gs, 2))
+    covs = [pool.covariance(0.0) for pool in _scenario_pool(seeds)]
+    gs = [[gen_lse(a, r, lam) for a, r in covs] for lam in (1e-3, 1.0, 1e3)]
+    worst = max(float(_rel_rows(gi - gj, gj).max())
+                for g_a, g_b in combinations(gs, 2) for gi, gj in zip(g_a, g_b))
     return CheckResult(
         "gen-lse lambda independence (noiseless)",
         worst < 1e-7,

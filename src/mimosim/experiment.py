@@ -7,6 +7,7 @@ seeds are derived up front and every row accumulates in fixed trial order.
 """
 
 import math
+import numbers
 import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -54,6 +55,8 @@ class SweepConfig:
         object.__setattr__(self, "detectors", tuple(self.detectors))
         if not self.su_sinr_grid_db:
             raise ConfigError("grid must be non-empty")
+        if not all(isinstance(db, numbers.Real) for db in self.su_sinr_grid_db):
+            raise ConfigError(f"grid points must be real numbers, got {self.su_sinr_grid_db}")
         if not all(math.isfinite(db) for db in self.su_sinr_grid_db):
             raise ConfigError(f"grid points must be finite, got {self.su_sinr_grid_db}")
         if max(map(abs, self.su_sinr_grid_db)) > MAX_GRID_DB:

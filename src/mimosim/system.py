@@ -8,6 +8,7 @@ hits a requested dB target.
 
 import dataclasses
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,6 +61,8 @@ class Scenario:
             raise InvalidInputError(
                 f"total layer count {self.total_layers} exceeds antenna count t={self.t}"
             )
+        if not isinstance(self.total_power, numbers.Real):
+            raise InvalidInputError(f"total_power must be a real number, got {self.total_power!r}")
         if not (math.isfinite(self.total_power) and self.total_power > 0):
             raise InvalidInputError(f"total_power must be positive, got {self.total_power}")
         if not 0 <= self.seed < 2**64:

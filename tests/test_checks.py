@@ -1,24 +1,33 @@
 """The check runner: pooled scenarios, their lifetime and alignment, and the CLI.
 
-The suites pool every user of every seed into one stack and pass each
-pool whole to the detectors. These tests pin that the pools are built once
-per `run_all_checks` call and not kept past it, that every detector call
-carries a whole pool, that each pooled row stays aligned with its own
-reference filter (a perturbed filter at either end of the pool must fail
-the suites that read it), and what `mimosim check` prints and returns.
+The suites pool the users of every seed into one stack per (q_k, p_k) shape
+group, as the sweep's `user_stacks` does, and pass each group's pool whole to
+the detectors. These tests pin that the pools are built once per
+`run_all_checks` call and not kept past it, that every detector call carries
+a whole pool, that each pooled row stays aligned with its own reference filter
+(a perturbed filter at either end of the pool, or of any group of a mixed-shape
+scenario, must fail the suites that read it), that the pooled fields equal a
+plain numpy slicing of W, that every suite runs over mixed shapes, and what
+`mimosim check` prints and returns.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from mimosim import checks, linalg, system
 from mimosim.cli import main
-from mimosim.precoding import mrt_precode
+from mimosim.precoding import mrt_precode, rczf_precode, reduce_ezf
+
+from conftest import scenarios
 
 EZF_SEEDS = len(checks.DEFAULT_SCENARIO_SEEDS)
 NECESSITY_SEEDS = 20
 USERS_PER_SEED = 8
 SYNTHETIC_PAIRS = 100
+# Three shape groups: 4x2 (users 0-3), 2x1 (users 4-7) and 8x4 (users 8-9).
+MIXED_USERS = ((4, 2),) * 4 + ((2, 1),) * 4 + ((8, 4),) * 2
+MIXED_SEEDS = tuple(range(1, 11))
 
 
 def _perturb_nth_filter(fn, n: int):
@@ -41,20 +50,17 @@ def _perturb_nth_filter(fn, n: int):
     return wrapper
 
 
-def _perturb_nth_reference(n: int):
-    """`checks.reference_ic` with the n-th pooled filter, counted over all its calls,
-    scaled by 1 + 1e-3: the (seed, user) filters of a call's one shape group, seed-major."""
+def _perturb_nth_reference(n: int, group: int = 0):
+    """`checks.reference_ic` with the n-th pooled filter of shape group `group`, counted
+    over all its calls, scaled by 1 + 1e-3: that group's (seed, user) filters, seed-major."""
     real = checks.reference_ic
-
-    def flat(reduced, scale):
-        ((_, g),) = real(reduced, scale)
-        return g.reshape(-1, *g.shape[-2:])
-
-    perturbed = _perturb_nth_filter(flat, n)
+    perturbed = _perturb_nth_filter(lambda g: g, n)
 
     def wrapper(reduced, scale):
-        ((users, _, b),) = reduced
-        return ((users, perturbed(reduced, scale).reshape(b.shape)),)
+        out = list(real(reduced, scale))
+        users, g = out[group]
+        out[group] = (users, perturbed(g.reshape(-1, *g.shape[-2:])).reshape(g.shape))
+        return tuple(out)
 
     return wrapper
 
@@ -131,6 +137,69 @@ def test_perturbed_reference_filter_fails(monkeypatch, suite, seed, user):
     assert not res.passed, res.detail
 
 
+@pytest.mark.parametrize(
+    "suite",
+    [checks.identity_suite, checks.mmse_irc_noiseless_suite, checks.qr_mld_limit_suite],
+    ids=lambda s: s.__name__,
+)
+def test_perturbed_reference_filter_of_last_8x4_user_fails(monkeypatch, suite):
+    monkeypatch.setattr(checks, "_DEFAULT_USERS", MIXED_USERS)
+    # Group 2 pools the two 8x4 users; its last filter is user 9 at the last seed.
+    n = len(MIXED_SEEDS) * 2
+    monkeypatch.setattr(checks, "reference_ic", _perturb_nth_reference(n, group=2))
+    res = suite(seeds=MIXED_SEEDS)
+    assert not res.passed, res.detail
+
+
+@pytest.mark.parametrize(
+    "suite",
+    [checks.identity_suite, checks.necessity_suite, checks.mmse_irc_noiseless_suite,
+     checks.mmse_irc_rate_suite, checks.lambda_independence_suite, checks.qr_mld_limit_suite],
+    ids=lambda s: s.__name__,
+)
+def test_every_scenario_suite_passes_over_mixed_shapes(monkeypatch, suite):
+    monkeypatch.setattr(checks, "_DEFAULT_USERS", MIXED_USERS)
+    res = suite(seeds=MIXED_SEEDS)
+    assert res.passed, res.detail
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(scenarios())
+@example((system.Scenario(8, ((4, 2), (2, 1), (4, 2), (3, 1))), (1,)))  # interleaved groups
+def test_pool_fields_equal_numpy_slicing_of_w(case):
+    """Per group and pooled (seed, user k): the own block G0_k H_k W_k and the cross ratios
+    ||G0_k H_k W_j|| / (||H_k|| ||W_j||), against W cut at the cumulative layer counts.
+    Zero-forcing would leave only rounding noise in the cross blocks, so each filter gets
+    a seeded random matrix added first; only a user with p_k = q_k, whose H_k W_j vanish
+    too, keeps noise there, which the 1e-12 floor takes."""
+    users, seeds = case[0].users, (1, 2)
+    real = checks.reference_ic
+
+    def off_reference(reduced, scale):
+        rng = np.random.default_rng(0)
+        return tuple((g, ref + rng.standard_normal(ref.shape)) for g, ref in real(reduced, scale))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checks, "_DEFAULT_USERS", users)
+        patch.setattr(checks, "reference_ic", off_reference)
+        pools = checks._scenario_pool(seeds)
+    assert len(pools) == len(system.shape_groups(users))
+    for s, seed in enumerate(seeds):
+        channels = system.generate_channels(system.Scenario(64, users, 1.0, seed))
+        w, _ = rczf_precode(reduce_ezf(channels), 1.0)
+        ws = np.split(w, np.cumsum(channels.scenario.layer_counts)[:-1], axis=1)
+        for pool, group in zip(pools, system.shape_groups(users)):
+            for i, k in enumerate(group):
+                h = channels.matrices[k]
+                g0h = pool.reference[s, i] @ h
+                np.testing.assert_allclose(pool.reference_own[s, i], g0h @ ws[k], rtol=1e-12)
+                cross = [0.0 if j == k else
+                         np.linalg.norm(g0h @ wj) / (np.linalg.norm(h) * np.linalg.norm(wj))
+                         for j, wj in enumerate(ws)]
+                np.testing.assert_allclose(pool.reference_cross[s, i], cross,
+                                           rtol=1e-12, atol=1e-12)
+
+
 def test_perturbed_qr_filter_fails_factor_identity(monkeypatch):
     monkeypatch.setattr(checks, "qr_mld_linear", _perturb_nth_filter(checks.qr_mld_linear, 100))
     res = checks.qr_factor_identity_suite()
@@ -195,6 +264,17 @@ def test_necessity_one_vector_null_space_leaves_residual_one(monkeypatch):
     res = checks.necessity_suite(seeds=(1, 2, 3))
     assert res.passed, res.detail
     assert "residual = 1.000 " in res.detail
+
+
+def test_mixed_shape_necessity_takes_each_groups_own_p(monkeypatch):
+    """2x1 users keep residual sqrt(1) and the 4x2 and 8x4 users sqrt(2) and sqrt(4):
+    the suite's minimum is the numpy fits' minimum, 1."""
+    monkeypatch.setattr(checks, "_DEFAULT_USERS", MIXED_USERS)
+    _, resids = _least_squares_fits(MIXED_USERS, (1, 2, 3))
+    res = checks.necessity_suite(seeds=(1, 2, 3))
+    assert res.passed, res.detail
+    assert "residual = 1.000 " in res.detail
+    assert f"residual = {min(resids):.3f} " in res.detail
 
 
 def test_cli_check_passes(capsys):

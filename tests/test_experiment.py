@@ -698,6 +698,17 @@ def test_sweep_config_rejects_non_finite_grid_point(grid):
         SweepConfig(16, ((4, 2),), 1.0, grid, ("ezf",), ("mmse",), 1, 1, "x.csv")
 
 
+def test_sweep_config_rejects_non_real_power():
+    # The scenario's check, rewrapped: not a bare TypeError from math.isfinite.
+    with pytest.raises(ConfigError, match="^total_power must be a real number, got '1.0'$"):
+        SweepConfig(16, ((4, 2),), "1.0", (0.0,), ("ezf",), ("mmse",), 1, 1, "x.csv")
+
+
+def test_sweep_config_rejects_non_real_grid_point():
+    with pytest.raises(ConfigError, match=r"^grid points must be real numbers, got \('0',\)$"):
+        SweepConfig(16, ((4, 2),), 1.0, ("0",), ("ezf",), ("mmse",), 1, 1, "x.csv")
+
+
 @pytest.mark.parametrize("grid", [(-1000.0,), (1000.0,), (-1000.0, 1000.0)])
 def test_sweep_config_accepts_grid_points_on_the_db_bound(grid):
     config = SweepConfig(16, ((4, 2),), 1.0, grid, ("ezf",), ("mmse",), 1, 1, "x.csv")

@@ -39,6 +39,15 @@ class TestScenario:
         with pytest.raises(InvalidInputError):
             Scenario(t=8, users=((2, 2),), total_power=0.0)
 
+    @pytest.mark.parametrize("power, message", [
+        ("1.0", "a real number"), (None, "a real number"), (1 + 0j, "a real number"),
+        (math.nan, "positive"), (-1.0, "positive"),
+    ], ids=["str", "none", "complex", "nan", "negative"])
+    def test_power_rejected_with_its_message(self, power, message):
+        # Not a bare TypeError from math.isfinite for a non-real power.
+        with pytest.raises(InvalidInputError, match=f"^total_power must be {message}, got "):
+            Scenario(64, ((4, 2),), power)
+
     @pytest.mark.parametrize("kwargs, what", [
         ({"t": 8, "users": ((4.7, 2),)}, "user 0: antenna count q_k"),
         ({"t": 8, "users": ((4, 2), (4, 2.0))}, "user 1: layer count p_k"),
