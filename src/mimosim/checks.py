@@ -10,9 +10,10 @@ The suites share their inputs through pools, built once per
 default EZF scenarios of all seeds as one stack per (q_k, p_k) shape group,
 `user_stacks`' groups, built SEED_CHUNK seeds at a time through the
 seed-stacked stages as the sweep is, and the synthetic pairs as one stack.
-A suite passes each group's pool whole to one call of the public detector
-function per noise level or regularizer weight, and reports the worst user of
-any group. The necessity suite walks the same stages under the `mrt` precoder.
+A scenario suite makes `mu_report`'s `filters` call on each group's pool whole,
+once per regularizer weight, and reports the worst user of any group; the
+synthetic suites call the public detector functions, the theorems' other
+routes. The necessity suite walks the same stages under the `mrt` precoder.
 """
 
 import contextvars
@@ -24,9 +25,9 @@ import numpy as np
 
 from . import linalg
 from .detection import (
+    filters,
     gen_lse,
     lse_limit,
-    mmse_irc,
     qr_mld_linear,
     qr_mld_parts,
     reference_ic,
@@ -88,13 +89,14 @@ def _block_norms(x: np.ndarray, starts) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _ScenarioPool:
-    """One shape group's users of the default scenarios under EZF, as `user_stacks` stacks them.
+    """One shape group of the default EZF scenarios: `filters`' (seed, user) stack, and references.
 
     Entry [s, i] is user k = users[i] of the s-th seed: its own link A = H W_k, noise-free
     interference covariance R_int, reference filter G0 = B / scale, own block G0 H W_k,
     and reference_cross[s, i, j] = ||G0 H W_j|| / (||H|| ||W_j||) for every user j, 0 for j = k.
     """
 
+    users: np.ndarray
     effective: np.ndarray
     interference: np.ndarray
     reference: np.ndarray
@@ -103,31 +105,25 @@ class _ScenarioPool:
 
     @staticmethod
     def _fields(groups, w, scales, reduced, stacks) -> list:
-        """Per shape group, one chunk's arrays of the fields in field order. The cross blocks
-        are split and summed chunk by chunk, so no temporary spans a whole pool."""
+        """Per shape group, one chunk's fields in field order. The cross blocks are split
+        and summed chunk by chunk, so no temporary spans a whole pool."""
         starts = np.sort(np.concatenate([stack.starts for stack in stacks]))
         w_norms = _block_norms(w, starts)[:, np.newaxis]
         fields = []
         for (_, h, _, _), (_, ref), stack in zip(groups, reference_ic(reduced, scales), stacks):
             own, cross = split_columns(ref @ stack.links, stack.starts, ref.shape[-2])
             h_norms = np.linalg.norm(h, axis=(-2, -1))[..., np.newaxis]
-            fields.append((stack.effective, stack.interference, ref, own,
+            fields.append((stack.users, stack.effective, stack.interference, ref, own,
                            _block_norms(cross, starts) / (h_norms * w_norms)))
         return fields
 
-    def covariance(self, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-        """Links A and covariances R = R_int + sigma^2 I of every pooled user, one stack."""
-        q = self.interference.shape[-1]
-        return (self.effective.reshape(-1, *self.effective.shape[-2:]),
-                (self.interference + sigma**2 * np.eye(q)).reshape(-1, q, q))
-
 
 def _scenario_pool(seeds) -> tuple[_ScenarioPool, ...]:
-    """One `_ScenarioPool` per shape group, each field joined over the chunks of `seeds`."""
+    """One `_ScenarioPool` per shape group: its users, each other field joined over the chunks."""
     seeds = tuple(seeds)
     return _pooled(("scenarios", seeds), lambda: tuple(
-        _ScenarioPool(*map(np.concatenate, zip(*group)))
-        for group in zip(*starmap(_ScenarioPool._fields, _chunks(seeds, "ezf")))))
+        _ScenarioPool(users[0], *map(np.concatenate, arrays)) for users, *arrays in
+        starmap(zip, zip(*starmap(_ScenarioPool._fields, _chunks(seeds, "ezf"))))))
 
 
 def _rel_rows(diff: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -135,15 +131,15 @@ def _rel_rows(diff: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.linalg.norm(diff, axis=(-2, -1)) / np.linalg.norm(ref, axis=(-2, -1))
 
 
-def _deviations(pool: _ScenarioPool, sigma: float, detector) -> np.ndarray:
-    """||G - G0|| per pooled (seed, user), G from `detector` at external noise sigma."""
-    g = detector(*pool.covariance(sigma)).reshape(pool.reference.shape)
+def _deviations(pool: _ScenarioPool, scheme: str, s2) -> np.ndarray:
+    """||G - G0|| per pooled (seed, user), G the `scheme` filters at noise powers s2."""
+    g = filters(scheme, 1.0, pool.users, pool.effective, pool.interference, s2)
     return np.linalg.norm(g - pool.reference, axis=(-2, -1))
 
 
-def _worst_against_reference(pools, sigma: float, detector) -> float:
-    """Worst relative deviation of `detector` from the reference filters at noise sigma."""
-    return max(float((_deviations(pool, sigma, detector)
+def _worst_against_reference(pools, scheme: str, sigma: float) -> float:
+    """Worst relative deviation of `scheme` from the reference filters at noise sigma."""
+    return max(float((_deviations(pool, scheme, sigma**2)
                       / np.linalg.norm(pool.reference, axis=(-2, -1))).max()) for pool in pools)
 
 
@@ -190,7 +186,7 @@ def necessity_suite(seeds=NECESSITY_SEEDS) -> CheckResult:
 
 def mmse_irc_noiseless_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
     """Noiseless interference-aware MMSE equals the reference detector."""
-    worst = _worst_against_reference(_scenario_pool(seeds), 0.0, mmse_irc)
+    worst = _worst_against_reference(_scenario_pool(seeds), "mmse-irc", 0.0)
     return CheckResult(
         "mmse-irc noiseless equality",
         worst < 1e-7,
@@ -200,10 +196,9 @@ def mmse_irc_noiseless_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
 
 def mmse_irc_rate_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
     """The MMSE-IRC filter error decays quadratically in the external-noise scale."""
-    pools = _scenario_pool(seeds)
-    # Per seed: the worst user of any group at each sigma.
-    err = [np.concatenate([_deviations(pool, sigma, mmse_irc) for pool in pools], axis=1)
-           .max(axis=1) for sigma in (1e-2, 1e-3)]
+    s2 = np.square((1e-2, 1e-3))  # one noise grid: per sigma and seed, the worst user
+    err = np.concatenate([_deviations(pool, "mmse-irc", s2) for pool in _scenario_pool(seeds)],
+                         axis=-1).max(axis=-1)
     ratio = err[0] / err[1]
     lo, hi = float(ratio.min()), float(ratio.max())
     passed = lo >= 50.0 and hi <= 200.0
@@ -217,8 +212,9 @@ def mmse_irc_rate_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
 
 def lambda_independence_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
     """Noiseless generalized LSE does not depend on the regularizer weight."""
-    covs = [pool.covariance(0.0) for pool in _scenario_pool(seeds)]
-    gs = [[gen_lse(a, r, lam) for a, r in covs] for lam in (1e-3, 1.0, 1e3)]
+    pools = _scenario_pool(seeds)
+    gs = [[filters("gen-lse", lam, p.users, p.effective, p.interference, 0.0) for p in pools]
+          for lam in (1e-3, 1.0, 1e3)]
     worst = max(float(_rel_rows(gi - gj, gj).max())
                 for g_a, g_b in combinations(gs, 2) for gi, gj in zip(g_a, g_b))
     return CheckResult(
@@ -292,7 +288,7 @@ def whitener_invariance_suite(count: int = 100) -> CheckResult:
 
 def qr_mld_limit_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
     """Small external noise: the QR detector approaches the reference."""
-    worst = _worst_against_reference(_scenario_pool(seeds), QR_MLD_LIMIT_SIGMA, qr_mld_linear)
+    worst = _worst_against_reference(_scenario_pool(seeds), "qr-mld", QR_MLD_LIMIT_SIGMA)
     return CheckResult(
         f"qr-mld limit at sigma = {QR_MLD_LIMIT_SIGMA:g}",
         worst < 1e-6,

@@ -169,10 +169,10 @@ def _solve(scheme: str, users: tuple, eig, a: np.ndarray, shift) -> np.ndarray:
         return linalg.solve_shifted(eig, a, shift, [f"user {k}" for k in users])
     except SingularMatrixError as exc:
         bad = ~(linalg.shifted_condition(eig[0], shift) < linalg.CONDITION_LIMIT)
-        point, i = divmod(int(np.argmax(bad)), len(users))
+        first = int(np.argmax(bad))  # over (grid, seed, user); shift may lack the seed axis
         q, p = a.shape[-2:]
-        s2 = shift.reshape(-1)[point]
-        raise error(f"user {users[i]}: " + why.format(q=q, p=p, s2=s2)) from exc
+        s2 = np.broadcast_to(shift[..., 0], bad.shape).flat[first]
+        raise error(f"user {users[first % len(users)]}: " + why.format(q=q, p=p, s2=s2)) from exc
 
 
 # The detector functions take one same-shape user stack, links A (n x q x p)

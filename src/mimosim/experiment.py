@@ -8,7 +8,6 @@ seeds are derived up front and every row accumulates in fixed trial order.
 
 import math
 import numbers
-import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
@@ -19,7 +18,9 @@ from .detection import user_stacks
 from .errors import ConfigError, InvalidInputError, MimoSimError
 from .metrics import mu_report, parse_detector_scheme, su_spectral_efficiency
 from .precoding import PRECODER_SCHEMES, precode
-from .system import SEED_CHUNK, Scenario, generate_groups, noise_for_target, su_layer_gains
+from .system import (
+    SEED_CHUNK, Scenario, _integer, generate_groups, noise_for_target, su_layer_gains
+)
 
 CSV_HEADER = (
     "precoder,detector,su_sinr_db,mu_se_mean,su_se_mean,"
@@ -55,7 +56,10 @@ class SweepConfig:
         object.__setattr__(self, "detectors", tuple(self.detectors))
         if not self.su_sinr_grid_db:
             raise ConfigError("grid must be non-empty")
-        if not all(isinstance(db, numbers.Real) for db in self.su_sinr_grid_db):
+        if len(self.su_sinr_grid_db) > MAX_GRID_POINTS:
+            raise ConfigError(f"grid has more than {MAX_GRID_POINTS} points")
+        if not all(isinstance(db, numbers.Real) and not isinstance(db, bool)
+                   for db in self.su_sinr_grid_db):
             raise ConfigError(f"grid points must be real numbers, got {self.su_sinr_grid_db}")
         if not all(math.isfinite(db) for db in self.su_sinr_grid_db):
             raise ConfigError(f"grid points must be finite, got {self.su_sinr_grid_db}")
@@ -63,23 +67,21 @@ class SweepConfig:
             raise ConfigError(f"grid points must lie within +-{MAX_GRID_DB:g} dB")
         if any(b <= a for a, b in zip(self.su_sinr_grid_db, self.su_sinr_grid_db[1:])):
             raise ConfigError("grid must be strictly increasing")
+        # An InvalidInputError of the trial count or of the scenario's checks (p <= q <= t,
+        # sum p <= t, the 64-bit seed) is raised as a ConfigError with its text.
         try:
-            object.__setattr__(self, "trials", operator.index(self.trials))
-        except TypeError:
-            raise ConfigError(f"trials must be an integer, got {self.trials!r}") from None
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if not self.precoders or not self.detectors:
-            raise ConfigError("at least one precoder and one detector required")
-        for p in self.precoders:
-            if p not in PRECODER_SCHEMES:
-                raise ConfigError(
-                    f"unknown precoder '{p}' (expected one of {', '.join(PRECODER_SCHEMES)})"
-                )
-        for d in self.detectors:
-            parse_detector_scheme(d)
-        # Validates dimension constraints (p <= q <= t, sum p <= t) and the 64-bit seed.
-        try:
+            object.__setattr__(self, "trials", _integer(self.trials, "trials"))
+            if self.trials < 1:
+                raise ConfigError(f"trials must be >= 1, got {self.trials}")
+            if not self.precoders or not self.detectors:
+                raise ConfigError("at least one precoder and one detector required")
+            for p in self.precoders:
+                if p not in PRECODER_SCHEMES:
+                    raise ConfigError(
+                        f"unknown precoder '{p}' (expected one of {', '.join(PRECODER_SCHEMES)})"
+                    )
+            for d in self.detectors:
+                parse_detector_scheme(d)
             Scenario(self.t, self.users, self.total_power, self.base_seed)
         except InvalidInputError as exc:
             raise ConfigError(str(exc)) from exc

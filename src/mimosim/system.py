@@ -10,6 +10,7 @@ import dataclasses
 import math
 import numbers
 import operator
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,11 +25,11 @@ SEED_CHUNK = 10
 
 
 def _integer(value, what: str) -> int:
-    """`value` as an int through `operator.index`; a float or any other type is rejected."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
+    """`value` as an int through `operator.index`; a bool, a float or any other type is rejected."""
+    if not isinstance(value, bool):
+        with suppress(TypeError):
+            return operator.index(value)
+    raise InvalidInputError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ class Scenario:
             raise InvalidInputError(
                 f"total layer count {self.total_layers} exceeds antenna count t={self.t}"
             )
-        if not isinstance(self.total_power, numbers.Real):
+        if not isinstance(self.total_power, numbers.Real) or isinstance(self.total_power, bool):
             raise InvalidInputError(f"total_power must be a real number, got {self.total_power!r}")
         if not (math.isfinite(self.total_power) and self.total_power > 0):
             raise InvalidInputError(f"total_power must be positive, got {self.total_power}")

@@ -1,15 +1,18 @@
 """The check runner: pooled scenarios, their lifetime and alignment, and the CLI.
 
 The suites pool the users of every seed into one stack per (q_k, p_k) shape
-group, as the sweep's `user_stacks` does, and pass each group's pool whole to
-the detectors. These tests pin that the pools are built once per
+group, as the sweep's `user_stacks` does, and make the sweep's `filters` call
+on each group's pool whole. These tests pin that the pools are built once per
 `run_all_checks` call and not kept past it, that every detector call carries
-a whole pool, that each pooled row stays aligned with its own reference filter
+a whole pool, that this call equals the public detector functions on the
+flattened pool, that each pooled row stays aligned with its own reference filter
 (a perturbed filter at either end of the pool, or of any group of a mixed-shape
 scenario, must fail the suites that read it), that the pooled fields equal a
 plain numpy slicing of W, that every suite runs over mixed shapes, and what
 `mimosim check` prints and returns.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from hypothesis import example, given, settings
 
 from mimosim import checks, linalg, system
 from mimosim.cli import main
+from mimosim.detection import gen_lse, mmse_irc, qr_mld_linear
 from mimosim.precoding import mrt_precode, rczf_precode, reduce_ezf
 
 from conftest import scenarios
@@ -102,7 +106,16 @@ def test_pool_decomposes_seeds_in_stacked_chunks(monkeypatch):
 
 
 def test_each_pool_goes_whole_to_one_detector_call(monkeypatch):
-    rows = {name: [] for name in ("mmse_irc", "gen_lse", "lse_limit", "qr_mld_linear")}
+    # The scenario suites make mu_report's `filters` call on the unflattened (seed, user)
+    # pool; the synthetic suites call the public detector functions on the synthetic stack.
+    calls = []
+
+    def filters_spy(scheme, lam, users, a, r0, s2, real=checks.filters):
+        calls.append((scheme, lam, list(users), a.shape, r0.shape, np.asarray(s2).tolist()))
+        return real(scheme, lam, users, a, r0, s2)
+
+    monkeypatch.setattr(checks, "filters", filters_spy)
+    rows = {name: [] for name in ("gen_lse", "lse_limit", "qr_mld_linear")}
     for name, seen in rows.items():
 
         def spy(a, *args, real=getattr(checks, name), seen=seen, **kwargs):
@@ -111,15 +124,57 @@ def test_each_pool_goes_whole_to_one_detector_call(monkeypatch):
 
         monkeypatch.setattr(checks, name, spy)
     assert all(res.passed for res in checks.run_all_checks())
-    scenarios = EZF_SEEDS * USERS_PER_SEED
-    # mmse-irc: noiseless, then the rate suite's two sigmas; gen-lse: three lambdas,
-    # then the limit suite; lse-limit: both synthetic suites; qr-mld: factor, then limit.
+    pool = (list(range(USERS_PER_SEED)), (EZF_SEEDS, USERS_PER_SEED, 4, 2),
+            (EZF_SEEDS, USERS_PER_SEED, 4, 4))
+    # mmse-irc: noiseless, then the rate suite's two sigmas as one grid; gen-lse: three
+    # lambdas; qr-mld: the limit suite's sigma.
+    assert calls == [
+        ("mmse-irc", 1.0, *pool, 0.0),
+        ("mmse-irc", 1.0, *pool, [1e-2**2, 1e-3**2]),
+        *(("gen-lse", lam, *pool, 0.0) for lam in (1e-3, 1.0, 1e3)),
+        ("qr-mld", 1.0, *pool, checks.QR_MLD_LIMIT_SIGMA**2),
+    ]
+    # gen-lse: the limit suite; lse-limit: both synthetic suites; qr-mld: the factor suite.
     assert rows == {
-        "mmse_irc": [scenarios] * 3,
-        "gen_lse": [scenarios] * 3 + [SYNTHETIC_PAIRS],
+        "gen_lse": [SYNTHETIC_PAIRS],
         "lse_limit": [SYNTHETIC_PAIRS] * 2,
-        "qr_mld_linear": [SYNTHETIC_PAIRS, scenarios],
+        "qr_mld_linear": [SYNTHETIC_PAIRS],
     }
+
+
+def _public_route(pool, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """A pool's users flattened to one stack: links A and covariances R_int + sigma^2 I."""
+    q = pool.interference.shape[-1]
+    return (pool.effective.reshape(-1, *pool.effective.shape[-2:]),
+            (pool.interference + sigma**2 * np.eye(q)).reshape(-1, q, q))
+
+
+@pytest.mark.parametrize("scheme, lam, sigma, detector", [
+    ("mmse-irc", 1.0, 0.0, mmse_irc),
+    *(("gen-lse", lam, 0.0, partial(gen_lse, lam=lam)) for lam in (1e-3, 1.0, 1e3)),
+    ("qr-mld", 1.0, checks.QR_MLD_LIMIT_SIGMA, qr_mld_linear),
+], ids=["mmse-irc", "gen-lse-1e-3", "gen-lse-1", "gen-lse-1e3", "qr-mld"])
+def test_shift_route_equals_public_detectors_bit_for_bit(scheme, lam, sigma, detector):
+    """The suites' `filters` call on the noise-free pool, against the public function on
+    the whole covariance: with no shift (or qr-mld's, which adds sigma^2 I as they do),
+    both factor the same matrices."""
+    for pool in checks._scenario_pool((1, 2)):
+        g = checks.filters(scheme, lam, pool.users, pool.effective, pool.interference, sigma**2)
+        assert g.shape == pool.reference.shape
+        np.testing.assert_array_equal(g.reshape(-1, *g.shape[-2:]),
+                                      detector(*_public_route(pool, sigma)))
+
+
+def test_shift_route_agrees_with_public_mmse_irc_at_the_rate_suites_sigmas():
+    """sigma^2 as an eigenvalue shift of A A^H + R_int, against eigh of the shifted matrix:
+    equal up to rounding."""
+    sigmas = (1e-2, 1e-3)
+    for pool in checks._scenario_pool((1, 2)):
+        g = checks.filters("mmse-irc", 1.0, pool.users, pool.effective, pool.interference,
+                           np.square(sigmas))
+        for g_sigma, sigma in zip(g, sigmas):
+            np.testing.assert_allclose(g_sigma.reshape(-1, *g.shape[-2:]),
+                                       mmse_irc(*_public_route(pool, sigma)), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize(

@@ -709,6 +709,29 @@ def test_sweep_config_rejects_non_real_grid_point():
         SweepConfig(16, ((4, 2),), 1.0, ("0",), ("ezf",), ("mmse",), 1, 1, "x.csv")
 
 
+def test_sweep_config_rejects_bool_grid_points():
+    # Not 0 dB and 1 dB.
+    message = r"^grid points must be real numbers, got \(False, True\)$"
+    with pytest.raises(ConfigError, match=message):
+        SweepConfig(16, ((4, 2),), 1.0, (False, True), ("ezf",), ("mmse",), 1, 1, "x.csv")
+
+
+def test_sweep_config_rejects_bool_power():
+    with pytest.raises(ConfigError, match="^total_power must be a real number, got True$"):
+        SweepConfig(16, ((4, 2),), True, (0.0,), ("ezf",), ("mmse",), 1, 1, "x.csv")
+
+
+def test_sweep_config_rejects_more_grid_points_than_the_parser_allows():
+    # Checked when the config is built, before any sweep: a direct config is bounded as a
+    # parsed one is.
+    n = experiment.MAX_GRID_POINTS
+    grid = tuple(0.5 * i for i in range(n + 1))
+    config = SweepConfig(16, ((4, 2),), 1.0, grid[:-1], ("ezf",), ("mmse",), 1, 1, "x.csv")
+    assert len(config.su_sinr_grid_db) == n
+    with pytest.raises(ConfigError, match=f"^grid has more than {n} points$"):
+        SweepConfig(16, ((4, 2),), 1.0, grid, ("ezf",), ("mmse",), 1, 1, "x.csv")
+
+
 @pytest.mark.parametrize("grid", [(-1000.0,), (1000.0,), (-1000.0, 1000.0)])
 def test_sweep_config_accepts_grid_points_on_the_db_bound(grid):
     config = SweepConfig(16, ((4, 2),), 1.0, grid, ("ezf",), ("mmse",), 1, 1, "x.csv")
@@ -723,7 +746,9 @@ def test_sweep_config_rejects_grid_points_beyond_the_db_bound(grid):
         SweepConfig(16, ((4, 2),), 1.0, grid, ("ezf",), ("mmse",), 1, 1, "x.csv")
 
 
-@pytest.mark.parametrize("trials", [2.5, np.float64(2.0), "3"], ids=["float", "np-float", "str"])
+@pytest.mark.parametrize(
+    "trials", [2.5, np.float64(2.0), "3", True], ids=["float", "np-float", "str", "bool"]
+)
 def test_sweep_config_rejects_non_integer_trials(trials):
     message = f"^trials must be an integer, got {re.escape(repr(trials))}$"
     with pytest.raises(ConfigError, match=message):

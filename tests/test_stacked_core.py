@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from mimosim.detection import build_covariance, filters
+from mimosim.errors import SingularMatrixError
 from mimosim.metrics import (
     DETECTOR_SCHEMES,
     effective_links,
@@ -122,3 +123,27 @@ def test_unknown_scheme_raises_instead_of_running_another():
     stack = build_covariance(channels, PRECODERS["ezf"](channels, 1.0)[0])[0]
     with pytest.raises(KeyError, match="sphere"):
         filters("sphere", 1.0, stack.users, stack.effective, stack.interference, 0.01)
+
+
+def _later_seed_singular():
+    """Links of users 3 and 5 at two seeds, 4x2 each; R0 is I at seed 0 and 0 at seed 1."""
+    a = np.random.default_rng(0).standard_normal((2, 2, 4, 2)) + 0j
+    r0 = np.zeros((2, 2, 4, 4), complex)
+    r0[0] = np.eye(4)
+    return a, r0
+
+
+@pytest.mark.parametrize("s2", [0.0, np.zeros(1), np.zeros((1, 2))], ids=["scalar", "G", "GxS"])
+def test_guard_names_a_later_seeds_user_for_any_noise_layout(s2):
+    # mmse-irc fails only at seed 1 (rank 2 in 4 dimensions, no interference): the guard
+    # names its first user whether the noise powers carry the seed axis or not.
+    a, r0 = _later_seed_singular()
+    with pytest.raises(SingularMatrixError, match="^user 3: signal-plus-noise covariance is"):
+        filters("mmse-irc", 1.0, [3, 5], a, r0, s2)
+
+
+def test_guard_reports_the_failing_grid_points_noise_power():
+    # Plain mmse fails only at the second grid point, sigma^2 = 0, at both seeds.
+    a, _ = _later_seed_singular()
+    with pytest.raises(SingularMatrixError, match=r"^user 3: .* and sigma\^2=0 is too small"):
+        filters("mmse", 1.0, [3, 5], a, None, np.array([1e-2, 0.0]))

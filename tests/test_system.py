@@ -41,8 +41,8 @@ class TestScenario:
 
     @pytest.mark.parametrize("power, message", [
         ("1.0", "a real number"), (None, "a real number"), (1 + 0j, "a real number"),
-        (math.nan, "positive"), (-1.0, "positive"),
-    ], ids=["str", "none", "complex", "nan", "negative"])
+        (math.nan, "positive"), (-1.0, "positive"), (True, "a real number"),
+    ], ids=["str", "none", "complex", "nan", "negative", "bool"])
     def test_power_rejected_with_its_message(self, power, message):
         # Not a bare TypeError from math.isfinite for a non-real power.
         with pytest.raises(InvalidInputError, match=f"^total_power must be {message}, got "):
@@ -54,6 +54,11 @@ class TestScenario:
         ({"t": 8.5, "users": ((4, 2),)}, "antenna count t"),
         ({"t": 8, "users": ((4, 2),), "seed": 1.9}, "seed"),
         ({"t": "8", "users": ((4, 2),)}, "antenna count t"),
+        # A bool is not a count: not 1 antenna, 1 layer or seed 0.
+        ({"t": True, "users": ((1, 1),)}, "antenna count t"),
+        ({"t": 8, "users": ((True, 1),)}, "user 0: antenna count q_k"),
+        ({"t": 8, "users": ((4, 2), (4, True))}, "user 1: layer count p_k"),
+        ({"t": 8, "users": ((4, 2),), "seed": False}, "seed"),
     ])
     def test_non_integer_counts_and_seed_rejected(self, kwargs, what):
         # Not truncated to 4x2, t = 8 or seed 1: rejected before any draw.
