@@ -225,64 +225,50 @@ def dump_channels(channels: ChannelSet, path) -> None:
 
     Header line `t q1 p1 q2 p2 ...`, then one line per channel row with t
     whitespace-separated `re im` pairs, users in order. %.17g round-trips
-    float64 exactly.
+    float64 exactly, signed zeros included.
     """
-    scenario = channels.scenario
-    header = [str(scenario.t)]
-    for q, p in scenario.users:
-        header.extend([str(q), str(p)])
-    lines = [" ".join(header)]
-    for h in channels.matrices:
-        for row in h:
-            parts = []
-            for z in row:
-                parts.append(f"{z.real:.17g}")
-                parts.append(f"{z.imag:.17g}")
-            lines.append(" ".join(parts))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    header = " ".join(map(str, [channels.scenario.t, *np.ravel(channels.scenario.users)]))
+    with open(path, "w") as f:  # a path ending in .gz would make savetxt compress
+        np.savetxt(f, np.concatenate(channels.matrices, dtype=np.complex128).view(np.float64),
+                   fmt="%.17g", header=header, comments="")
 
 
-def load_channels(path, total_power: float = 1.0, seed: int = 0) -> ChannelSet:
+def load_channels(path, total_power: float = 1.0) -> ChannelSet:
     """Read a channel fixture written by dump_channels.
 
-    The format stores only shapes and entries; power budget and seed are not
-    recorded and default to (1.0, 0) unless supplied.
+    The format stores only shapes and entries; the power budget is not
+    recorded and defaults to 1.0. Every error names the file, and a row's
+    error its line in the file.
     """
     with open(path) as f:
-        lines = [ln for ln in (raw.strip() for raw in f) if ln]
+        lines = [(n, tokens) for n, line in enumerate(f, 1) if (tokens := line.split())]
     if not lines:
         raise InvalidInputError(f"{path}: empty channel file")
-    header = lines[0].split()
+    (_, header), *body = lines
     if len(header) < 3 or len(header) % 2 == 0:
         raise InvalidInputError(f"{path}: malformed header (need `t q1 p1 ...`)")
     try:
-        t = int(header[0])
-        users = tuple(
-            (int(header[i]), int(header[i + 1])) for i in range(1, len(header), 2)
-        )
+        t, *counts = map(int, header)
     except ValueError as exc:
         raise InvalidInputError(f"{path}: non-integer value in header") from exc
-    scenario = Scenario(t, users, total_power, seed)
-    matrices = []
-    row_idx = 1
-    for k, (q, _) in enumerate(users):
-        rows = []
-        for _ in range(q):
-            if row_idx >= len(lines):
-                raise InvalidInputError(f"{path}: truncated file (user {k})")
-            vals = lines[row_idx].split()
-            row_idx += 1
-            if len(vals) != 2 * t:
-                raise InvalidInputError(
-                    f"{path}: line {row_idx}: expected {2 * t} numbers, got {len(vals)}"
-                )
-            try:
-                nums = np.array([float(v) for v in vals])
-            except ValueError as exc:
-                raise InvalidInputError(f"{path}: line {row_idx}: malformed number") from exc
-            rows.append(nums[0::2] + 1j * nums[1::2])
-        matrices.append(np.array(rows, dtype=np.complex128))
-    if row_idx != len(lines):
+    try:
+        scenario = Scenario(t, tuple(zip(counts[::2], counts[1::2])), total_power)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc
+    owner = (k for k, (q, _) in enumerate(scenario.users) for _ in range(q))  # each row's user
+    rows = []
+    for (n, tokens), k in zip(body, owner):
+        if len(tokens) != 2 * t:
+            raise InvalidInputError(f"{path}: line {n}: expected {2 * t} numbers, got {len(tokens)}")
+        try:
+            rows.append([float(v) for v in tokens])
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: line {n}: malformed number") from exc
+        if not np.isfinite(rows[-1]).all():
+            raise InvalidInputError(f"{path}: line {n}: user {k}: channel has non-finite entries")
+    if (k := next(owner, None)) is not None:
+        raise InvalidInputError(f"{path}: truncated file (user {k})")
+    if len(body) > len(rows):
         raise InvalidInputError(f"{path}: trailing data after channel rows")
-    return ChannelSet(scenario, tuple(matrices))
+    matrices = np.split(np.array(rows).view(np.complex128), np.cumsum(counts[::2])[:-1])
+    return ChannelSet(scenario, matrices)

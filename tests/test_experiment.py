@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import re
 
@@ -660,6 +661,13 @@ class TestCli:
         assert channels.scenario.t == 16
         assert channels.scenario.users == ((4, 2), (4, 2))
         assert all(np.isfinite(h).all() for h in channels.matrices)
+
+    def test_dump_channels_bytes(self, tmp_path):
+        out = tmp_path / "chans.txt"
+        assert cli_main(["dump-channels", str(CONFIG_DIR / "fig3.cfg"), str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "c46ec1fa85515597f2864f1c312cbae49348b4a8d3ca4b1b2420fbaa3235c006"
+        )
 
 
 def test_shipped_configs_cover_figure_scheme_pairs():

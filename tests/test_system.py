@@ -335,16 +335,29 @@ class TestCalibration:
             calibrate_noise(channels, math.inf)
 
 
+def _load_error(tmp_path, text: str) -> str:
+    """The `InvalidInputError` text of loading `text`, with the file's path replaced by `PATH`."""
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(InvalidInputError) as info:
+        load_channels(path)
+    return str(info.value).replace(str(path), "PATH")
+
+
 class TestDumpLoad:
     def test_roundtrip_bitwise(self, tmp_path):
         channels = generate_channels(Scenario(t=6, users=((3, 2), (2, 1)), seed=5))
+        h0 = channels.matrices[0].copy()
+        h0[0, 0] = complex(-0.0, abs(h0[0, 0].imag))  # re + 1j * im with im > 0 would give +0.0
+        channels = ChannelSet(channels.scenario, (h0, channels.matrices[1]))
         path = tmp_path / "channels.txt"
         dump_channels(channels, path)
         back = load_channels(path)
         assert back.scenario.t == 6
         assert back.scenario.users == ((3, 2), (2, 1))
         for ha, hb in zip(channels.matrices, back.matrices):
-            assert np.array_equal(ha, hb)
+            assert hb.dtype == np.complex128
+            assert np.array_equal(ha.view(np.uint64), hb.view(np.uint64))
 
     def test_header_line_format(self, tmp_path):
         channels = generate_channels(Scenario(t=6, users=((3, 2), (2, 1)), seed=5))
@@ -353,17 +366,63 @@ class TestDumpLoad:
         first = path.read_text().splitlines()[0]
         assert first == "6 3 2 2 1"
 
-    def test_truncated_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("4 2 1\n1 0 0 0 0 0 0 0\n")
-        with pytest.raises(InvalidInputError):
-            load_channels(path)
+    def test_written_text(self, tmp_path):
+        h = np.array([[complex(-0.0, 5e-324), complex(0.1, 1e300)]])
+        path = tmp_path / "channels.txt.gz"  # plain text whatever the name
+        dump_channels(ChannelSet(Scenario(t=2, users=((1, 1),)), (h,)), path)
+        assert path.read_text() == (
+            "2 1 1\n-0 4.9406564584124654e-324 0.10000000000000001 1.0000000000000001e+300\n"
+        )
+        dump_channels(ChannelSet(Scenario(t=2, users=((1, 1),)), (np.array([[1.0, -2.5]]),)), path)
+        assert path.read_text() == "2 1 1\n1 0 -2.5 0\n"  # a real matrix gets zero imag parts
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank"])
+    def test_empty_file_rejected(self, tmp_path, text):
+        assert _load_error(tmp_path, text) == "PATH: empty channel file"
+
+    @pytest.mark.parametrize("header", ["2 1", "2 1 1 1"], ids=["short", "even"])
+    def test_malformed_header_rejected(self, tmp_path, header):
+        assert _load_error(tmp_path, header + "\n1 0 0 0\n") == (
+            "PATH: malformed header (need `t q1 p1 ...`)"
+        )
+
+    def test_non_integer_header_rejected(self, tmp_path):
+        assert _load_error(tmp_path, "2.0 1 1\n1 0 0 0\n") == "PATH: non-integer value in header"
+
+    def test_header_rejected_by_scenario_names_the_file(self, tmp_path):
+        assert _load_error(tmp_path, "-2 1 1\n1 0 0 0\n") == (
+            "PATH: antenna count t must be >= 1, got -2"
+        )
+
+    def test_wrong_token_count_rejected(self, tmp_path):
+        assert _load_error(tmp_path, "2 1 1\n1 0 0\n") == "PATH: line 2: expected 4 numbers, got 3"
 
     def test_malformed_number_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("2 2 1\n1 0 x 0\n0 0 1 0\n")
-        with pytest.raises(InvalidInputError):
-            load_channels(path)
+        for token in ("x", "1d5"):
+            assert _load_error(tmp_path, f"2 2 1\n1 0 {token} 0\n0 0 1 0\n") == (
+                "PATH: line 2: malformed number"
+            )
+
+    def test_error_lines_count_blank_lines(self, tmp_path):
+        assert _load_error(tmp_path, "2 1 1\n\n\n1 0 x 0\n") == "PATH: line 4: malformed number"
+        assert _load_error(tmp_path, "2 1 1\n\n1 0 0\n") == (
+            "PATH: line 3: expected 4 numbers, got 3"
+        )
+
+    @pytest.mark.parametrize("token", ["nan", "-inf", "1e400"])
+    def test_non_finite_entry_names_its_line(self, tmp_path, token):
+        assert _load_error(tmp_path, f"2 1 1 1 1\n1 0 0 0\n\n0 {token} 1 0\n") == (
+            "PATH: line 4: user 1: channel has non-finite entries"
+        )
+
+    def test_truncated_rejected(self, tmp_path):
+        assert _load_error(tmp_path, "4 2 1\n1 0 0 0 0 0 0 0\n") == "PATH: truncated file (user 0)"
+        assert _load_error(tmp_path, "2 1 1 1 1\n1 0 0 0\n") == "PATH: truncated file (user 1)"
+
+    def test_trailing_rows_rejected(self, tmp_path):
+        assert _load_error(tmp_path, "2 1 1\n1 0 0 0\n0 0 1 0\n") == (
+            "PATH: trailing data after channel rows"
+        )
 
     def test_full_rank_check_uses_svd(self):
         assert linalg.is_full_rank(generate_channels(DEFAULT).matrices[0])
