@@ -126,6 +126,12 @@ def _scenario_pool(seeds) -> tuple[_ScenarioPool, ...]:
         starmap(zip, zip(*starmap(_ScenarioPool._fields, _chunks(seeds, "ezf"))))))
 
 
+def _verdict(name: str, worst: float, threshold: str) -> CheckResult:
+    """Passes when the worst relative deviation is below `threshold`, the printed bound."""
+    return CheckResult(name, worst < float(threshold),
+                       f"max relative deviation = {worst:.3e} (threshold {threshold})")
+
+
 def _rel_rows(diff: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Relative Frobenius norm of each matrix of a stack."""
     return np.linalg.norm(diff, axis=(-2, -1)) / np.linalg.norm(ref, axis=(-2, -1))
@@ -187,11 +193,7 @@ def necessity_suite(seeds=NECESSITY_SEEDS) -> CheckResult:
 def mmse_irc_noiseless_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
     """Noiseless interference-aware MMSE equals the reference detector."""
     worst = _worst_against_reference(_scenario_pool(seeds), "mmse-irc", 0.0)
-    return CheckResult(
-        "mmse-irc noiseless equality",
-        worst < 1e-7,
-        f"max relative deviation = {worst:.3e} (threshold 1e-7)",
-    )
+    return _verdict("mmse-irc noiseless equality", worst, "1e-7")
 
 
 def mmse_irc_rate_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
@@ -249,21 +251,13 @@ def _worst_against_limit(count: int, detector) -> float:
 def lse_limit_suite(count: int = 100) -> CheckResult:
     """gen-lse at lambda = 1e-8 approaches the whitened least-squares limit."""
     worst = _worst_against_limit(count, lambda a, r: gen_lse(a, r, 1e-8))
-    return CheckResult(
-        "gen-lse limit approach (lambda = 1e-8)",
-        worst < 1e-5,
-        f"max relative deviation = {worst:.3e} (threshold 1e-5)",
-    )
+    return _verdict("gen-lse limit approach (lambda = 1e-8)", worst, "1e-5")
 
 
 def qr_factor_identity_suite(count: int = 100) -> CheckResult:
     """QR-detector linear part equals the whitened least-squares limit."""
     worst = _worst_against_limit(count, qr_mld_linear)
-    return CheckResult(
-        "qr-mld linear part identity",
-        worst < 1e-9,
-        f"max relative deviation = {worst:.3e} (threshold 1e-9)",
-    )
+    return _verdict("qr-mld linear part identity", worst, "1e-9")
 
 
 def _rotation_seed_matrix(seed: int) -> np.ndarray:
@@ -279,21 +273,13 @@ def whitener_invariance_suite(count: int = 100) -> CheckResult:
     g_default = qr_mld_parts(a, r)[3]
     g_rotated = qr_mld_parts(a, r, whitener=linalg.cholesky(r) @ u)[3]
     worst = float(_rel_rows(g_rotated - g_default, g_default).max())
-    return CheckResult(
-        "qr-mld whitener-rotation invariance",
-        worst < 1e-9,
-        f"max relative deviation = {worst:.3e} (threshold 1e-9)",
-    )
+    return _verdict("qr-mld whitener-rotation invariance", worst, "1e-9")
 
 
 def qr_mld_limit_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
     """Small external noise: the QR detector approaches the reference."""
     worst = _worst_against_reference(_scenario_pool(seeds), "qr-mld", QR_MLD_LIMIT_SIGMA)
-    return CheckResult(
-        f"qr-mld limit at sigma = {QR_MLD_LIMIT_SIGMA:g}",
-        worst < 1e-6,
-        f"max relative deviation = {worst:.3e} (threshold 1e-6)",
-    )
+    return _verdict(f"qr-mld limit at sigma = {QR_MLD_LIMIT_SIGMA:g}", worst, "1e-6")
 
 
 ALL_SUITES = (

@@ -6,7 +6,6 @@ and order-free. Noise is calibrated so the mean per-layer single-user SINR
 hits a requested dB target.
 """
 
-import dataclasses
 import math
 import numbers
 import operator
@@ -19,7 +18,6 @@ import numpy as np
 from . import linalg
 from .errors import ChannelGenerationError, InvalidInputError
 
-_GENERATION_RETRIES = 3
 # Seeds drawn as one stack by the sweep and the check pool: bounds the arrays held at once.
 SEED_CHUNK = 10
 
@@ -136,46 +134,35 @@ def _decomposed(stacks) -> tuple:
     return tuple((users, h, *linalg.svd_reduced(h)[:2]) for users, h in stacks)
 
 
-def _user_rng(seed: int, user: int, attempt: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(user, attempt))
-    return np.random.Generator(np.random.Philox(ss))
-
-
-def _draw_user(scenario: Scenario, k: int, attempt: int) -> np.ndarray:
-    """User k's q_k x t channel from its (seed, k, attempt) substream, real parts first."""
-    z = _user_rng(scenario.seed, k, attempt).standard_normal((2, scenario.users[k][0], scenario.t))
+def _draw_user(seed: int, k: int, shape: tuple[int, int]) -> np.ndarray:
+    """User k's q_k x t channel (`shape`) from its (seed, k, 0) substream, real parts first."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(k, 0))))
+    z = rng.standard_normal((2, *shape))
     return (z[0] + 1j * z[1]) / np.sqrt(2.0)
 
 
 def generate_groups(scenario: Scenario, seeds) -> tuple:
     """`ChannelSet.groups` of the scenario at each of `seeds`, with a leading seed axis.
 
-    User k at seed s comes from its (s, k, attempt) substream. One SVD per
-    shape group covers every user of every seed and gives the rank check;
-    only failing (seed, user) pairs are redrawn, from the next attempt
-    (practically unreachable). An error names the lowest failing seed, then user.
+    User k at seed s is drawn once, from its (s, k, 0) substream. One SVD per
+    shape group covers every user of every seed and gives the rank check; a
+    rank-deficient draw (practically unreachable) raises `ChannelGenerationError`
+    naming the lowest failing seed, then user.
     """
     seeds = tuple(seeds)
-    at_seed = [dataclasses.replace(scenario, seed=s) for s in seeds]
     # A group's users of all seeds on one axis, seed-major.
-    draws = [(np.array(users), np.stack([_draw_user(sc, k, 0) for sc in at_seed for k in users]))
-             for users in shape_groups(scenario.users)]
-    failed = []
-    for attempt in range(_GENERATION_RETRIES + 1):
-        for sc, k, h, i in failed:
-            h[i] = _draw_user(sc, k, attempt)
-        groups = _decomposed(draws)
-        failed = [(at_seed[i // len(users)], int(users[i % len(users)]), h, i)
-                  for users, h, _, s in groups
-                  for i in np.flatnonzero(linalg.rank(s) < s.shape[-1])]
-        if not failed:
-            return tuple((users, *(a.reshape(len(seeds), len(users), *a.shape[1:]) for a in arrays))
-                         for users, *arrays in groups)
-    seed, k = min((sc.seed, k) for sc, k, _, _ in failed)
-    where = f"seed {seed}, " if len(seeds) > 1 else ""
-    raise ChannelGenerationError(
-        f"{where}user {k}: no full-rank channel after {_GENERATION_RETRIES + 1} draws"
-    )
+    groups = _decomposed(
+        (np.array(users), np.stack([_draw_user(s, k, (scenario.users[k][0], scenario.t))
+                                    for s in seeds for k in users]))
+        for users in shape_groups(scenario.users))
+    failed = [(seeds[i // len(users)], int(users[i % len(users)]))
+              for users, _, _, s in groups for i in np.flatnonzero(linalg.rank(s) < s.shape[-1])]
+    if failed:
+        seed, k = min(failed)
+        where = f"seed {seed}, " if len(seeds) > 1 else ""
+        raise ChannelGenerationError(f"{where}user {k}: drawn channel is rank deficient")
+    return tuple((users, *(a.reshape(len(seeds), len(users), *a.shape[1:]) for a in arrays))
+                 for users, *arrays in groups)
 
 
 def generate_channels(scenario: Scenario) -> ChannelSet:
@@ -240,8 +227,11 @@ def load_channels(path, total_power: float = 1.0) -> ChannelSet:
     recorded and defaults to 1.0. Every error names the file, and a row's
     error its line in the file.
     """
-    with open(path) as f:
-        lines = [(n, tokens) for n, line in enumerate(f, 1) if (tokens := line.split())]
+    try:
+        with open(path) as f:
+            lines = [(n, tokens) for n, line in enumerate(f, 1) if (tokens := line.split())]
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not a text channel file") from exc
     if not lines:
         raise InvalidInputError(f"{path}: empty channel file")
     (_, header), *body = lines

@@ -73,13 +73,13 @@ def test_scenarios_built_once_per_run_and_not_kept(monkeypatch):
     draws = []
     real = system._draw_user
 
-    def counting(scenario, k, attempt):
-        draws.append((scenario.seed, k, attempt))
-        return real(scenario, k, attempt)
+    def counting(seed, k, shape):
+        draws.append((seed, k))
+        return real(seed, k, shape)
 
     monkeypatch.setattr(system, "_draw_user", counting)
     # Each default seed's users are drawn once: the necessity suite reads the pooled draws.
-    once = sorted((seed, k, 0) for seed in checks.DEFAULT_SCENARIO_SEEDS for k in range(8))
+    once = sorted((seed, k) for seed in checks.DEFAULT_SCENARIO_SEEDS for k in range(8))
     first = checks.run_all_checks()
     assert sorted(draws) == once
     assert checks._RUN_POOLS.get() is None

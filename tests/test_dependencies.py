@@ -1,11 +1,13 @@
 """The test suite's third-party imports are declared in pyproject.toml, and the
-library's modules carry no dead imports or private names.
+library's modules carry no dead imports, private names or parameters.
 
 An environment built from `pip install .[test]` must be able to collect every
 test module: each package a test imports is named in `dependencies` or in the
 `test` extra. In `src/mimosim`, what a deletion leaves behind fails here: an
-import the module no longer uses, or a private module-level name nothing in it
-references. `__init__.py` is skipped, as its imports are the public API.
+import the module no longer uses, a private module-level name nothing in it
+references, or a function parameter, `self` aside, that the function's body
+never reads. The import check skips `__init__.py`, as its imports are the
+public API.
 """
 
 import ast
@@ -75,3 +77,30 @@ def test_every_library_import_and_private_name_is_used():
     modules = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
     assert len(modules) >= 8
     assert [name for path in modules for name in _unused_names(path)] == []
+
+
+def _unread_parameters(path: Path) -> list[str]:
+    """Parameters, `self` aside, that their function's body never loads.
+
+    The argparse handlers `_cmd_*` of cli.py all take `args`, read or not.
+    """
+    unread = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        loaded = {n.id for stmt in body for n in ast.walk(stmt)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        handler = path.name == "cli.py" and name.startswith("_cmd_")
+        unread += [f"{path.name}: {name}({param})" for param in params
+                   if param not in loaded and param != "self" and not (handler and param == "args")]
+    return unread
+
+
+def test_every_library_parameter_is_read():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 9
+    assert [entry for path in modules for entry in _unread_parameters(path)] == []

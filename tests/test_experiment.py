@@ -486,24 +486,24 @@ class TestFailingSweepPointInAChunk(TestFailingSweepPoint):
 
 
 def test_generation_failure_names_the_trial_not_the_chunk(monkeypatch):
-    # Trial 13's user 2 is rank deficient on every draw; trial 13 sits in the
+    # Trial 13's user 2 is drawn rank deficient; trial 13 sits in the
     # second chunk, whose own error would name a seed.
     cfg = dataclasses.replace(parse_config(SMALL), users=((4, 2),) * 3, trials=20)
     bad_seed = trial_seed(cfg.base_seed, 13)
     original = system._draw_user
 
-    def draw(scenario, k, attempt):
-        h = original(scenario, k, attempt)
-        if scenario.seed == bad_seed and k == 2:
+    def draw(seed, k, shape):
+        h = original(seed, k, shape)
+        if seed == bad_seed and k == 2:
             h[1] = h[0]
         return h
 
     monkeypatch.setattr(system, "_draw_user", draw)
     with pytest.raises(ChannelGenerationError) as info:
         run_sweep(cfg)
-    assert str(info.value) == "trial 13: user 2: no full-rank channel after 4 draws"
+    assert str(info.value) == "trial 13: user 2: drawn channel is rank deficient"
     assert type(info.value.__cause__) is ChannelGenerationError
-    assert str(info.value.__cause__) == "user 2: no full-rank channel after 4 draws"
+    assert str(info.value.__cause__) == "user 2: drawn channel is rank deficient"
 
 
 class TestHighSnrEdge:

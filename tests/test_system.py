@@ -1,4 +1,6 @@
 import dataclasses
+import gzip
+import hashlib
 import math
 
 import numpy as np
@@ -174,58 +176,31 @@ class TestSharedDecomposition:
         np.testing.assert_allclose(gains, expected, rtol=1e-13)
 
 
-def _two_call_draw(seed, k, attempt, shape=(4, 64)):
+def _two_call_draw(seed, k, shape=(4, 64)):
     """User k's channel drawn as real parts, then imaginary parts, from its substream."""
-    rng = system._user_rng(seed, k, attempt)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(k, 0))))
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-class TestRedraw:
-    USER = 3
+class TestDraw:
     MIXED = TestSharedDecomposition.MIXED
     SEEDS = (7, 5, 6)
 
-    def _patched_draw(self, monkeypatch, deficient_attempts, pairs=None):
-        """Record every draw as (seed, user, attempt); the draws of the (seed, user)
-        `pairs` (default: user USER at any seed) at `deficient_attempts` repeat a row."""
-        calls = []
-        draw = system._draw_user
-
-        def patched(scenario, k, attempt):
-            calls.append((scenario.seed, k, attempt))
-            h = draw(scenario, k, attempt)
-            chosen = (scenario.seed, k) in pairs if pairs else k == self.USER
-            if chosen and attempt in deficient_attempts:
-                h[1] = h[0]
-            return h
-
-        monkeypatch.setattr(system, "_draw_user", patched)
-        return calls
+    @pytest.mark.parametrize("scenario, seeds, digest", [
+        (Scenario(64, ((4, 2),) * 4 + ((2, 1),) * 4 + ((8, 4),) * 2), (7, 5, 6),
+         "cedbc455c4817821cd65baedd098415e1fd103c74df9045e0c691616c08fcd65"),
+        (Scenario(64, ((4, 2),) * 8), range(1, 11),
+         "99e524cc97e0d486c26ed8643d38b37b360dd5756f36dcc785d5d9e6d678cd33"),
+    ])
+    def test_draw_bytes_are_pinned(self, scenario, seeds, digest):
+        sha = hashlib.sha256()
+        for _, h, _, _ in system.generate_groups(scenario, seeds):
+            sha.update(h.tobytes())
+        assert sha.hexdigest() == digest
 
     def test_draw_is_the_users_substream(self):
         for k, h in enumerate(generate_channels(DEFAULT).matrices):
-            assert np.array_equal(h, _two_call_draw(DEFAULT.seed, k, 0))
-
-    def test_only_the_deficient_user_is_redrawn(self, monkeypatch):
-        normal = generate_channels(DEFAULT)
-        calls = self._patched_draw(monkeypatch, {0})
-        channels = generate_channels(DEFAULT)
-        assert calls == [(DEFAULT.seed, k, 0) for k in range(8)] + [(DEFAULT.seed, self.USER, 1)]
-        for k in range(8):
-            if k != self.USER:
-                assert np.array_equal(channels.matrices[k], normal.matrices[k])
-        redrawn = _two_call_draw(DEFAULT.seed, self.USER, 1)
-        assert np.array_equal(channels.matrices[self.USER], redrawn)
-        assert linalg.is_full_rank(channels.matrices[self.USER])
-
-    def test_gives_up_naming_the_user(self, monkeypatch):
-        attempts = range(system._GENERATION_RETRIES + 1)
-        calls = self._patched_draw(monkeypatch, set(attempts))
-        message = rf"^user {self.USER}: no full-rank channel after {len(attempts)} draws$"
-        with pytest.raises(ChannelGenerationError, match=message):
-            generate_channels(DEFAULT)
-        assert [a for _, k, a in calls if k == self.USER] == list(attempts)
-        assert [k for _, k, _ in calls].count(0) == 1
+            assert np.array_equal(h, _two_call_draw(DEFAULT.seed, k))
 
     def _per_seed(self):
         return [generate_channels(dataclasses.replace(self.MIXED, seed=s)) for s in self.SEEDS]
@@ -246,28 +221,30 @@ class TestRedraw:
         groups = system.generate_groups(self.MIXED, self.SEEDS)
         self._assert_equals_per_seed(groups, self._per_seed())
 
-    def test_seed_stack_redraws_only_the_deficient_pair(self, monkeypatch):
-        pair = {(5, self.USER)}
-        calls = self._patched_draw(monkeypatch, {0}, pair)
-        groups = system.generate_groups(self.MIXED, self.SEEDS)
-        users = range(self.MIXED.num_users)
-        assert sorted(calls) == sorted([(seed, k, 0) for seed in self.SEEDS for k in users]
-                                       + [(5, self.USER, 1)])
-        redrawn = groups[0][1][self.SEEDS.index(5), 1]  # user 3 is the second 4x2 user
-        assert np.array_equal(redrawn, _two_call_draw(5, self.USER, 1))
-        calls.clear()
-        self._assert_equals_per_seed(groups, self._per_seed())
-        assert [c for c in calls if c[2]] == [(5, self.USER, 1)]
+    def test_rank_deficient_draw_raises_naming_the_lowest_seed_then_user(self, monkeypatch):
+        # The draws of these (seed, user) pairs repeat a row; every pair is drawn once.
+        deficient = {(7, 1), (6, 4), (6, 2), (5, 3)}
+        calls = []
+        draw = system._draw_user
 
-    def test_seed_stack_gives_up_naming_the_lowest_seed_then_user(self, monkeypatch):
-        attempts = set(range(system._GENERATION_RETRIES + 1))
-        self._patched_draw(monkeypatch, attempts, {(7, 1), (6, 4), (6, 2), (5, self.USER)})
-        message = rf"^seed 5, user {self.USER}: no full-rank channel after {len(attempts)} draws$"
-        with pytest.raises(ChannelGenerationError, match=message):
+        def patched(seed, k, shape):
+            calls.append((seed, k))
+            h = draw(seed, k, shape)
+            if (seed, k) in deficient:
+                h[1] = h[0]
+            return h
+
+        monkeypatch.setattr(system, "_draw_user", patched)
+        users = range(self.MIXED.num_users)
+        with pytest.raises(ChannelGenerationError) as info:
             system.generate_groups(self.MIXED, self.SEEDS)
-        message = rf"^user 2: no full-rank channel after {len(attempts)} draws$"
-        with pytest.raises(ChannelGenerationError, match=message):
-            system.generate_groups(self.MIXED, (6,))
+        assert str(info.value) == "seed 5, user 3: drawn channel is rank deficient"
+        assert sorted(calls) == sorted((seed, k) for seed in self.SEEDS for k in users)
+        calls.clear()
+        with pytest.raises(ChannelGenerationError) as info:
+            generate_channels(dataclasses.replace(self.MIXED, seed=6))
+        assert str(info.value) == "user 2: drawn channel is rank deficient"
+        assert sorted(calls) == [(6, k) for k in users]
 
 
 class TestCalibration:
@@ -423,6 +400,16 @@ class TestDumpLoad:
         assert _load_error(tmp_path, "2 1 1\n1 0 0 0\n0 0 1 0\n") == (
             "PATH: trailing data after channel rows"
         )
+
+    def test_gzipped_dump_rejected(self, tmp_path):
+        dumped = tmp_path / "channels.txt"
+        dump_channels(generate_channels(Scenario(t=2, users=((1, 1),))), dumped)
+        path = tmp_path / "channels.txt.gz"
+        path.write_bytes(gzip.compress(dumped.read_bytes()))
+        with pytest.raises(InvalidInputError) as info:
+            load_channels(path)
+        assert str(info.value) == f"{path}: not a text channel file"
+        assert type(info.value.__cause__) is UnicodeDecodeError
 
     def test_full_rank_check_uses_svd(self):
         assert linalg.is_full_rank(generate_channels(DEFAULT).matrices[0])
