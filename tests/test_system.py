@@ -221,9 +221,15 @@ class TestDraw:
         groups = system.generate_groups(self.MIXED, self.SEEDS)
         self._assert_equals_per_seed(groups, self._per_seed())
 
-    def test_rank_deficient_draw_raises_naming_the_lowest_seed_then_user(self, monkeypatch):
-        # The draws of these (seed, user) pairs repeat a row; every pair is drawn once.
-        deficient = {(7, 1), (6, 4), (6, 2), (5, 3)}
+
+class TestRedraw:
+    """A rank-deficient draw is not redrawn: generation gives up at once, naming the pair."""
+    MIXED = TestDraw.MIXED
+    SEEDS = TestDraw.SEEDS
+
+    @staticmethod
+    def _patched_draw(monkeypatch, deficient):
+        """Make the draws of the `deficient` (seed, user) pairs repeat a row; log every draw."""
         calls = []
         draw = system._draw_user
 
@@ -235,16 +241,21 @@ class TestDraw:
             return h
 
         monkeypatch.setattr(system, "_draw_user", patched)
-        users = range(self.MIXED.num_users)
-        with pytest.raises(ChannelGenerationError) as info:
-            system.generate_groups(self.MIXED, self.SEEDS)
-        assert str(info.value) == "seed 5, user 3: drawn channel is rank deficient"
-        assert sorted(calls) == sorted((seed, k) for seed in self.SEEDS for k in users)
-        calls.clear()
-        with pytest.raises(ChannelGenerationError) as info:
+        return calls
+
+    def test_gives_up_naming_the_user(self, monkeypatch):
+        calls = self._patched_draw(monkeypatch, {(6, 2), (6, 4)})
+        with pytest.raises(ChannelGenerationError, match=r"^user 2: drawn channel is rank deficient$"):
             generate_channels(dataclasses.replace(self.MIXED, seed=6))
-        assert str(info.value) == "user 2: drawn channel is rank deficient"
-        assert sorted(calls) == [(6, k) for k in users]
+        assert sorted(calls) == [(6, k) for k in range(self.MIXED.num_users)]
+
+    def test_seed_stack_gives_up_naming_the_lowest_seed_then_user(self, monkeypatch):
+        calls = self._patched_draw(monkeypatch, {(7, 1), (6, 4), (6, 2), (5, 3)})
+        message = r"^seed 5, user 3: drawn channel is rank deficient$"
+        with pytest.raises(ChannelGenerationError, match=message):
+            system.generate_groups(self.MIXED, self.SEEDS)
+        users = range(self.MIXED.num_users)
+        assert sorted(calls) == sorted((seed, k) for seed in self.SEEDS for k in users)
 
 
 class TestCalibration:
