@@ -9,7 +9,7 @@ seeds are derived up front and every row accumulates in fixed trial order.
 import math
 import numbers
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -235,8 +235,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
 
     Trials share their derived seeds across grid points and scheme pairs.
     They go SEED_CHUNK at a time through `_reports` and are summed in trial
-    order; a chunk that raises is replayed trial by trial, and the first
-    trial that fails names the error.
+    order. A chunk that raises is rerun as the per-point sweep: one `_reports`
+    per (trial, grid point) in sweep order, and the first that raises names the error.
     """
     sums = {}  # per pair: the (mu_se, su_se, ratio, leak) x grid point sums
     for start in range(0, config.trials, SEED_CHUNK):
@@ -244,8 +244,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         try:
             reports = _reports(config, trials)
         except MimoSimError:
-            for trial in trials:
-                _reports(config, range(trial, trial + 1))
+            for trial, db in product(trials, config.su_sinr_grid_db):
+                _reports(replace(config, su_sinr_grid_db=(db,)), range(trial, trial + 1))
             raise
         for key, report in reports.items():
             for values in np.moveaxis(report, -1, 0):
@@ -263,10 +263,11 @@ def _reports(config: SweepConfig, trials: range) -> dict:
 
     One draw of the trials' seeds gives the noise levels and SU SEs that all
     pairs share; each precoder's user stacks are built before one `mu_report` per
-    pair. A report that raises is replayed point by point, in (grid point, detector,
-    precoder) order. Errors name trial `trials[0]`; `run_sweep` reads them at one trial.
+    pair, in (detector, precoder) order. Errors name trial `trials[0]` and every
+    grid point of the call; `run_sweep` reads them at one trial and one point.
     """
     grid, where = config.su_sinr_grid_db, f"trial {trials[0]}"
+    points = ",".join(f"{db:g}" for db in grid)
     # A scheme listed twice is computed once and its rows repeated.
     precoders, detectors = dict.fromkeys(config.precoders), dict.fromkeys(config.detectors)
     scenario = Scenario(config.t, config.users, config.total_power, config.base_seed)
@@ -276,20 +277,15 @@ def _reports(config: SweepConfig, trials: range) -> dict:
     sigma = np.array([[noise_for_target(power, db) for power in np.mean(gains, axis=-1)]
                       for db in grid])
     su_se = su_spectral_efficiency(gains, sigma)
-    stacks = {}
+    stacks, reports = {}, {}
     for name in precoders:
         with _sweep_point(f"precoder {name}, {where}"):
             w = precode(groups, scenario, name)[0]
             stacks[name] = user_stacks(groups, scenario.layer_counts, w)
-    try:
-        return {(name, detector): np.array(mu_report(stacks[name], detector, sigma, su_se))
-                for name in precoders for detector in detectors}
-    except MimoSimError:
-        for (i, db), detector, name in product(enumerate(grid), detectors, precoders):
-            point = f"precoder {name}, detector {detector}, su_sinr_db {db:g}, {where}"
-            with _sweep_point(point):
-                mu_report(stacks[name], detector, sigma[i:i + 1], su_se[i:i + 1])
-        raise
+    for detector, name in product(detectors, precoders):
+        with _sweep_point(f"precoder {name}, detector {detector}, su_sinr_db {points}, {where}"):
+            reports[name, detector] = np.array(mu_report(stacks[name], detector, sigma, su_se))
+    return reports
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:
