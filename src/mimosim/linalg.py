@@ -124,7 +124,10 @@ def is_full_rank(m):
 def eigh(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs (e ascending, U) of the Hermitian part of each matrix in a stack."""
     a = np.asarray(m, dtype=np.complex128)
-    return np.linalg.eigh(0.5 * (a + herm(a)))
+    try:
+        return np.linalg.eigh(0.5 * (a + herm(a)))
+    except np.linalg.LinAlgError as exc:  # e.g. a NaN or inf entry
+        raise DecompositionError("eigendecomposition did not converge") from exc
 
 
 def shifted_condition(e: np.ndarray, shift: float = 0.0) -> np.ndarray:

@@ -79,11 +79,11 @@ def sinr_per_layer(link: np.ndarray, start, g: np.ndarray, sigma) -> np.ndarray:
 
 
 def spectral_efficiency(sinrs):
-    """Shannon sum over layers (the last axis), sum log2(1 + sinr_i), in bits/s/Hz."""
+    """Shannon sum over layers (the last axis), sum log2(1 + sinr_i) by log1p, in bits/s/Hz."""
     sinrs = np.asarray(sinrs, dtype=float)
     if not np.all(sinrs >= 0):
         raise InvalidInputError("SINR values must be >= 0 and not NaN")
-    return np.sum(np.log2(1.0 + sinrs), axis=-1)
+    return np.sum(np.log1p(sinrs), axis=-1) / np.log(2.0)
 
 
 def parse_detector_scheme(name: str) -> tuple[str, float]:

@@ -193,7 +193,7 @@ def noise_for_target(su_layer_power: float, su_sinr_db: float) -> float:
     if not math.isfinite(su_sinr_db):
         raise InvalidInputError(f"su_sinr_db must be finite, got {su_sinr_db}")
     try:
-        sigma2 = su_layer_power / 10.0 ** (su_sinr_db / 10.0)
+        sigma2 = float(su_layer_power) / 10.0 ** (su_sinr_db / 10.0)
     except (OverflowError, ZeroDivisionError):  # 10^(dB/10) overflows, or underflows to 0
         sigma2 = math.inf
     if sigma2 == math.inf:

@@ -18,6 +18,7 @@ from mimosim.detection import (
     split_columns,
 )
 from mimosim.errors import (
+    DecompositionError,
     DimensionMismatchError,
     InvalidInputError,
     NeedsExternalNoiseError,
@@ -167,6 +168,10 @@ class TestMmseIrc:
     def test_diagonal_two_by_one(self):
         g = mmse_irc(np.array([[1.0], [0.0]])[np.newaxis], np.eye(2)[np.newaxis])
         np.testing.assert_allclose(g[0], [[0.5, 0.0]], atol=1e-12)
+
+    def test_nan_covariance_is_a_decomposition_error(self):
+        with pytest.raises(DecompositionError, match="eigendecomposition did not converge"):
+            mmse_irc(np.ones((1, 4, 2)), np.full((1, 4, 4), np.nan))
 
     def test_identity_zero_noise(self):
         g = mmse_irc(np.eye(3)[np.newaxis], np.zeros((1, 3, 3)))

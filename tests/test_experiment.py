@@ -12,6 +12,7 @@ from mimosim.cli import main as cli_main
 from mimosim.errors import (
     ChannelGenerationError,
     ConfigError,
+    DecompositionError,
     NeedsExternalNoiseError,
     SingularMatrixError,
 )
@@ -504,6 +505,51 @@ def test_generation_failure_names_the_trial_not_the_chunk(monkeypatch):
     assert str(info.value) == "trial 13: user 2: drawn channel is rank deficient"
     assert type(info.value.__cause__) is ChannelGenerationError
     assert str(info.value.__cause__) == "user 2: drawn channel is rank deficient"
+
+
+# A non-convergent eigendecomposition: at power 1e-300 and 125 dB the shifted
+# solve before lse-limit's normal matrix overflows to inf/NaN. The overflow
+# warnings of that solve are still emitted, hence the filter.
+NON_CONVERGENT = """
+t = 8
+users = 4x4
+power = 1e-300
+grid = 125:125:1
+precoders = mrt
+detectors = lse-limit
+trials = 1
+seed = 64
+"""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_convergent_eigh_names_the_sweep_point(tmp_path, capsys):
+    with pytest.raises(DecompositionError) as info:
+        run_sweep(parse_config(NON_CONVERGENT))
+    assert str(info.value) == (
+        "precoder mrt, detector lse-limit, su_sinr_db 125, trial 0: "
+        "eigendecomposition did not converge"
+    )
+    assert type(info.value.__cause__) is DecompositionError
+    assert type(info.value.__cause__.__cause__) is np.linalg.LinAlgError
+    path = tmp_path / "cfg.txt"
+    path.write_text(NON_CONVERGENT + f"output = {tmp_path / 'out.csv'}\n")
+    assert cli_main(["run", str(path)]) == 2
+    assert "numerical failure: precoder mrt, detector lse-limit" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_low_sinr_keeps_the_mu_su_ratio():
+    # Far below 0 dB each layer's SINR is tiny; log2(1 + sinr) rounded it to
+    # 0 bits (ratio inf) at -170 and -160 dB and skewed the ratio above that.
+    cfg = dataclasses.replace(
+        parse_config(MINIMAL), su_sinr_grid_db=tuple(float(db) for db in range(-170, -99, 10)),
+        trials=2, base_seed=1,
+    )
+    rows = run_sweep(cfg)
+    assert all(r.mu_se_mean > 0 for r in rows)
+    ratios = [r.ratio_mean for r in rows]
+    np.testing.assert_allclose(ratios, ratios[-1], rtol=1e-9)
 
 
 class TestHighSnrEdge:

@@ -117,6 +117,14 @@ class TestCholesky:
             linalg.cholesky(np.zeros((2, 2)))
 
 
+class TestEigh:
+    def test_non_finite_input_raises_decomposition_error(self):
+        m = np.full((2, 3, 3), np.nan)
+        with pytest.raises(DecompositionError, match="did not converge") as info:
+            linalg.eigh(m)
+        assert type(info.value.__cause__) is np.linalg.LinAlgError
+
+
 class TestPinv:
     def test_identity(self):
         np.testing.assert_allclose(linalg.pinv(np.eye(3)), np.eye(3), atol=1e-14)

@@ -145,6 +145,10 @@ class TestSpectralEfficiency:
     def test_powers_of_two(self):
         assert spectral_efficiency([3.0, 15.0]) == pytest.approx(6.0)
 
+    def test_tiny_sinr_keeps_its_bits(self):
+        # 1 + 1e-20 rounds to 1, so log2(1 + sinr) would read 0 bits.
+        assert spectral_efficiency([1e-20]) == pytest.approx(1e-20 / np.log(2.0), abs=0.0)
+
     def test_negative_rejected(self):
         # NaN too, as a ValueError the CLI reports as a numerical failure.
         for sinrs in ([-0.5], [np.nan, 1.0]):

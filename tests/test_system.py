@@ -2,6 +2,7 @@ import dataclasses
 import gzip
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -316,6 +317,13 @@ class TestCalibration:
         # 10^310 overflows, 1 / 10^-310 is inf and 10^-330 is 0.
         with pytest.raises(InvalidInputError, match="out of float range"):
             noise_for_target(1.0, db)
+
+    def test_overflowing_noise_raises_without_a_warning(self):
+        # The numpy-float mean SU power of a sweep once warned on the division first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="out of float range"):
+                noise_for_target(np.float64(1e300), -300.0)
 
     def test_non_finite_target_rejected(self):
         channels = generate_channels(DEFAULT)
