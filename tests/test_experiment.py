@@ -540,8 +540,8 @@ def test_non_convergent_eigh_names_the_sweep_point(tmp_path, capsys):
 
 
 def test_low_sinr_keeps_the_mu_su_ratio():
-    # Far below 0 dB each layer's SINR is tiny; log2(1 + sinr) rounded it to
-    # 0 bits (ratio inf) at -170 and -160 dB and skewed the ratio above that.
+    # Far below 0 dB a layer's SINR nears or passes under the float epsilon,
+    # where log2(1 + sinr) rounds toward 0 bits; the MU/SU ratio must not move.
     cfg = dataclasses.replace(
         parse_config(MINIMAL), su_sinr_grid_db=tuple(float(db) for db in range(-170, -99, 10)),
         trials=2, base_seed=1,

@@ -319,7 +319,7 @@ class TestCalibration:
             noise_for_target(1.0, db)
 
     def test_overflowing_noise_raises_without_a_warning(self):
-        # The numpy-float mean SU power of a sweep once warned on the division first.
+        # A sweep passes its mean SU power as a numpy float; the division must not warn.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match="out of float range"):
