@@ -72,17 +72,14 @@ class UserStack:
 
 def split_columns(x: np.ndarray, starts, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Each user's own columns start:start + p of its row block (m x P) over the stacked
-    W = [W_1 ... W_K] in x, and a copy of x, broadcast alike, with them set to +0.0.
+    W = [W_1 ... W_K] in x, and a copy of x with them set to +0.0.
 
     `starts` holds one first own column per block of the axes before x's last two (a
-    scalar for one block); leading (seed, grid) axes and singleton axes of x broadcast.
+    scalar for one block); leading (seed, grid) axes of x broadcast.
     """
-    cols = np.asarray(starts)[..., np.newaxis, np.newaxis] + np.arange(p)
-    cols = cols.reshape((1,) * (x.ndim - cols.ndim) + cols.shape)
-    own = np.take_along_axis(x, cols, axis=-1)
-    cross = np.broadcast_to(x, own.shape[:-1] + x.shape[-1:]).copy()
-    np.put_along_axis(cross, cols, 0.0, axis=-1)
-    return own, cross
+    cols = np.arange(x.shape[-1]) - np.asarray(starts)[..., np.newaxis, np.newaxis]
+    own = np.broadcast_to((cols >= 0) & (cols < p), x.shape)
+    return x[own].reshape(x.shape[:-1] + (p,)), np.where(own, 0.0, x)
 
 
 def build_covariance(channels: ChannelSet, w: np.ndarray) -> tuple[UserStack, ...]:
