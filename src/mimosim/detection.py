@@ -218,8 +218,13 @@ def qr_mld_parts(
     a guard error, the first failing user of the first failing grid point.
     """
     a = linalg.as_cmatrix(a, "effective link")
+    r = linalg.as_cmatrix(r, "covariance")
+    if r.shape[-2:] != (a.shape[-2],) * 2:
+        raise DimensionMismatchError(
+            f"covariance of shape {r.shape[-2:]} does not match q_k={a.shape[-2]}"
+        )
     # Explicit, as numpy < 2 reads a b one axis short of the stack as vectors.
-    a = np.broadcast_to(a, np.shape(r)[:-2] + a.shape[-2:])
+    a = np.broadcast_to(a, r.shape[:-2] + a.shape[-2:])
     bad = ~(linalg.shifted_condition(np.linalg.eigvalsh(r)) < linalg.CONDITION_LIMIT)
     if bad.any():
         who = f"user {users[int(np.argmax(bad)) % len(users)]}: " if users is not None else ""
@@ -235,8 +240,11 @@ def qr_mld_parts(
             ) from exc
     else:
         whitener = linalg.as_cmatrix(whitener, "whitener")
-    white_a = np.linalg.solve(whitener, a)
-    white_inv = np.linalg.inv(whitener)
+    try:
+        white_a = np.linalg.solve(whitener, a)
+        white_inv = np.linalg.inv(whitener)
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError("whitener is not invertible") from exc
     q, t = linalg.qr(white_a)
     g = np.linalg.solve(t, herm(q) @ white_inv)
     return whitener, q, t, g

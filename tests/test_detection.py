@@ -337,6 +337,20 @@ class TestQrMldLinear:
         _, _, _, g1 = qr_mld_parts(a, r, whitener=l @ u)
         assert np.linalg.norm(g1 - g0) < 1e-9 * np.linalg.norm(g0)
 
+    def test_nan_covariance_is_invalid_input(self):
+        with pytest.raises(InvalidInputError, match="^covariance contains non-finite entries$"):
+            qr_mld_parts(np.ones((1, 4, 2)), np.full((1, 4, 4), np.nan))
+
+    @pytest.mark.parametrize("shape", [(1, 4, 3), (1, 3, 3)])
+    def test_covariance_must_be_q_by_q(self, shape):
+        with pytest.raises(DimensionMismatchError,
+                           match=rf"^covariance of shape \({shape[1]}, 3\) does not match q_k=4$"):
+            qr_mld_parts(np.ones((1, 4, 2)), np.ones(shape))
+
+    def test_singular_whitener_is_a_decomposition_error(self):
+        with pytest.raises(DecompositionError, match="^whitener is not invertible$"):
+            qr_mld_parts(np.eye(4)[:, :2], np.eye(4), whitener=np.zeros((4, 4)))
+
 
 class TestQrMldDetect:
     def test_identity_link_exact(self):

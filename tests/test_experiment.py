@@ -154,6 +154,20 @@ def test_chunked_rows_equal_the_per_trial_reports(name, trials):
                                    err_msg=f"{row.precoder}/{row.detector} at {row.su_sinr_db}")
 
 
+@pytest.mark.parametrize("power", [2.5, 1e-6])
+def test_rows_do_not_depend_on_power(power):
+    # Links, interference and the noise calibrated to each SU SINR target all
+    # scale with the power budget, so every row's numbers stay put.
+    cfg = SweepConfig(32, ((4, 2),) * 2 + ((2, 1),) * 2 + ((8, 4),), 1.0, (0.0, 10.0, 20.0, 30.0),
+                      ("ezf", "mrt"), ("mmse-irc", "qr-mld", "gen-lse(0.1)", "lse-limit", "mmse"),
+                      3, 5, "x.csv")
+    ref, got = run_sweep(cfg), run_sweep(dataclasses.replace(cfg, total_power=power))
+    fields = ("su_sinr_db", "mu_se_mean", "su_se_mean", "ratio_mean", "interference_power_mean")
+    assert [(r.precoder, r.detector) for r in got] == [(r.precoder, r.detector) for r in ref]
+    np.testing.assert_allclose([[getattr(r, f) for f in fields] for r in got],
+                               [[getattr(r, f) for f in fields] for r in ref], rtol=1e-9, atol=0.0)
+
+
 class TestParseConfig:
     def test_minimal_defaults(self):
         cfg = parse_config(MINIMAL)
