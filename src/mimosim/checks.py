@@ -72,7 +72,7 @@ def _chunks(seeds, scheme):
     `scheme`, and `user_stacks`' stacks. In a run, the necessity suite's draws are
     pooled for it; other draws, and each chunk's stacks, are dropped once used.
     """
-    scenario = Scenario(t=64, users=_DEFAULT_USERS, total_power=1.0)
+    scenario = Scenario(t=64, users=_DEFAULT_USERS)
     seeds = tuple(seeds)
     for chunk in (seeds[i:i + SEED_CHUNK] for i in range(0, len(seeds), SEED_CHUNK)):
         draw = partial(generate_groups, scenario, chunk)

@@ -58,7 +58,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_dump_channels(args) -> int:
     config = _load_config(args.config)
-    scenario = Scenario(config.t, config.users, config.total_power, config.base_seed)
+    scenario = Scenario(config.t, config.users, config.base_seed)
     channels = generate_channels(scenario)
     _write(dump_channels, channels, args.path)
     print(f"wrote channels for {scenario.num_users} users to {args.path}")

@@ -268,10 +268,8 @@ def qr_mld_detect(
 
     `y` may be a single length-q_k vector or a (q_k, n) batch of columns.
     """
-    y = np.asarray(y, dtype=np.complex128)
-    single = y.ndim == 1
-    if single:
-        y = y[:, np.newaxis]
+    single = np.ndim(y) == 1
+    y = linalg.as_cmatrix(np.reshape(y, (-1, 1)) if single else y, "received vector")
     if y.shape[0] != a.shape[0]:
         raise DimensionMismatchError(
             f"received vector length {y.shape[0]} does not match q_k={a.shape[0]}"

@@ -41,7 +41,6 @@ MAX_GRID_DB = 1000.0
 class SweepConfig:
     t: int
     users: tuple[tuple[int, int], ...]
-    total_power: float
     su_sinr_grid_db: tuple[float, ...]
     precoders: tuple[str, ...]
     detectors: tuple[str, ...]
@@ -82,7 +81,7 @@ class SweepConfig:
                     )
             for d in self.detectors:
                 parse_detector_scheme(d)
-            Scenario(self.t, self.users, self.total_power, self.base_seed)
+            Scenario(self.t, self.users, self.base_seed)
         except InvalidInputError as exc:
             raise ConfigError(str(exc)) from exc
         if "zf" in self.precoders and any(p != q for q, p in self.users):
@@ -205,14 +204,16 @@ def parse_config(text: str) -> SweepConfig:
 
     t = _parse_int(seen["t"][0], "t", seen["t"][1])
     users = _parse_users(seen["users"][0], seen["users"][1], t)
-    power = _parse_float(seen["power"][0], "power", seen["power"][1])
+    power, power_line = seen["power"]
+    if _parse_float(power, "power", power_line) != 1.0:  # precoders have unit power
+        raise ConfigError(f"line {power_line}: key 'power' must be 1.0, got '{power}'")
     grid = _parse_grid(seen["grid"][0], seen["grid"][1])
     precoders = tuple(p.strip() for p in seen["precoders"][0].split(",") if p.strip())
     detectors = tuple(d.strip() for d in seen["detectors"][0].split(",") if d.strip())
     trials = _parse_int(seen["trials"][0], "trials", seen["trials"][1])
     seed = _parse_int(seen["seed"][0], "seed", seen["seed"][1])
     output = seen["output"][0]
-    return SweepConfig(t, users, power, grid, precoders, detectors, trials, seed, output)
+    return SweepConfig(t, users, grid, precoders, detectors, trials, seed, output)
 
 
 def trial_seed(base_seed: int, trial_index: int) -> int:
@@ -270,7 +271,7 @@ def _reports(config: SweepConfig, trials: range) -> dict:
     points = ",".join(f"{db:g}" for db in grid)
     # A scheme listed twice is computed once and its rows repeated.
     precoders, detectors = dict.fromkeys(config.precoders), dict.fromkeys(config.detectors)
-    scenario = Scenario(config.t, config.users, config.total_power, config.base_seed)
+    scenario = Scenario(config.t, config.users, config.base_seed)
     with _sweep_point(where):
         groups = generate_groups(scenario, [trial_seed(config.base_seed, i) for i in trials])
     gains = su_layer_gains(scenario, groups)

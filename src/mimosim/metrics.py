@@ -131,7 +131,7 @@ def su_spectral_efficiency(gains: np.ndarray, sigma):
     """Single-user SE at white noise sigma, summed over every layer of every user.
 
     Each user alone has orthogonal links c U_p S_p, so every detector scheme
-    gives layer i the SINR g_i / sigma^2 for its gain g_i = (P / p) * s_i^2
+    gives layer i the SINR g_i / sigma^2 for its gain g_i = s_i^2 / p
     (`system.su_layer_gains`), capped at SINR_CAP like `sinr_per_layer`; one
     SE per sigma. Gains (S, layers) of S seeds take sigma (G, S).
     """
@@ -144,7 +144,7 @@ def su_mu_report(
 ) -> LinkReport:
     """Joint multi-user service versus each user served alone, at white noise sigma.
 
-    The single-user leg gives each user its share P * p_k / p of the power, so
+    The single-user leg gives each user its share p_k / p of unit power, so
     the SU/MU ratio isolates the cost of sharing the channel, not the power
     split. This is the sweep's route (`precode`, `user_stacks`, `mu_report`) at one
     seed and one grid point. A negative, infinite or NaN sigma raises InvalidInputError.

@@ -8,8 +8,6 @@ group's user indices, V (..., n, p_k, t) and B (..., n, p_k, q_k), with any
 leading (seed) axes of the groups.
 """
 
-import math
-
 import numpy as np
 
 from . import linalg
@@ -18,7 +16,6 @@ from .errors import (
     DimensionMismatchError,
     IllConditionedError,
     InfeasibleZeroForcingError,
-    InvalidInputError,
 )
 from .system import ChannelSet, Scenario, ungroup
 
@@ -88,16 +85,14 @@ def custom_reduction(channels: ChannelSet, reducers) -> tuple:
     return tuple((g, b @ h, b) for g, h, b in stacks)
 
 
-def _power_scaled(w0: np.ndarray, total_power: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each t x p matrix of w0 scaled to trace(W @ W^H) = total_power, and the scales."""
-    if not (math.isfinite(total_power) and total_power > 0):
-        raise InvalidInputError(f"total_power must be finite and > 0, got {total_power}")
+def _power_scaled(w0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each t x p matrix of w0 scaled to unit power, trace(W @ W^H) = 1, and the scales."""
     lead, matrix = w0.shape[:-2], w0.shape[-2:]
-    scale = np.sqrt(total_power) / np.array([np.linalg.norm(w) for w in w0.reshape(-1, *matrix)])
+    scale = 1.0 / np.array([np.linalg.norm(w) for w in w0.reshape(-1, *matrix)])
     return scale.reshape(lead + (1, 1)) * w0, scale.reshape(lead)
 
 
-def zero_forcing(v: np.ndarray, total_power: float) -> tuple[np.ndarray, np.ndarray]:
+def zero_forcing(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Zero-forcing precoders W (..., t, p) and scales of stacked reduced channels V (..., p, t).
 
     W0 = V^+ = Vh^H S^{-1} U^H from one SVD (any leading seed axes share it),
@@ -110,12 +105,12 @@ def zero_forcing(v: np.ndarray, total_power: float) -> tuple[np.ndarray, np.ndar
             "deficient; too many layers or colinear users"
         )
     w0 = linalg.herm(vh) @ ((1.0 / s)[..., np.newaxis] * linalg.herm(u))
-    return _power_scaled(w0, total_power)
+    return _power_scaled(w0)
 
 
-def matched_filter(v: np.ndarray, total_power: float) -> tuple[np.ndarray, np.ndarray]:
+def matched_filter(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Matched-filter precoders W = c V^H and scales c of stacked reduced channels V (..., p, t)."""
-    return _power_scaled(linalg.herm(v), total_power)
+    return _power_scaled(linalg.herm(v))
 
 
 def _rows(reduced) -> np.ndarray:
@@ -132,19 +127,19 @@ def precode(groups, scenario: Scenario, scheme: str) -> tuple:
     """
     reduced = _reduction(groups, scenario, scheme)
     build = matched_filter if scheme == "mrt" else zero_forcing
-    return (*build(_rows(reduced), scenario.total_power), reduced)
+    return (*build(_rows(reduced)), reduced)
 
 
-def rczf_precode(reduced, total_power: float) -> tuple[np.ndarray, np.ndarray]:
+def rczf_precode(reduced) -> tuple[np.ndarray, np.ndarray]:
     """Zero-forcing precoder W and scale of a reduction: `zero_forcing` of its one stack."""
-    return zero_forcing(_rows(reduced), total_power)
+    return zero_forcing(_rows(reduced))
 
 
-def mrt_precode(channels: ChannelSet, total_power: float) -> tuple[np.ndarray, np.ndarray]:
+def mrt_precode(channels: ChannelSet) -> tuple[np.ndarray, np.ndarray]:
     """Matched-filter baseline: beam straight at each user's eigen-directions.
 
     W_k is the Hermitian of the user's eigen-reduced channel; no nulling
     across users is performed, so this precoder sits outside the
     zero-forcing class for generic multi-user channels.
     """
-    return matched_filter(_rows(reduce_ezf(channels)), total_power)
+    return matched_filter(_rows(reduce_ezf(channels)))

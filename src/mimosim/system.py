@@ -7,7 +7,6 @@ hits a requested dB target.
 """
 
 import math
-import numbers
 import operator
 from contextlib import suppress
 from dataclasses import dataclass
@@ -32,11 +31,10 @@ def _integer(value, what: str) -> int:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Transmit-side dimensions, per-user (antennas, layers), power budget, seed."""
+    """Transmit-side dimensions, per-user (antennas, layers) and seed; precoders have unit power."""
 
     t: int
     users: tuple[tuple[int, int], ...]
-    total_power: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -60,10 +58,6 @@ class Scenario:
             raise InvalidInputError(
                 f"total layer count {self.total_layers} exceeds antenna count t={self.t}"
             )
-        if not isinstance(self.total_power, numbers.Real) or isinstance(self.total_power, bool):
-            raise InvalidInputError(f"total_power must be a real number, got {self.total_power!r}")
-        if not (math.isfinite(self.total_power) and self.total_power > 0):
-            raise InvalidInputError(f"total_power must be positive, got {self.total_power}")
         if not 0 <= self.seed < 2**64:
             raise InvalidInputError("seed must fit in 64 bits")
 
@@ -175,13 +169,13 @@ def generate_channels(scenario: Scenario) -> ChannelSet:
 
 
 def su_layer_gains(scenario: Scenario, groups) -> np.ndarray:
-    """Single-user layer gains (P / p) * s_i^2, i <= p_k, of every layer, group by group.
+    """Single-user layer gains s_i^2 / p, i <= p_k, of every layer, group by group.
 
-    User k alone, by its own eigen zero-forcing precoder at power P * p_k / p,
+    User k alone, by its own eigen zero-forcing precoder at power p_k / p of unit power,
     receives A_k = c U_p S_p, whose orthogonal columns carry these gains. With
     `generate_groups`' seed axis on `groups`, one gain vector per seed.
     """
-    per_layer = scenario.total_power / scenario.total_layers
+    per_layer = 1 / scenario.total_layers
     return np.concatenate([
         per_layer * s[..., :scenario.layer_counts[users[0]]].reshape(s.shape[:-2] + (-1,)) ** 2
         for users, _, _, s in groups
@@ -220,12 +214,11 @@ def dump_channels(channels: ChannelSet, path) -> None:
                    fmt="%.17g", header=header, comments="")
 
 
-def load_channels(path, total_power: float = 1.0) -> ChannelSet:
+def load_channels(path) -> ChannelSet:
     """Read a channel fixture written by dump_channels.
 
-    The format stores only shapes and entries; the power budget is not
-    recorded and defaults to 1.0. Every error names the file, and a row's
-    error its line in the file.
+    The format stores only shapes and entries. Every error names the file,
+    and a row's error its line in the file.
     """
     try:
         with open(path) as f:
@@ -242,7 +235,7 @@ def load_channels(path, total_power: float = 1.0) -> ChannelSet:
     except ValueError as exc:
         raise InvalidInputError(f"{path}: non-integer value in header") from exc
     try:
-        scenario = Scenario(t, tuple(zip(counts[::2], counts[1::2])), total_power)
+        scenario = Scenario(t, tuple(zip(counts[::2], counts[1::2])))
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from exc
     owner = (k for k, (q, _) in enumerate(scenario.users) for _ in range(q))  # each row's user

@@ -35,9 +35,9 @@ def stack_filters(stack, scheme: str, s2) -> np.ndarray:
 
 
 def single_user(channels: ChannelSet, k: int) -> ChannelSet:
-    """User k's channel alone, with the same antennas, power budget and seed."""
+    """User k's channel alone, with the same antennas and seed."""
     s = channels.scenario
-    return ChannelSet(Scenario(s.t, (s.users[k],), s.total_power, s.seed), (channels.matrices[k],))
+    return ChannelSet(Scenario(s.t, (s.users[k],), s.seed), (channels.matrices[k],))
 
 
 @st.composite

@@ -3,8 +3,8 @@
 Criterion 6b holds the fig3 SU/MU ratio at 40 dB within 1% of the ratio
 that complete interference cancellation gives, not within 1% of 1. The
 single-user leg serves each user alone with its own eigen zero-forcing
-precoder at power P * p_k / p, so layer i sees SINR (P / p) * s_i^2 / sigma^2.
-The multi-user leg shares one RCZF scale P / trace((V V^H)^-1) across all p
+precoder at power p_k / p of unit power, so layer i sees SINR s_i^2 / (p sigma^2).
+The multi-user leg shares one RCZF scale 1 / trace((V V^H)^-1) across all p
 layers, V being the stacked reduced channel, so even with no leaked
 interference every layer loses the beamforming-loss factor
 trace((V V^H)^-1) / p in SINR. That factor averages ~1.29 over the fig3
@@ -133,13 +133,13 @@ def test_criterion_06a_fig3_ratio_monotone(fig3_rows):
 def _ideal_ratio(cfg, su_sinr_db):
     """Mean SU/MU ratio under complete interference cancellation.
 
-    Built from the channel SVDs alone: SU layer i has SINR (P/p) s_i^2 / sigma^2,
-    the ideal MU layer P s_i^2 / (trace((V V^H)^-1) sigma^2). Returns the
+    Built from the channel SVDs alone: SU layer i has SINR s_i^2 / (p sigma^2),
+    the ideal MU layer s_i^2 / (trace((V V^H)^-1) sigma^2). Returns the
     per-trial mean ratio and the mean beamforming-loss factor trace(.)/p.
     """
     ratios, losses = [], []
     for i in range(cfg.trials):
-        scenario = Scenario(cfg.t, cfg.users, cfg.total_power, trial_seed(cfg.base_seed, i))
+        scenario = Scenario(cfg.t, cfg.users, trial_seed(cfg.base_seed, i))
         channels = generate_channels(scenario)
         sigma2 = calibrate_noise(channels, su_sinr_db) ** 2
         gains, rows = [], []
@@ -150,7 +150,7 @@ def _ideal_ratio(cfg, su_sinr_db):
         gains = np.concatenate(gains)
         v = np.vstack(rows)
         loss = np.trace(np.linalg.inv(v @ v.conj().T)).real / gains.size
-        su_sinr = cfg.total_power / gains.size * gains / sigma2
+        su_sinr = gains / gains.size / sigma2
         su = np.sum(np.log2(1.0 + su_sinr))
         mu = np.sum(np.log2(1.0 + su_sinr / loss))
         ratios.append(su / mu)
@@ -225,10 +225,10 @@ def test_criterion_08_fig5_plain_mmse_saturation(fig5_rows, fig5_irc_rows):
 
 def test_criterion_09_qr_mld_sic_end_to_end():
     # Monte-Carlo leg: 10^4 symbol vectors through the full noisy link.
-    scenario = Scenario(t=64, users=((4, 2),) * 8, total_power=1.0, seed=1)
+    scenario = Scenario(t=64, users=((4, 2),) * 8, seed=1)
     channels = generate_channels(scenario)
     sigma = calibrate_noise(channels, 30.0)
-    w, _ = rczf_precode(reduce_ezf(channels), 1.0)
+    w, _ = rczf_precode(reduce_ezf(channels))
     (stack,) = build_covariance(channels, w)
     r = stack.interference + sigma**2 * np.eye(4)
     c = qpsk()

@@ -240,8 +240,8 @@ def test_pool_fields_equal_numpy_slicing_of_w(case):
         pools = checks._scenario_pool(seeds)
     assert len(pools) == len(system.shape_groups(users))
     for s, seed in enumerate(seeds):
-        channels = system.generate_channels(system.Scenario(64, users, 1.0, seed))
-        w, _ = rczf_precode(reduce_ezf(channels), 1.0)
+        channels = system.generate_channels(system.Scenario(64, users, seed))
+        w, _ = rczf_precode(reduce_ezf(channels))
         ws = np.split(w, np.cumsum(channels.scenario.layer_counts)[:-1], axis=1)
         for pool, group in zip(pools, system.shape_groups(users)):
             for i, k in enumerate(group):
@@ -270,9 +270,9 @@ def _least_squares_fits(users, seeds) -> tuple[list[int], list[float]]:
     """
     dims, resids = [], []
     for seed in seeds:
-        scenario = system.Scenario(t=64, users=users, total_power=1.0, seed=seed)
+        scenario = system.Scenario(t=64, users=users, seed=seed)
         channels = system.generate_channels(scenario)
-        w, _ = mrt_precode(channels, 1.0)
+        w, _ = mrt_precode(channels)
         ws = np.split(w, np.cumsum(scenario.layer_counts)[:-1], axis=1)
         for k, h in enumerate(channels.matrices):
             a = h @ ws[k]

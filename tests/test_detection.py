@@ -36,7 +36,7 @@ from mimosim.system import Scenario, generate_channels, ungroup
 
 from conftest import blocks, crandn, per_user
 
-DEFAULT = Scenario(t=64, users=((4, 2),) * 8, total_power=1.0, seed=1)
+DEFAULT = Scenario(t=64, users=((4, 2),) * 8, seed=1)
 
 
 def white_covariance(channels, w, sigma):
@@ -47,13 +47,13 @@ def white_covariance(channels, w, sigma):
 
 
 def default_pipeline(seed=1, sigma=0.0, precoder="ezf"):
-    scenario = Scenario(t=64, users=((4, 2),) * 8, total_power=1.0, seed=seed)
+    scenario = Scenario(t=64, users=((4, 2),) * 8, seed=seed)
     channels = generate_channels(scenario)
     red = reduce_ezf(channels)
     if precoder == "ezf":
-        w, scale = rczf_precode(red, 1.0)
+        w, scale = rczf_precode(red)
     else:
-        w, scale = mrt_precode(channels, 1.0)
+        w, scale = mrt_precode(channels)
     a, r = white_covariance(channels, w, sigma)
     return channels, (w, scale, red), a, r
 
@@ -121,7 +121,7 @@ class TestBuildCovariance:
         scenario = Scenario(t=16, users=((4, 2),), seed=2)
         channels = generate_channels(scenario)
         red = reduce_ezf(channels)
-        w, _ = rczf_precode(red, 1.0)
+        w, _ = rczf_precode(red)
         a, r = white_covariance(channels, w, 0.3)
         np.testing.assert_allclose(r[0], 0.09 * np.eye(4), atol=1e-12)
         np.testing.assert_allclose(a[0], channels.matrices[0] @ blocks(w, red)[0], atol=1e-14)
@@ -130,7 +130,7 @@ class TestBuildCovariance:
         scenario = Scenario(t=16, users=((4, 2), (4, 2)), seed=3)
         channels = generate_channels(scenario)
         red = reduce_ezf(channels)
-        prec, _ = rczf_precode(red, 1.0)
+        prec, _ = rczf_precode(red)
         (stack,) = build_covariance(channels, prec)
         for k, j in ((0, 1), (1, 0)):
             h, w = channels.matrices[k], blocks(prec, red)[j]
@@ -152,7 +152,7 @@ class TestBuildCovariance:
         scenario = Scenario(t=16, users=((4, 2), (4, 2)), seed=7)
         channels = generate_channels(scenario)
         red = reduce_ezf(channels)
-        prec, _ = rczf_precode(red, 1.0)
+        prec, _ = rczf_precode(red)
         factors = np.stack([0.1 * crandn(rng, 4, 4) for _ in range(2)])
         (stack,) = build_covariance(channels, prec)
         r = stack.interference + factors @ factors.conj().swapaxes(-1, -2)
@@ -187,7 +187,7 @@ class TestMmseIrc:
         # One 2-antenna user alone with one layer and no noise: rank 1 < q_k.
         scenario = Scenario(t=8, users=((2, 1),), seed=4)
         channels = generate_channels(scenario)
-        w, _ = rczf_precode(reduce_ezf(channels), 1.0)
+        w, _ = rczf_precode(reduce_ezf(channels))
         a, r = white_covariance(channels, w, 0.0)
         with pytest.raises(SingularMatrixError, match="layers in total"):
             mmse_irc(a, r)
@@ -397,13 +397,20 @@ class TestQrMldDetect:
             single = qr_mld_detect(y[:, n], a, r, c)
             np.testing.assert_allclose(batched[:, n], single, atol=1e-12)
 
+    @pytest.mark.parametrize("y", [np.full(4, np.nan), np.array([[0.0], [np.inf], [0.0], [0.0]])],
+                             ids=["nan-vector", "inf-column"])
+    def test_non_finite_received_vector_rejected(self, y):
+        # Not a decision: argmin over NaN distances would pick the first point.
+        with pytest.raises(InvalidInputError, match="^received vector contains non-finite"):
+            qr_mld_detect(y, np.eye(4)[:, :2], np.eye(4), qpsk())
+
 
 class TestReferenceIc:
     def test_full_zf_identity_reducer(self):
         scenario = Scenario(t=8, users=((2, 2), (2, 2)), seed=6)
         channels = generate_channels(scenario)
         red = reduce_full_zf(channels)
-        _, scale = rczf_precode(red, 1.0)
+        _, scale = rczf_precode(red)
         for g in ungroup(reference_ic(red, scale)):
             np.testing.assert_allclose(g, np.eye(2) / scale, atol=1e-12)
 
@@ -516,7 +523,7 @@ def test_reference_holds_over_the_rczf_class(scenario):
     filters and the small-noise QR filters reach the reference B_k / scale."""
     channels = generate_channels(scenario)
     red = custom_reduction(channels, _random_reducers(scenario))
-    w, scale = rczf_precode(red, scenario.total_power)
+    w, scale = rczf_precode(red)
     stacks = build_covariance(channels, w)
     refs = reference_ic(red, scale)
     assert len(stacks) == len(refs) == len(channels.groups)

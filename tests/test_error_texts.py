@@ -28,7 +28,7 @@ def config(old: str, new: str):
 
 def sweep_config(**fields):
     """A `SweepConfig` of CONFIG's values with `fields` replaced."""
-    values = dict(t=16, users=((4, 2),), total_power=1.0, su_sinr_grid_db=(0.0,),
+    values = dict(t=16, users=((4, 2),), su_sinr_grid_db=(0.0,),
                   precoders=("ezf",), detectors=("mmse",), trials=1, base_seed=1,
                   output_path="x.csv")
     return lambda: SweepConfig(**(values | fields))
@@ -55,6 +55,8 @@ ERRORS = {
                         "line 2: malformed number for key 'power': 'abc'"),
     "power-non-finite": (config("t = 16\n", "t = 16\npower = nan\n"), ConfigError,
                          "line 2: key 'power' must be finite"),
+    "power-not-one": (config("t = 16\n", "t = 16\npower = 2.5\n"), ConfigError,
+                      "line 2: key 'power' must be 1.0, got '2.5'"),
     "line-without-equals": (config("t = 16\n", "t 16\n"), ConfigError,
                             "line 1: expected 'key = value', got 't 16'"),
     "empty-value": (config("t = 16\n", "t =\n"), ConfigError, "line 1: empty value for key 't'"),
@@ -82,6 +84,9 @@ ERRORS = {
                                                    qpsk()),
                              DimensionMismatchError,
                              "received vector length 3 does not match q_k=4"),
+    "qr-mld-detect-non-finite": (lambda: qr_mld_detect(np.full(4, np.nan), np.eye(4)[:, :2],
+                                                       np.eye(4), qpsk()),
+                                 InvalidInputError, "received vector contains non-finite entries"),
     # A subnormal link passes every guard, but T^{-1} overflows to inf.
     "filter-non-finite": (lambda: qr_mld_linear(1e-310 * np.eye(4)[np.newaxis, :, :2],
                                                 np.eye(4)[np.newaxis]),
@@ -100,3 +105,9 @@ def test_error_branch_raises_its_text(case):
         call()
     assert type(info.value) is error
     assert str(info.value) == text
+
+
+@pytest.mark.parametrize("power", ["1", "1.0", "1e0"])
+def test_unit_power_parses(power):
+    # Precoders have unit power; the key stays only as 1.0, however it is written.
+    assert parse_config(CONFIG + f"power = {power}\n") == parse_config(CONFIG)

@@ -126,9 +126,9 @@ def test_sweep_draws_each_chunk_once_and_never_one_trial_alone(monkeypatch):
 
 
 CHUNKED = {
-    "fig3-shaped": SweepConfig(64, ((4, 2),) * 8, 1.0, (0.0, 20.0, 40.0), ("ezf",),
+    "fig3-shaped": SweepConfig(64, ((4, 2),) * 8, (0.0, 20.0, 40.0), ("ezf",),
                                ("mmse-irc", "qr-mld"), 1, 5, "x.csv"),
-    "mixed": SweepConfig(32, ((4, 2),) * 2 + ((2, 1),) * 2 + ((8, 4),), 1.0, (5.0, 35.0),
+    "mixed": SweepConfig(32, ((4, 2),) * 2 + ((2, 1),) * 2 + ((8, 4),), (5.0, 35.0),
                          ("ezf", "mrt"), ("gen-lse(0.1)", "lse-limit", "mmse"), 1, 9, "x.csv"),
 }
 
@@ -140,7 +140,7 @@ def test_chunked_rows_equal_the_per_trial_reports(name, trials):
     # summed in trial order, of su_mu_report at each trial alone.
     cfg = dataclasses.replace(CHUNKED[name], trials=trials)
     channels = [
-        generate_channels(Scenario(cfg.t, cfg.users, cfg.total_power, trial_seed(cfg.base_seed, i)))
+        generate_channels(Scenario(cfg.t, cfg.users, trial_seed(cfg.base_seed, i)))
         for i in range(trials)
     ]
     for row in run_sweep(cfg):
@@ -154,25 +154,10 @@ def test_chunked_rows_equal_the_per_trial_reports(name, trials):
                                    err_msg=f"{row.precoder}/{row.detector} at {row.su_sinr_db}")
 
 
-@pytest.mark.parametrize("power", [2.5, 1e-6])
-def test_rows_do_not_depend_on_power(power):
-    # Links, interference and the noise calibrated to each SU SINR target all
-    # scale with the power budget, so every row's numbers stay put.
-    cfg = SweepConfig(32, ((4, 2),) * 2 + ((2, 1),) * 2 + ((8, 4),), 1.0, (0.0, 10.0, 20.0, 30.0),
-                      ("ezf", "mrt"), ("mmse-irc", "qr-mld", "gen-lse(0.1)", "lse-limit", "mmse"),
-                      3, 5, "x.csv")
-    ref, got = run_sweep(cfg), run_sweep(dataclasses.replace(cfg, total_power=power))
-    fields = ("su_sinr_db", "mu_se_mean", "su_se_mean", "ratio_mean", "interference_power_mean")
-    assert [(r.precoder, r.detector) for r in got] == [(r.precoder, r.detector) for r in ref]
-    np.testing.assert_allclose([[getattr(r, f) for f in fields] for r in got],
-                               [[getattr(r, f) for f in fields] for r in ref], rtol=1e-9, atol=0.0)
-
-
 class TestParseConfig:
     def test_minimal_defaults(self):
         cfg = parse_config(MINIMAL)
         assert cfg.trials == 100
-        assert cfg.total_power == 1.0
         assert cfg.base_seed == 1
         assert cfg.output_path == "sweep.csv"
         assert cfg.users == ((4, 2),) * 8
@@ -308,7 +293,6 @@ class TestRunSweep:
         cfg = SweepConfig(
             16,
             ((4, 2),) * 3 + ((2, 1),) * 2,
-            1.0,
             (5.0, 25.0),
             ("ezf", "mrt"),
             ("mmse-irc", "qr-mld", "gen-lse(0.1)", "mmse", "lse-limit"),
@@ -321,7 +305,7 @@ class TestRunSweep:
         for row in rows:
             mu = su = ratio = leak = 0.0
             for i in range(cfg.trials):
-                scenario = Scenario(cfg.t, cfg.users, cfg.total_power, trial_seed(cfg.base_seed, i))
+                scenario = Scenario(cfg.t, cfg.users, trial_seed(cfg.base_seed, i))
                 channels = generate_channels(scenario)
                 sigma = calibrate_noise(channels, row.su_sinr_db)
                 report = su_mu_report(channels, row.precoder, row.detector, sigma)
@@ -351,7 +335,7 @@ def test_ezf_curves_rise_and_stay_finite(case):
     # floor drops, and no row holds a NaN or an infinity.
     scenario, seeds = case
     grid = tuple(float(db) for db in range(0, 101, 10))
-    cfg = SweepConfig(scenario.t, scenario.users, 1.0, grid, ("ezf",),
+    cfg = SweepConfig(scenario.t, scenario.users, grid, ("ezf",),
                       ("mmse-irc", "qr-mld"), 1, seeds[0], "unused.csv")
     rows = run_sweep(cfg)
     for detector in cfg.detectors:
@@ -397,7 +381,7 @@ class TestFailingSweepPoint:
         su_se = 0.0
         for i in range(fig3.trials):
             channels = generate_channels(
-                Scenario(fig3.t, fig3.users, fig3.total_power, trial_seed(fig3.base_seed, i))
+                Scenario(fig3.t, fig3.users, trial_seed(fig3.base_seed, i))
             )
             sigma = calibrate_noise(channels, 120.0)
             gains = su_layer_gains(channels.scenario, channels.groups)
@@ -521,13 +505,11 @@ def test_generation_failure_names_the_trial_not_the_chunk(monkeypatch):
     assert str(info.value.__cause__) == "user 2: drawn channel is rank deficient"
 
 
-# A non-convergent eigendecomposition: at power 1e-300 and 125 dB the shifted
-# solve before lse-limit's normal matrix overflows to inf/NaN. The overflow
-# warnings of that solve are still emitted, hence the filter.
+# A non-convergent eigendecomposition, from numpy's `eigh` patched to fail as it
+# does on a non-finite matrix; no unit-power sweep of the probe reaches one.
 NON_CONVERGENT = """
 t = 8
 users = 4x4
-power = 1e-300
 grid = 125:125:1
 precoders = mrt
 detectors = lse-limit
@@ -536,8 +518,11 @@ seed = 64
 """
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_convergent_eigh_names_the_sweep_point(tmp_path, capsys):
+def test_non_convergent_eigh_names_the_sweep_point(tmp_path, capsys, monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(DecompositionError) as info:
         run_sweep(parse_config(NON_CONVERGENT))
     assert str(info.value) == (
@@ -748,14 +733,14 @@ def test_shipped_configs_cover_figure_scheme_pairs():
 
 def test_sweep_config_direct_validation():
     with pytest.raises(ConfigError, match="strictly increasing"):
-        SweepConfig(16, ((4, 2),), 1.0, (0.0, 0.0), ("ezf",), ("mmse",), 1, 1, "x.csv")
+        SweepConfig(16, ((4, 2),), (0.0, 0.0), ("ezf",), ("mmse",), 1, 1, "x.csv")
     with pytest.raises(ConfigError, match="trials"):
-        SweepConfig(16, ((4, 2),), 1.0, (0.0,), ("ezf",), ("mmse",), 0, 1, "x.csv")
+        SweepConfig(16, ((4, 2),), (0.0,), ("ezf",), ("mmse",), 0, 1, "x.csv")
     # The scenario checks raise ConfigError too, with the scenario's message.
     with pytest.raises(ConfigError, match=r"^user 0: layer/antenna counts must satisfy"):
-        SweepConfig(16, ((4, 8),), 1.0, (0.0,), ("ezf",), ("mmse",), 1, 1, "x.csv")
+        SweepConfig(16, ((4, 8),), (0.0,), ("ezf",), ("mmse",), 1, 1, "x.csv")
     with pytest.raises(ConfigError, match="^seed must fit in 64 bits$"):
-        SweepConfig(16, ((4, 2),), 1.0, (0.0,), ("ezf",), ("mmse",), 1, -1, "x.csv")
+        SweepConfig(16, ((4, 2),), (0.0,), ("ezf",), ("mmse",), 1, -1, "x.csv")
 
 
 @pytest.mark.parametrize(
@@ -763,30 +748,19 @@ def test_sweep_config_direct_validation():
 )
 def test_sweep_config_rejects_non_finite_grid_point(grid):
     with pytest.raises(ConfigError, match=r"^grid points must be finite, got \("):
-        SweepConfig(16, ((4, 2),), 1.0, grid, ("ezf",), ("mmse",), 1, 1, "x.csv")
-
-
-def test_sweep_config_rejects_non_real_power():
-    # The scenario's check, rewrapped: not a bare TypeError from math.isfinite.
-    with pytest.raises(ConfigError, match="^total_power must be a real number, got '1.0'$"):
-        SweepConfig(16, ((4, 2),), "1.0", (0.0,), ("ezf",), ("mmse",), 1, 1, "x.csv")
+        SweepConfig(16, ((4, 2),), grid, ("ezf",), ("mmse",), 1, 1, "x.csv")
 
 
 def test_sweep_config_rejects_non_real_grid_point():
     with pytest.raises(ConfigError, match=r"^grid points must be real numbers, got \('0',\)$"):
-        SweepConfig(16, ((4, 2),), 1.0, ("0",), ("ezf",), ("mmse",), 1, 1, "x.csv")
+        SweepConfig(16, ((4, 2),), ("0",), ("ezf",), ("mmse",), 1, 1, "x.csv")
 
 
 def test_sweep_config_rejects_bool_grid_points():
     # Not 0 dB and 1 dB.
     message = r"^grid points must be real numbers, got \(False, True\)$"
     with pytest.raises(ConfigError, match=message):
-        SweepConfig(16, ((4, 2),), 1.0, (False, True), ("ezf",), ("mmse",), 1, 1, "x.csv")
-
-
-def test_sweep_config_rejects_bool_power():
-    with pytest.raises(ConfigError, match="^total_power must be a real number, got True$"):
-        SweepConfig(16, ((4, 2),), True, (0.0,), ("ezf",), ("mmse",), 1, 1, "x.csv")
+        SweepConfig(16, ((4, 2),), (False, True), ("ezf",), ("mmse",), 1, 1, "x.csv")
 
 
 def test_sweep_config_rejects_more_grid_points_than_the_parser_allows():
@@ -794,15 +768,15 @@ def test_sweep_config_rejects_more_grid_points_than_the_parser_allows():
     # parsed one is.
     n = experiment.MAX_GRID_POINTS
     grid = tuple(0.5 * i for i in range(n + 1))
-    config = SweepConfig(16, ((4, 2),), 1.0, grid[:-1], ("ezf",), ("mmse",), 1, 1, "x.csv")
+    config = SweepConfig(16, ((4, 2),), grid[:-1], ("ezf",), ("mmse",), 1, 1, "x.csv")
     assert len(config.su_sinr_grid_db) == n
     with pytest.raises(ConfigError, match=f"^grid has more than {n} points$"):
-        SweepConfig(16, ((4, 2),), 1.0, grid, ("ezf",), ("mmse",), 1, 1, "x.csv")
+        SweepConfig(16, ((4, 2),), grid, ("ezf",), ("mmse",), 1, 1, "x.csv")
 
 
 @pytest.mark.parametrize("grid", [(-1000.0,), (1000.0,), (-1000.0, 1000.0)])
 def test_sweep_config_accepts_grid_points_on_the_db_bound(grid):
-    config = SweepConfig(16, ((4, 2),), 1.0, grid, ("ezf",), ("mmse",), 1, 1, "x.csv")
+    config = SweepConfig(16, ((4, 2),), grid, ("ezf",), ("mmse",), 1, 1, "x.csv")
     assert config.su_sinr_grid_db == grid
 
 
@@ -811,7 +785,7 @@ def test_sweep_config_accepts_grid_points_on_the_db_bound(grid):
 )
 def test_sweep_config_rejects_grid_points_beyond_the_db_bound(grid):
     with pytest.raises(ConfigError, match=r"^grid points must lie within \+-1000 dB$"):
-        SweepConfig(16, ((4, 2),), 1.0, grid, ("ezf",), ("mmse",), 1, 1, "x.csv")
+        SweepConfig(16, ((4, 2),), grid, ("ezf",), ("mmse",), 1, 1, "x.csv")
 
 
 @pytest.mark.parametrize(
@@ -820,10 +794,10 @@ def test_sweep_config_rejects_grid_points_beyond_the_db_bound(grid):
 def test_sweep_config_rejects_non_integer_trials(trials):
     message = f"^trials must be an integer, got {re.escape(repr(trials))}$"
     with pytest.raises(ConfigError, match=message):
-        SweepConfig(16, ((4, 2),), 1.0, (0.0,), ("ezf",), ("mmse",), trials, 1, "x.csv")
+        SweepConfig(16, ((4, 2),), (0.0,), ("ezf",), ("mmse",), trials, 1, "x.csv")
 
 
 def test_sweep_config_stores_integer_like_trials_as_int():
-    cfg = SweepConfig(16, ((4, 2),), 1.0, (0.0,), ("ezf",), ("mmse",), np.int64(2), 1, "x.csv")
+    cfg = SweepConfig(16, ((4, 2),), (0.0,), ("ezf",), ("mmse",), np.int64(2), 1, "x.csv")
     assert type(cfg.trials) is int and cfg.trials == 2
     assert len(run_sweep(cfg)) == 1

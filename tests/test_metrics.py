@@ -20,7 +20,6 @@ from mimosim.metrics import (
 )
 from mimosim.precoding import mrt_precode, rczf_precode, reduce_ezf, reduce_full_zf
 from mimosim.system import (
-    ChannelSet,
     Scenario,
     calibrate_noise,
     generate_channels,
@@ -30,14 +29,14 @@ from mimosim.system import (
 from conftest import CONFIG_DIR, blocks, crandn, single_user, stack_filters
 from test_precoding import block_channels
 
-DEFAULT = Scenario(t=64, users=((4, 2),) * 8, total_power=1.0, seed=1)
+DEFAULT = Scenario(t=64, users=((4, 2),) * 8, seed=1)
 
 
 class TestEffectiveLinks:
     def test_reference_detector_gives_identity_blocks(self):
         channels = generate_channels(DEFAULT)
         red = reduce_ezf(channels)
-        w, scale = rczf_precode(red, 1.0)
+        w, scale = rczf_precode(red)
         (stack,) = build_covariance(channels, w)
         ((_, g0),) = reference_ic(red, scale)  # one group: every user is 4x2
         links = effective_links(stack, g0)
@@ -50,7 +49,7 @@ class TestEffectiveLinks:
 
     def test_zero_detector_gives_zero_blocks(self):
         channels = generate_channels(DEFAULT)
-        w, _ = rczf_precode(reduce_ezf(channels), 1.0)
+        w, _ = rczf_precode(reduce_ezf(channels))
         (stack,) = build_covariance(channels, w)
         links = effective_links(stack, np.zeros((8, 2, 4), dtype=complex))
         assert all(
@@ -61,7 +60,7 @@ class TestEffectiveLinks:
         scenario = Scenario(t=16, users=((4, 2),), seed=2)
         channels = generate_channels(scenario)
         red = reduce_ezf(channels)
-        w, _ = rczf_precode(red, 1.0)
+        w, _ = rczf_precode(red)
         g = linalg.pinv(channels.matrices[0] @ blocks(w, red)[0])
         (stack,) = build_covariance(channels, w)
         links = effective_links(stack, g[np.newaxis])
@@ -128,7 +127,7 @@ class TestSinrPerLayer:
     def test_mrt_has_cross_interference(self):
         scenario = Scenario(t=16, users=((4, 2), (4, 2)), seed=5)
         channels = generate_channels(scenario)
-        w, _ = mrt_precode(channels, 1.0)
+        w, _ = mrt_precode(channels)
         stacks = build_covariance(channels, w)
         links = effective_links(stacks[0], stack_filters(stacks[0], "qr-mld", 0.01**2))
         cross = np.linalg.norm(links[0][:, 2:4])
@@ -169,7 +168,7 @@ class TestSchemeDispatch:
     def test_all_detectors_build(self):
         channels = generate_channels(DEFAULT)
         sigma = calibrate_noise(channels, 20.0)
-        stacks = build_covariance(channels, rczf_precode(reduce_ezf(channels), 1.0)[0])
+        stacks = build_covariance(channels, rczf_precode(reduce_ezf(channels))[0])
         for name in ("mmse-irc", "mmse", "gen-lse", "gen-lse(0.1)", "lse-limit", "qr-mld"):
             assert sum(len(stack_filters(stack, name, sigma**2)) for stack in stacks) == 8
 
@@ -247,7 +246,7 @@ class TestSingleUserClosedForm:
     """Each user served alone through the detector route, against the closed form.
 
     Alone, user k's links c U_p S_p have orthogonal columns, so every
-    detector scheme gives layer i the SINR (P / p) s_i^2 / sigma^2.
+    detector scheme gives layer i the SINR s_i^2 / (p sigma^2).
     """
 
     SCHEMES = DETECTOR_SCHEMES + ("gen-lse(0.1)", "gen-lse(10)")
@@ -257,26 +256,25 @@ class TestSingleUserClosedForm:
         if name == "mixed":
             return Scenario(t=32, users=((4, 2), (2, 1), (8, 4)), seed=3)
         config = parse_config((CONFIG_DIR / "fig3.cfg").read_text())
-        return Scenario(config.t, config.users, config.total_power, trial_seed(config.base_seed, 0))
+        return Scenario(config.t, config.users, trial_seed(config.base_seed, 0))
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("name", ["mixed", "fig3"])
     def test_detector_route_matches(self, name, scheme):
         scenario = self._scenario(name)
         channels = generate_channels(scenario)
-        share = scenario.total_power / scenario.total_layers
+        share = 1 / scenario.total_layers
         for db in np.arange(0.0, 81.0, 10.0):
             sigma = calibrate_noise(channels, db)
             total = 0.0
             for k, (_, p_k) in enumerate(scenario.users):
-                # User k alone, with its own EZF precoder at power share * p_k.
-                solo = single_user(channels, k)
-                alone = ChannelSet(
-                    dataclasses.replace(solo.scenario, total_power=share * p_k), solo.matrices
-                )
-                se = su_mu_report(alone, "ezf", scheme, sigma).mu_se
+                # User k alone, with its own unit-power EZF precoder, under the
+                # noise that puts it at power share * p_k against sigma.
+                alone = single_user(channels, k)
+                sigma_k = sigma / np.sqrt(share * p_k)
+                se = su_mu_report(alone, "ezf", scheme, sigma_k).mu_se
                 gains = su_layer_gains(alone.scenario, alone.groups)
-                closed_form = su_spectral_efficiency(gains, sigma)
+                closed_form = su_spectral_efficiency(gains, sigma_k)
                 np.testing.assert_allclose(se, closed_form, rtol=1e-12, atol=0.0)
                 total += se
             gains = su_layer_gains(channels.scenario, channels.groups)
@@ -294,7 +292,7 @@ def test_noiseless_interference_criterion():
     """Zero-forcing + reference detector: cross power below 1e-12 of signal."""
     channels = generate_channels(DEFAULT)
     red = reduce_ezf(channels)
-    w, scale = rczf_precode(red, 1.0)
+    w, scale = rczf_precode(red)
     (stack,) = build_covariance(channels, w)
     ((_, g0),) = reference_ic(red, scale)  # one group: every user is 4x2
     links = effective_links(stack, g0)

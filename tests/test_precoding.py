@@ -4,11 +4,12 @@ from scipy.linalg import subspace_angles
 
 from mimosim import linalg
 from mimosim.errors import (
+    ConfigError,
     DimensionMismatchError,
     IllConditionedError,
     InfeasibleZeroForcingError,
-    InvalidInputError,
 )
+from mimosim.experiment import parse_config
 from mimosim.precoding import (
     custom_reduction,
     mrt_precode,
@@ -21,7 +22,7 @@ from mimosim.system import ChannelSet, Scenario, generate_channels
 
 from conftest import blocks, crandn, per_user
 
-DEFAULT = Scenario(t=64, users=((4, 2),) * 8, total_power=1.0, seed=1)
+DEFAULT = Scenario(t=64, users=((4, 2),) * 8, seed=1)
 
 
 def block_channels(t_per_user, users, seed=0):
@@ -33,7 +34,7 @@ def block_channels(t_per_user, users, seed=0):
         h = np.zeros((q, t), dtype=complex)
         h[:, k * t_per_user:(k + 1) * t_per_user] = crandn(rng, q, t_per_user)
         mats.append(h)
-    return ChannelSet(Scenario(t, tuple(users), 1.0, seed), tuple(mats))
+    return ChannelSet(Scenario(t, tuple(users), seed), tuple(mats))
 
 
 class TestFullZf:
@@ -113,21 +114,21 @@ class TestRczfPrecode:
     def test_orthonormal_rows_give_hermitian(self):
         v = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dtype=complex)
         red = custom_reduction(
-            ChannelSet(Scenario(3, ((1, 1), (1, 1)), 2.0, 0), (v[:1], v[1:])),
+            ChannelSet(Scenario(3, ((1, 1), (1, 1)), 0), (v[:1], v[1:])),
             (np.eye(1), np.eye(1)),
         )
-        w, scale = rczf_precode(red, 2.0)
+        w, scale = rczf_precode(red)
         np.testing.assert_allclose(
-            np.hstack(blocks(w, red)), [[1, 0], [0, 1], [0, 0]], atol=1e-12
+            np.hstack(blocks(w, red)), np.sqrt(0.5) * np.eye(3, 2), atol=1e-12
         )
-        assert scale == pytest.approx(1.0)
+        assert scale == pytest.approx(np.sqrt(0.5))
 
     def test_two_by_two_pseudo_inverse(self):
         # Hand oracle: pinv(diag(2, 1)) = diag(0.5, 1).
         h = np.diag([2.0, 1.0]).astype(complex)
-        channels = ChannelSet(Scenario(2, ((1, 1), (1, 1)), 1.0, 0), (h[:1], h[1:]))
+        channels = ChannelSet(Scenario(2, ((1, 1), (1, 1)), 0), (h[:1], h[1:]))
         red = custom_reduction(channels, (np.eye(1), np.eye(1)))
-        w, scale = rczf_precode(red, 1.0)
+        w, scale = rczf_precode(red)
         w0 = np.hstack(blocks(w, red)) / scale
         np.testing.assert_allclose(w0, np.diag([0.5, 1.0]), atol=1e-12)
         v = np.vstack(per_user(red)[0])
@@ -136,7 +137,7 @@ class TestRczfPrecode:
     def test_zero_forcing_property(self):
         channels = generate_channels(DEFAULT)
         red = reduce_ezf(channels)
-        w, _ = rczf_precode(red, 1.0)
+        w, _ = rczf_precode(red)
         w_norm = np.linalg.norm(w)
         vs, ws = per_user(red)[0], blocks(w, red)
         worst = max(
@@ -150,45 +151,44 @@ class TestRczfPrecode:
     def test_own_product_is_scaled_identity(self):
         channels = generate_channels(DEFAULT)
         red = reduce_ezf(channels)
-        w, scale = rczf_precode(red, 1.0)
+        w, scale = rczf_precode(red)
         for v, wk in zip(per_user(red)[0], blocks(w, red)):
             t = v @ wk
             assert np.linalg.norm(t - scale * np.eye(2)) < 1e-8 * scale
 
     def test_power_normalization(self):
-        channels = generate_channels(DEFAULT)
-        for power in (1.0, 4.0):
-            w, _ = rczf_precode(reduce_ezf(channels), power)
-            assert np.linalg.norm(w) ** 2 == pytest.approx(power, rel=1e-9)
+        w, _ = rczf_precode(reduce_ezf(generate_channels(DEFAULT)))
+        assert np.linalg.norm(w) ** 2 == pytest.approx(1.0, rel=1e-9)
 
     def test_scale_covariance(self):
-        channels = generate_channels(DEFAULT)
-        red = reduce_ezf(channels)
-        p1, _ = rczf_precode(red, 1.0)
-        p2, _ = rczf_precode(red, 2.0)
-        for w1, w2 in zip(blocks(p1, red), blocks(p2, red)):
-            assert np.linalg.norm(w2 - np.sqrt(2.0) * w1) < 1e-14 * np.linalg.norm(w1)
+        # Scaling the reduced channel by c leaves the unit-power W and divides
+        # V^+ by c, so the scale grows by c.
+        red = reduce_ezf(generate_channels(DEFAULT))
+        w1, scale1 = rczf_precode(red)
+        w2, scale2 = rczf_precode([(users, 2.0 * v, b) for users, v, b in red])
+        assert np.linalg.norm(w2 - w1) < 1e-14 * np.linalg.norm(w1)
+        assert scale2 == pytest.approx(2.0 * scale1, rel=1e-12)
 
     def test_colinear_users_rejected(self):
         rng = np.random.default_rng(0)
         h = crandn(rng, 1, 4)
-        channels = ChannelSet(Scenario(4, ((1, 1), (1, 1)), 1.0, 0), (h, h.copy()))
+        channels = ChannelSet(Scenario(4, ((1, 1), (1, 1)), 0), (h, h.copy()))
         red = custom_reduction(channels, (np.eye(1), np.eye(1)))
         with pytest.raises(InfeasibleZeroForcingError):
-            rczf_precode(red, 1.0)
+            rczf_precode(red)
 
 
 class TestMrt:
     def test_single_user_diagonal(self):
         channels = ChannelSet(
-            Scenario(2, ((2, 1),), 1.0, 0), (np.diag([3.0, 1.0]).astype(complex),)
+            Scenario(2, ((2, 1),), 0), (np.diag([3.0, 1.0]).astype(complex),)
         )
-        w, _ = mrt_precode(channels, 1.0)
+        w, _ = mrt_precode(channels)
         np.testing.assert_allclose(blocks(w, reduce_ezf(channels))[0], [[1.0], [0.0]], atol=1e-12)
 
     def test_orthogonal_users_coincide_with_zero_forcing(self):
         channels = block_channels(8, [(4, 2), (4, 2)], seed=1)
-        mrt, _ = mrt_precode(channels, 1.0)
+        mrt, _ = mrt_precode(channels)
         red = reduce_ezf(channels)
         w_norm = np.linalg.norm(mrt)
         vs, ws = per_user(red)[0], blocks(mrt, red)
@@ -199,7 +199,7 @@ class TestMrt:
 
     def test_generic_scenario_is_not_zero_forcing(self):
         channels = generate_channels(DEFAULT)
-        w, _ = mrt_precode(channels, 1.0)
+        w, _ = mrt_precode(channels)
         w_norm = np.linalg.norm(w)
         red = reduce_ezf(channels)
         vs, ws = per_user(red)[0], blocks(w, red)
@@ -213,18 +213,19 @@ class TestMrt:
 
     def test_power_normalization(self):
         channels = generate_channels(DEFAULT)
-        w, _ = mrt_precode(channels, 3.0)
-        assert np.linalg.norm(w) ** 2 == pytest.approx(3.0, rel=1e-9)
+        w, _ = mrt_precode(channels)
+        assert np.linalg.norm(w) ** 2 == pytest.approx(1.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("power", [-1.0, 0.0, float("nan"), float("inf")])
 @pytest.mark.parametrize("scheme", ["ezf", "mrt"])
 def test_power_must_be_finite_and_positive(scheme, power):
-    channels = generate_channels(Scenario(t=16, users=((4, 2),) * 2, seed=1))
-    precoder = {"ezf": lambda: rczf_precode(reduce_ezf(channels), power),
-                "mrt": lambda: mrt_precode(channels, power)}[scheme]
-    with pytest.raises(InvalidInputError, match="total_power must be finite and > 0"):
-        precoder()
+    # Precoders have unit power, so a config's `power` line is the one place a
+    # budget still enters; any value but 1.0 is rejected there, naming the line.
+    text = (f"t = 16\nusers = 4x2 *2\npower = {power}\ngrid = 0:0:1\n"
+            f"precoders = {scheme}\ndetectors = mmse\n")
+    with pytest.raises(ConfigError, match=r"^line 3: key 'power' must be (1\.0, got|finite$)"):
+        parse_config(text)
 
 
 class TestCustomReduction:
@@ -245,9 +246,9 @@ class TestCustomReduction:
 def test_precode_equals_the_one_stack_precoders(scheme):
     # Users of three shapes: the dispatcher stacks their reduced channels in user order.
     channels = generate_channels(Scenario(t=32, users=((4, 4), (2, 2), (4, 4), (3, 3)), seed=2))
-    one = {"zf": lambda: rczf_precode(reduce_full_zf(channels), 1.0),
-           "ezf": lambda: rczf_precode(reduce_ezf(channels), 1.0),
-           "mrt": lambda: mrt_precode(channels, 1.0)}[scheme]()
+    one = {"zf": lambda: rczf_precode(reduce_full_zf(channels)),
+           "ezf": lambda: rczf_precode(reduce_ezf(channels)),
+           "mrt": lambda: mrt_precode(channels)}[scheme]()
     w, scale, _ = precode(channels.groups, channels.scenario, scheme)
     assert w.tobytes() == one[0].tobytes() and scale == one[1]
 
@@ -257,7 +258,7 @@ def test_rczf_membership_bullets(seed):
     """The three defining conditions, checked numerically at 1e-8 relative."""
     channels = generate_channels(Scenario(t=64, users=((4, 2),) * 8, seed=seed))
     red = reduce_ezf(channels)
-    w, _ = rczf_precode(red, 1.0)
+    w, _ = rczf_precode(red)
     (vs, bs), ws = per_user(red), blocks(w, red)
     w_norm = np.linalg.norm(w)
     for k in range(8):

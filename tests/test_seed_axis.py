@@ -51,12 +51,11 @@ def _stacks(groups, scenario: Scenario, precoder: str) -> tuple:
 @given(scenarios())
 def test_seed_stacked_stages_equal_each_seeds_functions(case):
     scenario, seeds = case
-    power = scenario.total_power
     groups = generate_groups(scenario, seeds)
     reduced = ezf_groups(groups, scenario.layer_counts)
     # Every seed's reduced channels stacked in user order: (seeds, layers, t).
     v = np.concatenate(ungroup((users, vg.swapaxes(0, 1)) for users, vg, _ in reduced), axis=-2)
-    zf, mrt = zero_forcing(v, power), matched_filter(v, power)
+    zf, mrt = zero_forcing(v), matched_filter(v)
     stacks = {"zf": user_stacks(groups, scenario.layer_counts, zf[0]),
               "mrt": user_stacks(groups, scenario.layer_counts, mrt[0])}
     refs = reference_ic(reduced, zf[1])
@@ -71,8 +70,8 @@ def test_seed_stacked_stages_equal_each_seeds_functions(case):
             for j, k in enumerate(users):
                 assert _same(vg[i, j], one_v[k])
                 assert _same(bg[i, j], one_b[k])
-        precoders = {"zf": (zf, rczf_precode(one_reduced, power)),
-                     "mrt": (mrt, mrt_precode(channels, power))}
+        precoders = {"zf": (zf, rczf_precode(one_reduced)),
+                     "mrt": (mrt, mrt_precode(channels))}
         for name, ((w, scales), (one_w, one_scale)) in precoders.items():
             assert _same(w[i], one_w) and scales[i] == one_scale, name
             for stack, one in zip(stacks[name], build_covariance(channels, one_w)):
@@ -118,7 +117,7 @@ def test_seed_stacked_reports_equal_each_seeds_reports(case):
 
 
 def test_power_scale_divides_by_each_flattened_norm():
-    """Each seed's scale is sqrt(P) / np.linalg.norm(W0) of its flattened W0, as for
+    """Each seed's scale is 1 / np.linalg.norm(W0) of its flattened W0, as for
     a lone matrix; a Frobenius norm over the last two axes differs from it by an ulp
     on some of these seeds."""
     scenario = Scenario(64, ((4, 2),) * 8)
@@ -127,8 +126,8 @@ def test_power_scale_divides_by_each_flattened_norm():
     u, s, vh = np.linalg.svd(v, full_matrices=False)
     pinv = vh.conj().swapaxes(-1, -2) @ ((1.0 / s)[..., np.newaxis] * u.conj().swapaxes(-1, -2))
     for precode, w0 in ((zero_forcing, pinv), (matched_filter, v.conj().swapaxes(-1, -2))):
-        w, scales = precode(v, 1.0)
-        flat = np.array([np.sqrt(1.0) / np.linalg.norm(m) for m in w0])
+        w, scales = precode(v)
+        flat = np.array([1.0 / np.linalg.norm(m) for m in w0])
         assert scales.tobytes() == flat.tobytes(), precode.__name__
         assert w.tobytes() == (flat[:, np.newaxis, np.newaxis] * w0).tobytes()
         assert not np.array_equal(scales, 1.0 / np.linalg.norm(w0, axis=(-2, -1)))

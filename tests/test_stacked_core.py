@@ -29,7 +29,7 @@ SCENARIO = Scenario(t=32, users=((4, 2),) * 3 + ((2, 1),) * 2 + ((8, 4),), seed=
 SCHEMES = DETECTOR_SCHEMES + ("gen-lse(0.1)", "gen-lse(10)")
 GRID_DB = (0.0, 10.0, 20.0, 30.0, 40.0)
 RTOL = 1e-10
-PRECODERS = {"ezf": lambda channels, power: rczf_precode(reduce_ezf(channels), power),
+PRECODERS = {"ezf": lambda channels: rczf_precode(reduce_ezf(channels)),
              "mrt": mrt_precode}
 
 
@@ -69,7 +69,7 @@ def oracle_sinr(g, h, w_stacked, start, sigma):
 @pytest.mark.parametrize("precoder_name", ["ezf", "mrt"])
 def test_stacked_core_matches_per_user_oracle(precoder_name, scheme):
     channels = generate_channels(SCENARIO)
-    w, _ = PRECODERS[precoder_name](channels, SCENARIO.total_power)
+    w, _ = PRECODERS[precoder_name](channels)
     starts = np.cumsum((0,) + SCENARIO.layer_counts)
     blocks = np.split(w, starts[1:-1], axis=1)
     stacks = build_covariance(channels, w)
@@ -106,7 +106,7 @@ def test_grid_filters_equal_each_points_filters(precoder_name, scheme):
     # The sweep's one call over the grid, bit for bit against a one-point
     # grid and against the scalar noise power the detector functions pass.
     channels = generate_channels(SCENARIO)
-    stacks = build_covariance(channels, PRECODERS[precoder_name](channels, 1.0)[0])
+    stacks = build_covariance(channels, PRECODERS[precoder_name](channels)[0])
     s2 = np.array([calibrate_noise(channels, db) ** 2 for db in GRID_DB])
     for stack in stacks:
         grid = stack_filters(stack, scheme, s2)
@@ -120,7 +120,7 @@ def test_grid_filters_equal_each_points_filters(precoder_name, scheme):
 
 def test_unknown_scheme_raises_instead_of_running_another():
     channels = generate_channels(SCENARIO)
-    stack = build_covariance(channels, PRECODERS["ezf"](channels, 1.0)[0])[0]
+    stack = build_covariance(channels, PRECODERS["ezf"](channels)[0])[0]
     with pytest.raises(KeyError, match="sphere"):
         filters("sphere", 1.0, stack.users, stack.effective, stack.interference, 0.01)
 
