@@ -4,11 +4,12 @@ Each config text is drawn from `random.Random(29)`: mixed user shapes,
 antenna counts 4-32, grids from -300 to 300 dB, every precoder and detector,
 and 1-23 trials, so that a run can cross two chunk boundaries. No config
 sets `power`: precoders have unit power, and the draw that once chose a
-power is still made, so every other field keeps its value. `tests/golden/sweep_errors.txt` holds one
-line per config: `ok <row count>` for a sweep that finishes, otherwise its
-exception chain, `Class: message` followed along `__cause__` to three
-levels. Any exception is recorded, not only the library's own, so a bare
-numpy error escaping a sweep shows up as a changed line.
+power is still made, so every other field keeps its value.
+`tests/golden/sweep_errors.txt` holds one line per config: `ok <row count>`
+for a sweep that finishes, otherwise its exception chain, `Class: message`
+followed along `__cause__` to three levels. Any exception is recorded, not
+only the library's own, so a bare numpy error escaping a sweep shows up as
+a changed line.
 
 numpy `RuntimeWarning`s are raised as errors while probing, so a sweep
 that overflows shows up as a changed line whatever the warning filter.
