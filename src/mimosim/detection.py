@@ -19,7 +19,7 @@ from .errors import (
     UniquenessError,
 )
 from .linalg import herm
-from .system import ChannelSet
+from .system import ChannelSet, _real
 
 
 @dataclass(frozen=True)
@@ -121,6 +121,22 @@ _GUARDS = {
 _GUARDS["gen-lse"] = _GUARDS["mmse-irc"]
 
 
+def _detector_inputs(a, r0) -> tuple[np.ndarray, np.ndarray | None]:
+    """Links A (..., q_k, p_k) with p_k <= q_k and covariances R0 (..., q_k, q_k), or None,
+    as finite complex stacks (`linalg.as_cmatrix`); a misfit raises DimensionMismatchError."""
+    a = linalg.as_cmatrix(a, "effective link")
+    q, p = a.shape[-2:]
+    if p > q:
+        raise DimensionMismatchError(f"effective link of shape {(q, p)} has p_k > q_k")
+    if r0 is not None:
+        r0 = linalg.as_cmatrix(r0, "covariance")
+        if r0.shape[-2:] != (q, q):
+            raise DimensionMismatchError(
+                f"covariance of shape {r0.shape[-2:]} does not match q_k={q}"
+            )
+    return a, r0
+
+
 def filters(scheme: str, lam: float, users, a: np.ndarray, r0: np.ndarray, s2) -> np.ndarray:
     """Stacked filters G (n x p_k x q_k) of one detector scheme on a user stack.
 
@@ -135,9 +151,11 @@ def filters(scheme: str, lam: float, users, a: np.ndarray, r0: np.ndarray, s2) -
 
     A (G,) vector of noise powers gives (G, n, p_k, q_k), and a (G, S) grid on
     a stack with a leading axis of S seeds (G, S, n, p_k, q_k). A guard error
-    names the first failing point's first failing user of `users`.
+    names the first failing point's first failing user of `users` (None: the stack
+    positions); `_detector_inputs` checks `a` and `r0` first.
     """
-    users, q = tuple(users), a.shape[-2]
+    a, r0 = _detector_inputs(a, r0)
+    users, q = tuple(range(len(a)) if users is None else users), a.shape[-2]
     s2 = np.asarray(s2, dtype=float)
     # (G, [S,] 1, 1) against the stacked eigenvalues ([S,] n, q_k).
     shift = s2.reshape(s2.shape + (1,) * (a.ndim - max(s2.ndim, 1)))
@@ -179,14 +197,14 @@ def _solve(scheme: str, users: tuple, eig, a: np.ndarray, shift) -> np.ndarray:
 
 def mmse_irc(a: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Interference-aware MMSE filters G_k = A_k^H (A_k A_k^H + R_k)^{-1}."""
-    return filters("mmse-irc", 1.0, range(len(a)), a, r, 0.0)
+    return filters("mmse-irc", 1.0, None, a, r, 0.0)
 
 
 def plain_mmse(a: np.ndarray, sigma: float) -> np.ndarray:
     """White-noise MMSE G_k = A_k^H (A_k A_k^H + sigma^2 I)^{-1}: no interference term."""
-    if not (math.isfinite(sigma) and sigma >= 0):
+    if not (_real(sigma) and math.isfinite(sigma) and sigma >= 0):
         raise InvalidInputError(f"sigma must be finite and >= 0, got {sigma}")
-    return filters("mmse", 1.0, range(len(a)), a, None, sigma**2)
+    return filters("mmse", 1.0, None, a, None, sigma**2)
 
 
 def gen_lse(a: np.ndarray, r: np.ndarray, lam: float) -> np.ndarray:
@@ -195,14 +213,14 @@ def gen_lse(a: np.ndarray, r: np.ndarray, lam: float) -> np.ndarray:
     At lam = 1 this is exactly the interference-aware MMSE filter; in the
     noiseless zero-forcing regime the output does not depend on lam.
     """
-    if not (math.isfinite(lam) and lam > 0):
+    if not (_real(lam) and math.isfinite(lam) and lam > 0):
         raise InvalidInputError(f"lam must be finite and > 0, got {lam}")
-    return filters("gen-lse", lam, range(len(a)), a, r, 0.0)
+    return filters("gen-lse", lam, None, a, r, 0.0)
 
 
 def lse_limit(a: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Whitened least-squares limit G_k = (A_k^H R_k^{-1} A_k)^{-1} A_k^H R_k^{-1}."""
-    return filters("lse-limit", 1.0, range(len(a)), a, r, 0.0)
+    return filters("lse-limit", 1.0, None, a, r, 0.0)
 
 
 def qr_mld_parts(
@@ -217,12 +235,7 @@ def qr_mld_parts(
     grid axis before the user axis; `users` then names the stack's users in
     a guard error, the first failing user of the first failing grid point.
     """
-    a = linalg.as_cmatrix(a, "effective link")
-    r = linalg.as_cmatrix(r, "covariance")
-    if r.shape[-2:] != (a.shape[-2],) * 2:
-        raise DimensionMismatchError(
-            f"covariance of shape {r.shape[-2:]} does not match q_k={a.shape[-2]}"
-        )
+    a, r = _detector_inputs(a, r)
     # Explicit, as numpy < 2 reads a b one axis short of the stack as vectors.
     a = np.broadcast_to(a, r.shape[:-2] + a.shape[-2:])
     bad = ~(linalg.shifted_condition(np.linalg.eigvalsh(r)) < linalg.CONDITION_LIMIT)
@@ -252,7 +265,7 @@ def qr_mld_parts(
 
 def qr_mld_linear(a: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Linear part of the QR detector, G_k = T_k^{-1} Q_k^H F_k^{-1}."""
-    return filters("qr-mld", 1.0, range(len(a)), a, r, 0.0)
+    return filters("qr-mld", 1.0, None, a, r, 0.0)
 
 
 def qr_mld_detect(
@@ -270,11 +283,11 @@ def qr_mld_detect(
     """
     single = np.ndim(y) == 1
     y = linalg.as_cmatrix(np.reshape(y, (-1, 1)) if single else y, "received vector")
-    if y.shape[0] != a.shape[0]:
-        raise DimensionMismatchError(
-            f"received vector length {y.shape[0]} does not match q_k={a.shape[0]}"
-        )
     whitener, q, t, _ = qr_mld_parts(a, r)
+    if y.shape[0] != q.shape[0]:
+        raise DimensionMismatchError(
+            f"received vector length {y.shape[0]} does not match q_k={q.shape[0]}"
+        )
     z = herm(q) @ np.linalg.solve(whitener, y)
     p = t.shape[0]
     s_hat = np.zeros((p, y.shape[1]), dtype=np.complex128)

@@ -7,7 +7,6 @@ seeds are derived up front and every row accumulates in fixed trial order.
 """
 
 import math
-import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import product
@@ -19,7 +18,7 @@ from .errors import ConfigError, InvalidInputError, MimoSimError
 from .metrics import mu_report, parse_detector_scheme, su_spectral_efficiency
 from .precoding import PRECODER_SCHEMES, precode
 from .system import (
-    SEED_CHUNK, Scenario, _integer, generate_groups, noise_for_target, su_layer_gains
+    SEED_CHUNK, Scenario, _integer, _real, generate_groups, noise_for_target, su_layer_gains
 )
 
 CSV_HEADER = (
@@ -57,8 +56,7 @@ class SweepConfig:
             raise ConfigError("grid must be non-empty")
         if len(self.su_sinr_grid_db) > MAX_GRID_POINTS:
             raise ConfigError(f"grid has more than {MAX_GRID_POINTS} points")
-        if not all(isinstance(db, numbers.Real) and not isinstance(db, bool)
-                   for db in self.su_sinr_grid_db):
+        if not all(map(_real, self.su_sinr_grid_db)):
             raise ConfigError(f"grid points must be real numbers, got {self.su_sinr_grid_db}")
         if not all(math.isfinite(db) for db in self.su_sinr_grid_db):
             raise ConfigError(f"grid points must be finite, got {self.su_sinr_grid_db}")

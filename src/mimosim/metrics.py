@@ -23,7 +23,7 @@ import numpy as np
 from .detection import UserStack, filters, split_columns, user_stacks
 from .errors import ConfigError, InvalidInputError
 from .precoding import precode
-from .system import ChannelSet, su_layer_gains
+from .system import ChannelSet, _real, su_layer_gains
 
 # Noiseless perfect links cap here instead of producing infinite SE.
 SINR_CAP = 1e12
@@ -147,9 +147,9 @@ def su_mu_report(
     The single-user leg gives each user its share p_k / p of unit power, so
     the SU/MU ratio isolates the cost of sharing the channel, not the power
     split. This is the sweep's route (`precode`, `user_stacks`, `mu_report`) at one
-    seed and one grid point. A negative, infinite or NaN sigma raises InvalidInputError.
+    seed and one grid point. A sigma that is not a finite real >= 0 raises InvalidInputError.
     """
-    if not (math.isfinite(sigma) and sigma >= 0):
+    if not (_real(sigma) and math.isfinite(sigma) and sigma >= 0):
         raise InvalidInputError(f"sigma must be finite and >= 0, got {sigma}")
     scenario, groups = channels.scenario, channels.groups
     w = precode(groups, scenario, precoder_scheme)[0]

@@ -7,6 +7,7 @@ hits a requested dB target.
 """
 
 import math
+import numbers
 import operator
 from contextlib import suppress
 from dataclasses import dataclass
@@ -27,6 +28,11 @@ def _integer(value, what: str) -> int:
         with suppress(TypeError):
             return operator.index(value)
     raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+
+
+def _real(value) -> bool:
+    """Whether `value` is a real number, numpy scalars included; a bool is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -184,7 +190,7 @@ def su_layer_gains(scenario: Scenario, groups) -> np.ndarray:
 
 def noise_for_target(su_layer_power: float, su_sinr_db: float) -> float:
     """White-noise sigma putting `su_layer_power` at `su_sinr_db` above sigma^2."""
-    if not math.isfinite(su_sinr_db):
+    if not (_real(su_sinr_db) and math.isfinite(su_sinr_db)):
         raise InvalidInputError(f"su_sinr_db must be finite, got {su_sinr_db}")
     try:
         sigma2 = float(su_layer_power) / 10.0 ** (su_sinr_db / 10.0)

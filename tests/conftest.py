@@ -1,4 +1,11 @@
+import os
+import sys
 from pathlib import Path
+
+# No bytecode under src/ or bench/, in this process or its subprocesses: the benchmark
+# runs from its own checkout and would read any .pyc files a test run left there.
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
 import numpy as np
 import pytest

@@ -8,10 +8,12 @@ a whole pool, that this call equals the public detector functions on the
 flattened pool, that each pooled row stays aligned with its own reference filter
 (a perturbed filter at either end of the pool, or of any group of a mixed-shape
 scenario, must fail the suites that read it), that the pooled fields equal a
-plain numpy slicing of W, that every suite runs over mixed shapes, and what
-`mimosim check` prints and returns.
+plain numpy slicing of W, that the identity suite's verdict does not depend on the
+channels' gain, that every suite runs over mixed shapes, and what `mimosim check`
+prints and returns.
 """
 
+import re
 from functools import partial
 
 import numpy as np
@@ -222,11 +224,11 @@ def test_every_scenario_suite_passes_over_mixed_shapes(monkeypatch, suite):
 @given(scenarios())
 @example((system.Scenario(8, ((4, 2), (2, 1), (4, 2), (3, 1))), (1,)))  # interleaved groups
 def test_pool_fields_equal_numpy_slicing_of_w(case):
-    """Per group and pooled (seed, user k): the own block G0_k H_k W_k and the cross ratios
-    ||G0_k H_k W_j|| / (||H_k|| ||W_j||), against W cut at the cumulative layer counts.
-    Zero-forcing would leave only rounding noise in the cross blocks, so each filter gets
-    a seeded random matrix added first; only a user with p_k = q_k, whose H_k W_j vanish
-    too, keeps noise there, which the 1e-12 floor takes."""
+    """Per group and pooled (seed, user k): G0_k A_k and the leak ||G0_k H_k W_j|| over
+    every j != k's columns, against W cut at the cumulative layer counts. Zero-forcing
+    would leave only rounding noise in the leak, so each filter gets a seeded random
+    matrix added first; only a user with p_k = q_k, whose H_k W_j vanish too, keeps
+    noise there, which the 1e-12 floor takes."""
     users, seeds = case[0].users, (1, 2)
     real = checks.reference_ic
 
@@ -245,14 +247,57 @@ def test_pool_fields_equal_numpy_slicing_of_w(case):
         ws = np.split(w, np.cumsum(channels.scenario.layer_counts)[:-1], axis=1)
         for pool, group in zip(pools, system.shape_groups(users)):
             for i, k in enumerate(group):
-                h = channels.matrices[k]
-                g0h = pool.reference[s, i] @ h
-                np.testing.assert_allclose(pool.reference_own[s, i], g0h @ ws[k], rtol=1e-12)
-                cross = [0.0 if j == k else
-                         np.linalg.norm(g0h @ wj) / (np.linalg.norm(h) * np.linalg.norm(wj))
-                         for j, wj in enumerate(ws)]
-                np.testing.assert_allclose(pool.reference_cross[s, i], cross,
+                g0h = pool.reference[s, i] @ channels.matrices[k]
+                np.testing.assert_allclose(pool.reference[s, i] @ pool.effective[s, i],
+                                           g0h @ ws[k], rtol=1e-12)
+                leak = np.sqrt(sum(np.linalg.norm(g0h @ wj)**2
+                                   for j, wj in enumerate(ws) if j != k))
+                np.testing.assert_allclose(pool.reference_leak[s, i], leak,
                                            rtol=1e-12, atol=1e-12)
+
+
+def _scaled_draws(monkeypatch, gain: float) -> None:
+    """`checks.generate_groups` with every draw's H and singular values s scaled by `gain`."""
+    real = checks.generate_groups
+    monkeypatch.setattr(checks, "generate_groups", lambda scenario, seeds: tuple(
+        (users, gain * h, u, gain * s) for users, h, u, s in real(scenario, seeds)))
+
+
+def _identity_residuals(res) -> list[float]:
+    """The own and cross residuals an identity suite result prints."""
+    return [float(x) for x in re.findall(r"= ([-+.e\d]+)", res.detail)]
+
+
+def test_identity_suite_passes_on_draws_scaled_by_1e_minus_9(monkeypatch):
+    """G0 H W does not change when every channel is scaled, so neither does the verdict:
+    the residuals stay at rounding level, as for the unscaled draws."""
+    _scaled_draws(monkeypatch, 1e-9)
+    res = checks.identity_suite()
+    assert res.passed, res.detail
+    assert max(_identity_residuals(res)) < 1e-12, res.detail
+
+
+def test_identity_suite_fails_a_cross_only_leak_at_gain_1e6(monkeypatch):
+    """At channel gain c = 1e6, eps / c * N (eps = 1e-6) added to user 0's G0 at seed 1,
+    N's rows spanning the left null space of its own link A, leaves G0 A = I but leaks
+    ~eps into the other users' columns: the suite fails on the cross residual alone."""
+    gain, eps = 1e6, 1e-6
+    channels = system.generate_channels(system.Scenario(64, checks._DEFAULT_USERS, 1))
+    w, _ = rczf_precode(reduce_ezf(channels))
+    null = np.linalg.svd(channels.matrices[0] @ w[:, :2])[0][:, 2:].conj().T
+    real = checks.reference_ic
+
+    def leaky(reduced, scale):
+        (users, g), *rest = real(reduced, scale)
+        g[0, 0] += eps / gain * null
+        return ((users, g), *rest)
+
+    _scaled_draws(monkeypatch, gain)
+    monkeypatch.setattr(checks, "reference_ic", leaky)
+    res = checks.identity_suite(seeds=(1,))
+    own, cross = _identity_residuals(res)
+    assert not res.passed, res.detail
+    assert own < 1e-12 and cross > 1e-8, res.detail
 
 
 def test_perturbed_qr_filter_fails_factor_identity(monkeypatch):

@@ -164,13 +164,47 @@ class TestBuildCovariance:
         assert np.isfinite(mmse_irc(stack.effective, r)).all()
 
 
+# Each public detector on a faulty input, and the one (class, text) that every detector
+# gives for it. Plain mmse takes no covariance; the NaN covariance of mmse-irc is pinned in
+# TestMmseIrc, and qr-mld rejected it before the other detectors shared its check.
+DETECTORS = {"mmse-irc": mmse_irc, "gen-lse": lambda a, r: gen_lse(a, r, 0.5),
+             "lse-limit": lse_limit, "qr-mld": qr_mld_linear,
+             "mmse": lambda a, r: plain_mmse(a, 1.0)}
+LINK, COVARIANCE = np.eye(4)[np.newaxis, :, :2], np.eye(4)[np.newaxis]
+INPUT_FAULTS = {
+    "3x3-covariance": (LINK, np.eye(3)[np.newaxis], DimensionMismatchError,
+                       "covariance of shape (3, 3) does not match q_k=4"),
+    "nan-covariance": (LINK, np.full((1, 4, 4), np.nan), InvalidInputError,
+                       "covariance contains non-finite entries"),
+    "1-d-link": (np.ones(4), COVARIANCE, InvalidInputError,
+                 "effective link must be at least 2-D, got ndim=1"),
+    "0-d-link": (np.float64(1.0), COVARIANCE, InvalidInputError,
+                 "effective link must be at least 2-D, got ndim=0"),
+    "wide-link": (np.eye(4)[np.newaxis, :2], np.eye(2)[np.newaxis], DimensionMismatchError,
+                  "effective link of shape (2, 4) has p_k > q_k"),
+}
+
+
+@pytest.mark.parametrize("detector, fault", [
+    (detector, fault) for detector in DETECTORS for fault in INPUT_FAULTS
+    if not ("covariance" in fault and detector == "mmse"
+            or fault == "nan-covariance" and detector in ("mmse-irc", "qr-mld"))
+])
+def test_detector_input_fault_has_one_class(detector, fault):
+    a, r, error, text = INPUT_FAULTS[fault]
+    with pytest.raises(error) as info:
+        DETECTORS[detector](a, r)
+    assert type(info.value) is error
+    assert str(info.value) == text
+
+
 class TestMmseIrc:
     def test_diagonal_two_by_one(self):
         g = mmse_irc(np.array([[1.0], [0.0]])[np.newaxis], np.eye(2)[np.newaxis])
         np.testing.assert_allclose(g[0], [[0.5, 0.0]], atol=1e-12)
 
-    def test_nan_covariance_is_a_decomposition_error(self):
-        with pytest.raises(DecompositionError, match="eigendecomposition did not converge"):
+    def test_nan_covariance_is_invalid_input(self):
+        with pytest.raises(InvalidInputError, match="^covariance contains non-finite entries$"):
             mmse_irc(np.ones((1, 4, 2)), np.full((1, 4, 4), np.nan))
 
     def test_identity_zero_noise(self):
@@ -382,6 +416,11 @@ class TestQrMldDetect:
             assert one_shot_failures >= min_one_shot_failures
         else:
             assert one_shot_failures == 0
+
+    def test_array_like_inputs_match_arrays(self):
+        a, r, y = np.eye(4)[:, :2], 2.0 * np.eye(4), np.array([1.0, -1.0, 0.5, 0.0])
+        np.testing.assert_array_equal(qr_mld_detect(y.tolist(), a.tolist(), r.tolist(), qpsk()),
+                                      qr_mld_detect(y, a, r, qpsk()))
 
     def test_batched_columns_match_single(self):
         rng = np.random.default_rng(9)

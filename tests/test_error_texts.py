@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from mimosim import linalg
-from mimosim.detection import qpsk, qr_mld_detect, qr_mld_linear, qr_mld_parts
+from mimosim.detection import (
+    gen_lse,
+    plain_mmse,
+    qpsk,
+    qr_mld_detect,
+    qr_mld_linear,
+    qr_mld_parts,
+)
 from mimosim.errors import (
     ConfigError,
     DecompositionError,
@@ -13,11 +20,18 @@ from mimosim.errors import (
     NeedsExternalNoiseError,
 )
 from mimosim.experiment import SweepConfig, parse_config
-from mimosim.metrics import parse_detector_scheme
-from mimosim.system import ChannelSet, Scenario
+from mimosim.metrics import parse_detector_scheme, su_mu_report
+from mimosim.system import (
+    ChannelSet,
+    Scenario,
+    calibrate_noise,
+    generate_channels,
+    noise_for_target,
+)
 
 CONFIG = "t = 16\nusers = 4x2\ngrid = 0:10:5\nprecoders = ezf\ndetectors = mmse\n"
 SCENARIO = Scenario(16, ((4, 2),))
+LINK = np.eye(4)[np.newaxis, :, :2]
 
 
 def config(old: str, new: str):
@@ -87,6 +101,24 @@ ERRORS = {
     "qr-mld-detect-non-finite": (lambda: qr_mld_detect(np.full(4, np.nan), np.eye(4)[:, :2],
                                                        np.eye(4), qpsk()),
                                  InvalidInputError, "received vector contains non-finite entries"),
+    # A noise level, SINR target or regularizer weight is a real number, and a bool is not one
+    # (as it is not a count).
+    "calibrate-noise-bool": (lambda: calibrate_noise(generate_channels(SCENARIO), True),
+                             InvalidInputError, "su_sinr_db must be finite, got True"),
+    "noise-for-target-bool": (lambda: noise_for_target(1.0, np.True_), InvalidInputError,
+                              "su_sinr_db must be finite, got True"),
+    "su-mu-report-bool": (lambda: su_mu_report(generate_channels(SCENARIO), "ezf", "mmse", True),
+                          InvalidInputError, "sigma must be finite and >= 0, got True"),
+    "plain-mmse-bool": (lambda: plain_mmse(LINK, np.True_), InvalidInputError,
+                        "sigma must be finite and >= 0, got True"),
+    "gen-lse-bool": (lambda: gen_lse(LINK, np.eye(4)[np.newaxis], True), InvalidInputError,
+                     "lam must be finite and > 0, got True"),
+    "noise-for-target-none": (lambda: noise_for_target(1.0, None), InvalidInputError,
+                              "su_sinr_db must be finite, got None"),
+    "plain-mmse-str": (lambda: plain_mmse(LINK, "abc"), InvalidInputError,
+                       "sigma must be finite and >= 0, got abc"),
+    "gen-lse-complex": (lambda: gen_lse(LINK, np.eye(4)[np.newaxis], 1 + 0j), InvalidInputError,
+                        "lam must be finite and > 0, got (1+0j)"),
     # A subnormal link passes every guard, but T^{-1} overflows to inf.
     "filter-non-finite": (lambda: qr_mld_linear(1e-310 * np.eye(4)[np.newaxis, :, :2],
                                                 np.eye(4)[np.newaxis]),
