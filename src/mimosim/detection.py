@@ -164,8 +164,16 @@ def filters(scheme: str, lam: float, users, a: np.ndarray, r0: np.ndarray, s2) -
     else:
         eig = linalg.eigh(r0 if scheme == "lse-limit" else
                           a @ herm(a) if scheme == "mmse" else a @ herm(a) + lam * r0)
-        # lam is 1.0 for every scheme but gen-lse, so the product is exact.
-        rinv_a = _solve(scheme, users, eig, a, lam * shift)
+        error, why = _GUARDS[scheme]  # up front: a scheme with no guard is a KeyError, not a guess
+        shift = lam * shift  # lam is 1.0 for every scheme but gen-lse, so the product is exact
+        try:
+            rinv_a = linalg.solve_shifted(eig, a, shift, [f"user {k}" for k in users])
+        except SingularMatrixError as exc:
+            bad = ~(linalg.shifted_condition(eig[0], shift) < linalg.CONDITION_LIMIT)
+            first = int(np.argmax(bad))  # over (grid, seed, user); shift may lack the seed axis
+            s2 = np.broadcast_to(shift[..., 0], bad.shape).flat[first]
+            raise error(f"user {users[first % len(users)]}: "
+                        + why.format(q=q, p=a.shape[-1], s2=s2)) from exc
         g = herm(rinv_a)
         if scheme == "lse-limit":
             names = [f"user {k} normal matrix" for k in users]
@@ -175,19 +183,6 @@ def filters(scheme: str, lam: float, users, a: np.ndarray, r0: np.ndarray, s2) -
         k = users[int(np.argmin(finite)) % len(users)]
         raise InvalidInputError(f"user {k}: detector filter has non-finite entries")
     return g
-
-
-def _solve(scheme: str, users: tuple, eig, a: np.ndarray, shift) -> np.ndarray:
-    """`linalg.solve_shifted` of A on `eig`; a guard trip raises the scheme's `_GUARDS` error."""
-    error, why = _GUARDS[scheme]  # up front: a scheme with no guard is a KeyError, not a guess
-    try:
-        return linalg.solve_shifted(eig, a, shift, [f"user {k}" for k in users])
-    except SingularMatrixError as exc:
-        bad = ~(linalg.shifted_condition(eig[0], shift) < linalg.CONDITION_LIMIT)
-        first = int(np.argmax(bad))  # over (grid, seed, user); shift may lack the seed axis
-        q, p = a.shape[-2:]
-        s2 = np.broadcast_to(shift[..., 0], bad.shape).flat[first]
-        raise error(f"user {users[first % len(users)]}: " + why.format(q=q, p=p, s2=s2)) from exc
 
 
 # The detector functions take one same-shape user stack, links A (n x q x p)
@@ -238,21 +233,15 @@ def qr_mld_parts(
     a, r = _detector_inputs(a, r)
     # Explicit, as numpy < 2 reads a b one axis short of the stack as vectors.
     a = np.broadcast_to(a, r.shape[:-2] + a.shape[-2:])
-    bad = ~(linalg.shifted_condition(np.linalg.eigvalsh(r)) < linalg.CONDITION_LIMIT)
+    bad = ~(linalg.shifted_condition(e := np.linalg.eigvalsh(r)) < linalg.CONDITION_LIMIT)
     if bad.any():
         who = f"user {users[int(np.argmax(bad)) % len(users)]}: " if users is not None else ""
         raise NeedsExternalNoiseError(
             f"{who}covariance is singular; non-zero external noise is required before whitening"
         )
-    if whitener is None:
-        try:
-            whitener = linalg.cholesky(r)
-        except DecompositionError as exc:
-            raise NeedsExternalNoiseError(
-                "covariance is not positive definite; add external noise"
-            ) from exc
-    else:
-        whitener = linalg.as_cmatrix(whitener, "whitener")
+    if (e[..., 0] <= 0).any():
+        raise NeedsExternalNoiseError("covariance is not positive definite; add external noise")
+    whitener = linalg.cholesky(r) if whitener is None else linalg.as_cmatrix(whitener, "whitener")
     try:
         white_a = np.linalg.solve(whitener, a)
         white_inv = np.linalg.inv(whitener)

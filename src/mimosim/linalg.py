@@ -97,9 +97,7 @@ def pinv(m) -> np.ndarray:
 def cond(m) -> float:
     """2-norm condition number; inf for a singular matrix."""
     s = np.linalg.svd(np.asarray(m, dtype=np.complex128), compute_uv=False)
-    if s.size == 0 or s[-1] == 0.0:
-        return np.inf
-    return float(s[0] / s[-1])
+    return float(shifted_condition(s)) if s.size else np.inf
 
 
 def rank(s: np.ndarray):
