@@ -90,13 +90,15 @@ def build_covariance(channels: ChannelSet, w: np.ndarray) -> tuple[UserStack, ..
 def user_stacks(groups, layer_counts, w: np.ndarray) -> tuple[UserStack, ...]:
     """Stack the users of each (users, H, U, s) group under the stacked precoder W.
 
-    H (..., n, q_k, t) and W (..., t, p) may share leading (seed) axes; one
-    H @ W product per group. R_int is built from the other users' columns
-    directly, not as total minus own, so it stays PSD and loses no cross
+    H (..., n, q_k, t) and W (..., t, p = sum p_k), finite (`linalg.as_cmatrix`), may share
+    leading (seed) axes; one H @ W product per group. R_int is built from the other users'
+    columns directly, not as total minus own, so it stays PSD and loses no cross
     power; a user's covariance under white noise sigma is R_int,k + sigma^2 I.
     """
+    w, offsets = linalg.as_cmatrix(w, "precoder"), np.cumsum((0,) + tuple(layer_counts))
+    if w.shape[-2:] != (t := groups[0][1].shape[-1], p := offsets[-1]):
+        raise DimensionMismatchError(f"precoder shape {w.shape[-2:]} is not (t={t}, p={p})")
     w = w[..., np.newaxis, :, :]
-    offsets = np.cumsum((0,) + tuple(layer_counts))
     stacks = []
     for users, h, _, _ in groups:
         starts = offsets[users]
@@ -161,6 +163,10 @@ def filters(scheme: str, lam: float, users, a: np.ndarray, r0: np.ndarray, s2) -
     shift = s2.reshape(s2.shape + (1,) * (a.ndim - max(s2.ndim, 1)))
     if scheme == "qr-mld":
         g = qr_mld_parts(a, r0 + shift[..., np.newaxis] * np.eye(q), users=users)[3]
+        finite = np.isfinite(g).all(axis=(-2, -1))
+        if not finite.all():  # T^{-1} may overflow (solve_shifted guards the eigen schemes)
+            k = users[int(np.argmin(finite)) % len(users)]
+            raise InvalidInputError(f"user {k}: detector filter has non-finite entries")
     else:
         eig = linalg.eigh(r0 if scheme == "lse-limit" else
                           a @ herm(a) if scheme == "mmse" else a @ herm(a) + lam * r0)
@@ -170,6 +176,8 @@ def filters(scheme: str, lam: float, users, a: np.ndarray, r0: np.ndarray, s2) -
             rinv_a = linalg.solve_shifted(eig, a, shift, [f"user {k}" for k in users])
         except SingularMatrixError as exc:
             bad = ~(linalg.shifted_condition(eig[0], shift) < linalg.CONDITION_LIMIT)
+            if not bad.any():  # an overflow, not a guard trip: solve_shifted names it
+                raise
             first = int(np.argmax(bad))  # over (grid, seed, user); shift may lack the seed axis
             s2 = np.broadcast_to(shift[..., 0], bad.shape).flat[first]
             raise error(f"user {users[first % len(users)]}: "
@@ -178,10 +186,6 @@ def filters(scheme: str, lam: float, users, a: np.ndarray, r0: np.ndarray, s2) -
         if scheme == "lse-limit":
             names = [f"user {k} normal matrix" for k in users]
             g = linalg.solve_shifted(linalg.eigh(herm(a) @ rinv_a), g, names=names)
-    finite = np.isfinite(g).all(axis=(-2, -1))
-    if not finite.all():
-        k = users[int(np.argmin(finite)) % len(users)]
-        raise InvalidInputError(f"user {k}: detector filter has non-finite entries")
     return g
 
 
@@ -223,14 +227,16 @@ def qr_mld_parts(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Factor the QR-based detector; returns (whitener, Q, T, G).
 
-    The whitener F satisfies F F^H = R (lower Cholesky by default, but any
-    F U with U unitary yields the same filter); (Q, T) is the positive-
-    diagonal QR of F^{-1} A, and G = T^{-1} Q^H F^{-1} is the linear part.
+    R is read by its Hermitian part, which one `eigvalsh` guard holds positive definite
+    with condition number below CONDITION_LIMIT. The whitener F satisfies F F^H = R
+    (lower Cholesky by default, but any F U with U unitary yields the same filter); (Q, T)
+    is the positive-diagonal QR of F^{-1} A, and G = T^{-1} Q^H F^{-1} is the linear part.
     `a`, `r` (and `whitener`) may be stacks over leading axes, `r` with a
     grid axis before the user axis; `users` then names the stack's users in
     a guard error, the first failing user of the first failing grid point.
     """
     a, r = _detector_inputs(a, r)
+    r = 0.5 * (r + herm(r))  # as `linalg.eigh` reads R for the other schemes
     # Explicit, as numpy < 2 reads a b one axis short of the stack as vectors.
     a = np.broadcast_to(a, r.shape[:-2] + a.shape[-2:])
     bad = ~(linalg.shifted_condition(e := np.linalg.eigvalsh(r)) < linalg.CONDITION_LIMIT)
@@ -289,8 +295,8 @@ def qr_mld_detect(
 def reference_ic(reduced, scale) -> tuple:
     """The unique interference-cancellation filters (users, B / scale) per reduction group.
 
-    Valid when every reducing map B_k has full row rank (one `linalg.is_full_rank`
-    per group; an error names the lowest deficient user). With the zero-forcing
+    Valid when every reducing map B_k is finite and has full row rank (one `linalg.is_full_rank`
+    per group; an error names the lowest such user). With the zero-forcing
     precoder of `reduced` at power scale `scale` (one per seed, for seed axes),
     G_k H_k W_k = I and G_k H_k W_j = 0 exactly.
     """
@@ -300,6 +306,10 @@ def reference_ic(reduced, scale) -> tuple:
     seed_axes = reduced[0][2].shape[:-3]
     if scales.shape != seed_axes:
         raise DimensionMismatchError(f"scales of shape {scales.shape} for seed axes {seed_axes}")
+    non_finite = [k for users, _, b in reduced
+                  for k in users[np.nonzero(~np.isfinite(b).all(axis=(-2, -1)))[-1]]]
+    if non_finite:
+        raise InvalidInputError(f"user {min(non_finite)}: reducing map has non-finite entries")
     deficient = [k for users, _, b in reduced
                  for k in users[np.nonzero(~linalg.is_full_rank(b))[-1]]]
     if deficient:

@@ -132,11 +132,12 @@ def shifted_condition(e: np.ndarray, shift: float = 0.0) -> np.ndarray:
     """Condition number max|e + c| / min|e + c| of each S + cI, from S's eigenvalues.
 
     For Hermitian S these are its singular values, so this is the 2-norm
-    condition number; a singular matrix gives inf.
+    condition number; a singular matrix gives inf, and so does one whose ratio overflows.
     """
-    mags = np.abs(e + shift)
-    low = mags.min(axis=-1)
-    return np.divide(mags.max(axis=-1), low, out=np.full(low.shape, np.inf), where=low > 0)
+    with np.errstate(over="ignore", divide="ignore"):
+        mags = np.abs(e + shift)
+        low = mags.min(axis=-1)
+        return np.divide(mags.max(axis=-1), low, out=np.full(low.shape, np.inf), where=low > 0)
 
 
 def solve_shifted(eig, b: np.ndarray, shift: float = 0.0, names=None) -> np.ndarray:
@@ -144,20 +145,22 @@ def solve_shifted(eig, b: np.ndarray, shift: float = 0.0, names=None) -> np.ndar
 
     `eig` is `eigh(S)`, so every shift c reuses one eigendecomposition; a
     shift array of shape (G, 1, ..., 1) adds a leading grid axis to the
-    result. The guard is the condition-number limit on S + cI; a trip
-    raises SingularMatrixError naming the first failing matrix, in grid
+    result. The guard is the condition-number limit on S + cI and a finite result; a
+    trip raises SingularMatrixError naming the first failing matrix, in grid
     then stack order, by its stack entry's `names[i]`.
     """
     e, u = eig
     c = shifted_condition(e, shift)
-    bad = ~(c < CONDITION_LIMIT)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = u @ ((herm(u) @ b) / (e + shift)[..., :, np.newaxis])
+    bad = ~(c < CONDITION_LIMIT) | ~np.isfinite(x).all(axis=(-2, -1))
     if bad.any():
         i = int(np.argmax(bad.reshape(-1)))
-        where = f" ({names[i % len(names)]})" if names else ""
-        raise SingularMatrixError(
-            f"matrix is singular or near-singular (condition number {c.reshape(-1)[i]:.3g}){where}"
-        )
-    return u @ ((herm(u) @ b) / (e + shift)[..., :, np.newaxis])
+        ci = np.broadcast_to(c, bad.shape).flat[i]
+        why = (f"matrix is singular or near-singular (condition number {ci:.3g})"
+               if not ci < CONDITION_LIMIT else "solution overflows to non-finite entries")
+        raise SingularMatrixError(why + (f" ({names[i % len(names)]})" if names else ""))
+    return x
 
 
 def solve_hermitian(m: np.ndarray, b: np.ndarray, context: str = "") -> np.ndarray:

@@ -74,7 +74,7 @@ def ezf_groups(groups, layer_counts) -> tuple:
 
 def custom_reduction(channels: ChannelSet, reducers) -> tuple:
     """Reduction from caller-supplied B_k maps, one p_k x q_k per user; V_k = B_k @ H_k."""
-    reducers = tuple(np.asarray(b, dtype=np.complex128) for b in reducers)
+    reducers = tuple(linalg.as_cmatrix(b, f"user {k}: reducer") for k, b in enumerate(reducers))
     users = channels.scenario.users
     if len(reducers) != len(users):
         raise DimensionMismatchError(f"{len(reducers)} reducers for {len(users)} users")

@@ -198,6 +198,23 @@ def test_detector_input_fault_has_one_class(detector, fault):
     assert str(info.value) == text
 
 
+def _skewed_covariance(rng):
+    """A 4x4 positive definite covariance with one entry above the diagonal off by 0.5."""
+    c = crandn(rng, 4, 4)
+    r = c @ c.conj().T + 0.5 * np.eye(4)
+    r[0, 2] += 0.5
+    return r[np.newaxis]
+
+
+def test_detectors_read_the_hermitian_part(rng):
+    # One covariance contract: every public detector gives the filters of R's Hermitian part.
+    a, r = crandn(rng, 4, 2)[np.newaxis], _skewed_covariance(rng)
+    hermitian = 0.5 * (r + linalg.herm(r))
+    for name, detector in DETECTORS.items():
+        g, want = detector(a, r), detector(a, hermitian)
+        assert np.linalg.norm(g - want) < 1e-12 * np.linalg.norm(want), name
+
+
 class TestMmseIrc:
     def test_diagonal_two_by_one(self):
         g = mmse_irc(np.array([[1.0], [0.0]])[np.newaxis], np.eye(2)[np.newaxis])
@@ -380,6 +397,17 @@ class TestQrMldLinear:
         with pytest.raises(DimensionMismatchError,
                            match=rf"^covariance of shape \({shape[1]}, 3\) does not match q_k=4$"):
             qr_mld_parts(np.ones((1, 4, 2)), np.ones(shape))
+
+    def test_non_hermitian_covariance_equals_lse_limit_of_its_hermitian_part(self, rng):
+        a, r = crandn(rng, 4, 2)[np.newaxis], _skewed_covariance(rng)
+        want = lse_limit(a, 0.5 * (r + linalg.herm(r)))
+        np.testing.assert_allclose(qr_mld_linear(a, r), want, rtol=1e-9, atol=0.0)
+
+    def test_indefinite_covariance_error_has_no_cause(self):
+        # The guard's eigenvalues show it; no failed Cholesky sits behind the error.
+        with pytest.raises(NeedsExternalNoiseError, match="not positive definite") as info:
+            qr_mld_parts(np.eye(4)[:, :2], -np.eye(4))
+        assert info.value.__cause__ is None
 
     def test_singular_whitener_is_a_decomposition_error(self):
         with pytest.raises(DecompositionError, match="^whitener is not invertible$"):

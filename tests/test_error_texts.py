@@ -5,12 +5,16 @@ import pytest
 
 from mimosim import linalg
 from mimosim.detection import (
+    build_covariance,
     gen_lse,
+    lse_limit,
     plain_mmse,
     qpsk,
     qr_mld_detect,
     qr_mld_linear,
     qr_mld_parts,
+    reference_ic,
+    user_stacks,
 )
 from mimosim.errors import (
     ConfigError,
@@ -18,9 +22,11 @@ from mimosim.errors import (
     DimensionMismatchError,
     InvalidInputError,
     NeedsExternalNoiseError,
+    SingularMatrixError,
 )
 from mimosim.experiment import SweepConfig, parse_config
 from mimosim.metrics import parse_detector_scheme, su_mu_report
+from mimosim.precoding import custom_reduction, reduce_ezf
 from mimosim.system import (
     ChannelSet,
     Scenario,
@@ -32,12 +38,30 @@ from mimosim.system import (
 CONFIG = "t = 16\nusers = 4x2\ngrid = 0:10:5\nprecoders = ezf\ndetectors = mmse\n"
 SCENARIO = Scenario(16, ((4, 2),))
 LINK = np.eye(4)[np.newaxis, :, :2]
+TWO_USERS = generate_channels(Scenario(16, ((4, 2), (4, 2))))
+PRECODER_FAULTS = {"1d": np.ones(16), "3-columns": np.ones((16, 3)),
+                   "inf": np.full((16, 4), np.inf)}
 
 
 def config(old: str, new: str):
     """`parse_config` of CONFIG with `old` replaced by `new`."""
     assert old in CONFIG
     return lambda: parse_config(CONFIG.replace(old, new))
+
+
+def stacked(fault: str):
+    """`build_covariance` and `user_stacks` of TWO_USERS under a faulty precoder."""
+    w = PRECODER_FAULTS[fault]
+    return {"build-covariance": lambda: build_covariance(TWO_USERS, w),
+            "user-stacks": lambda: user_stacks(TWO_USERS.groups, (2, 2), w)}
+
+
+def nan_reducing_map():
+    """`reference_ic` on the eigen reduction of TWO_USERS with a NaN in user 1's B."""
+    ((users, v, b),) = reduce_ezf(TWO_USERS)
+    b = b.copy()
+    b[1, 0, 0] = np.nan
+    return reference_ic(((users, v, b),), 1.0)
 
 
 def sweep_config(**fields):
@@ -119,6 +143,31 @@ ERRORS = {
                        "sigma must be finite and >= 0, got abc"),
     "gen-lse-complex": (lambda: gen_lse(LINK, np.eye(4)[np.newaxis], 1 + 0j), InvalidInputError,
                         "lam must be finite and > 0, got (1+0j)"),
+    # A covariance whose Hermitian part is indefinite has no whitener, whichever one is given.
+    "qr-mld-whitener-indefinite": (lambda: qr_mld_parts(np.eye(4)[:, :2], -np.eye(4),
+                                                        whitener=np.eye(4)),
+                                   NeedsExternalNoiseError,
+                                   "covariance is not positive definite; add external noise"),
+    **{f"{name}-{fault}": (call, error, text)
+       for fault, error, text in (
+           ("1d", InvalidInputError, "precoder must be at least 2-D, got ndim=1"),
+           ("3-columns", DimensionMismatchError, "precoder shape (16, 3) is not (t=16, p=4)"),
+           ("inf", InvalidInputError, "precoder contains non-finite entries"))
+       for name, call in stacked(fault).items()},
+    "custom-reduction-nan": (lambda: custom_reduction(TWO_USERS, (np.eye(4)[:2],
+                                                                  np.full((2, 4), np.nan))),
+                             InvalidInputError, "user 1: reducer contains non-finite entries"),
+    "reference-ic-nan": (nan_reducing_map, InvalidInputError,
+                         "user 1: reducing map has non-finite entries"),
+    # An overflow is named where it happens: (1e-300 I)^{-1} of 1e10 is not finite.
+    "solve-shifted-overflow": (lambda: linalg.solve_shifted(linalg.eigh(1e-300 * np.eye(2)),
+                                                            1e10 * np.ones((2, 1)),
+                                                            names=["user 5"]),
+                               SingularMatrixError,
+                               "solution overflows to non-finite entries (user 5)"),
+    "lse-limit-overflow": (lambda: lse_limit(1e10 * LINK, 1e-300 * np.eye(4)[np.newaxis]),
+                           SingularMatrixError,
+                           "solution overflows to non-finite entries (user 0)"),
     # A subnormal link passes every guard, but T^{-1} overflows to inf.
     "filter-non-finite": (lambda: qr_mld_linear(1e-310 * np.eye(4)[np.newaxis, :, :2],
                                                 np.eye(4)[np.newaxis]),

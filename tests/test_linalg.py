@@ -249,6 +249,11 @@ class TestStacks:
         )
         assert np.isinf(linalg.shifted_condition(np.zeros(2)))
 
+    def test_overflowing_condition_is_inf_without_a_warning(self):
+        # Tier-1 turns warnings into errors, so an overflow warning would fail this call.
+        assert np.isinf(linalg.shifted_condition(np.array([[1e-300, 1e300], [1.0, 2.0]]))[0])
+        assert np.isinf(linalg.shifted_condition(np.array([1.0, 1.5e308]), 1.5e308))
+
 
 def test_solve_hermitian_rejects_zero_matrix():
     with pytest.raises(SingularMatrixError):
