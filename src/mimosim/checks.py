@@ -5,12 +5,12 @@ link/covariance pairs), returns the worst residual observed, and compares
 it against the pinned threshold. The CLI `check` command prints one line
 per suite; the acceptance tests assert the same results.
 
-The suites share their inputs through pools, built once per
-`run_all_checks` call (a suite called on its own builds its own): the
-default EZF scenarios of all seeds as one stack per (q_k, p_k) shape group,
-`user_stacks`' groups, built SEED_CHUNK seeds at a time through the
-seed-stacked stages as the sweep is, and the synthetic pairs as one stack.
-A scenario suite makes `mu_report`'s `filters` call on each group's pool whole,
+The suites share their inputs through pools, built once per `run_all_checks` call
+(a suite called on its own builds its own): per (q_k, p_k) shape group, the default
+EZF scenarios of all seeds as the sweep's `UserStack`, links included, built
+SEED_CHUNK seeds at a time through the seed-stacked stages as the sweep is and joined
+on the seed axis, with the group's reference filters G0; and the synthetic pairs as
+one stack. A scenario suite makes `mu_report`'s `filters` call on each group's pool whole,
 once per regularizer weight, and reports the worst user of any group; the
 synthetic suites call the public detector functions, the theorems' other
 routes. The necessity suite walks the same stages under the `mrt` precoder.
@@ -18,14 +18,15 @@ The identity suite's residuals are plain norms of G0 H W, so no channel gain mov
 """
 
 import contextvars
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from itertools import combinations, starmap
+from itertools import combinations
 
 import numpy as np
 
 from . import linalg
 from .detection import (
+    UserStack,
     filters,
     gen_lse,
     lse_limit,
@@ -85,37 +86,24 @@ def _chunks(seeds, scheme):
         del scales, reduced, stacks  # before the next chunk is drawn
 
 
-@dataclass(frozen=True)
-class _ScenarioPool:
-    """One shape group of the default EZF scenarios: `filters`' (seed, user) stack, and references.
-
-    Entry [s, i] is user k = users[i] of the s-th seed: its own link A = H W_k, noise-free
-    interference covariance R_int, reference filter G0 = B / scale, and reference_leak =
-    ||G0 H W_j||_F over every user j != k's columns, which zero-forcing makes 0.
-    """
-
-    users: np.ndarray
-    effective: np.ndarray
-    interference: np.ndarray
-    reference: np.ndarray
-    reference_leak: np.ndarray
-
-    @staticmethod
-    def _fields(scales, reduced, stacks) -> list:
-        """Per shape group, one chunk's fields in field order. The leaks are split off
-        chunk by chunk, so no temporary spans a whole pool."""
-        return [(stack.users, stack.effective, stack.interference, ref,
-                 np.linalg.norm(split_columns(ref @ stack.links, stack.starts, ref.shape[-2])[1],
-                                axis=(-2, -1)))
-                for (_, ref), stack in zip(reference_ic(reduced, scales), stacks)]
+def _joined(stacks) -> UserStack:
+    """One shape group's `UserStack`s of successive chunks, joined on the seed axis."""
+    return replace(stacks[0], **{name: np.concatenate([getattr(stack, name) for stack in stacks])
+                                 for name in ("links", "effective", "interference")})
 
 
-def _scenario_pool(seeds) -> tuple[_ScenarioPool, ...]:
-    """One `_ScenarioPool` per shape group: its users, each other field joined over the chunks."""
+def _scenario_pool(seeds) -> tuple[tuple[UserStack, np.ndarray], ...]:
+    """Per shape group, its `UserStack` joined over the chunks and its reference filters G0 =
+    B / scale (`reference_ic`), joined too; entry [s, i] is user users[i] of the s-th seed."""
     seeds = tuple(seeds)
-    return _pooled(("scenarios", seeds), lambda: tuple(
-        _ScenarioPool(users[0], *map(np.concatenate, arrays)) for users, *arrays in
-        starmap(zip, zip(*starmap(_ScenarioPool._fields, _chunks(seeds, "ezf"))))))
+
+    def build():
+        stacks, refs = zip(*((stacks, reference_ic(reduced, scales))
+                             for scales, reduced, stacks in _chunks(seeds, "ezf")))
+        return tuple((_joined(group), np.concatenate([g0 for _, g0 in ref]))
+                     for group, ref in zip(zip(*stacks), zip(*refs)))
+
+    return _pooled(("scenarios", seeds), build)
 
 
 def _verdict(name: str, worst: float, threshold: str) -> CheckResult:
@@ -129,24 +117,25 @@ def _rel_rows(diff: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.linalg.norm(diff, axis=(-2, -1)) / np.linalg.norm(ref, axis=(-2, -1))
 
 
-def _deviations(pool: _ScenarioPool, scheme: str, s2) -> np.ndarray:
+def _deviations(stack: UserStack, g0: np.ndarray, scheme: str, s2) -> np.ndarray:
     """||G - G0|| per pooled (seed, user), G the `scheme` filters at noise powers s2."""
-    g = filters(scheme, 1.0, pool.users, pool.effective, pool.interference, s2)
-    return np.linalg.norm(g - pool.reference, axis=(-2, -1))
+    g = filters(scheme, 1.0, stack.users, stack.effective, stack.interference, s2)
+    return np.linalg.norm(g - g0, axis=(-2, -1))
 
 
 def _worst_against_reference(pools, scheme: str, sigma: float) -> float:
     """Worst relative deviation of `scheme` from the reference filters at noise sigma."""
-    return max(float((_deviations(pool, scheme, sigma**2)
-                      / np.linalg.norm(pool.reference, axis=(-2, -1))).max()) for pool in pools)
+    return max(float((_deviations(stack, g0, scheme, sigma**2)
+                      / np.linalg.norm(g0, axis=(-2, -1))).max()) for stack, g0 in pools)
 
 
 def identity_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
-    """Zero-forcing + reference detector: own links are I, cross links vanish."""
+    """Zero-forcing + reference detector: own links are I, the leak into others' columns 0."""
     pools = _scenario_pool(seeds)
-    max_diag = max(float(np.linalg.norm(p.reference @ p.effective - np.eye(p.reference.shape[-2]),
-                                        axis=(-2, -1)).max()) for p in pools)
-    max_cross = max(float(p.reference_leak.max()) for p in pools)
+    max_diag = max(float(np.linalg.norm(g0 @ s.effective - np.eye(g0.shape[-2]),
+                                        axis=(-2, -1)).max()) for s, g0 in pools)
+    max_cross = max(float(np.linalg.norm(split_columns(g0 @ s.links, s.starts, g0.shape[-2])[1],
+                                         axis=(-2, -1)).max()) for s, g0 in pools)
     passed = max_diag < 1e-8 and max_cross < 1e-8
     return CheckResult(
         "identity (zero-forcing cancels interference)",
@@ -191,7 +180,7 @@ def mmse_irc_noiseless_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
 def mmse_irc_rate_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
     """The MMSE-IRC filter error decays quadratically in the external-noise scale."""
     s2 = np.square((1e-2, 1e-3))  # one noise grid: per sigma and seed, the worst user
-    err = np.concatenate([_deviations(pool, "mmse-irc", s2) for pool in _scenario_pool(seeds)],
+    err = np.concatenate([_deviations(*pool, "mmse-irc", s2) for pool in _scenario_pool(seeds)],
                          axis=-1).max(axis=-1)
     ratio = err[0] / err[1]
     lo, hi = float(ratio.min()), float(ratio.max())
@@ -207,7 +196,7 @@ def mmse_irc_rate_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
 def lambda_independence_suite(seeds=DEFAULT_SCENARIO_SEEDS) -> CheckResult:
     """Noiseless generalized LSE does not depend on the regularizer weight."""
     pools = _scenario_pool(seeds)
-    gs = [[filters("gen-lse", lam, p.users, p.effective, p.interference, 0.0) for p in pools]
+    gs = [[filters("gen-lse", lam, s.users, s.effective, s.interference, 0.0) for s, _ in pools]
           for lam in (1e-3, 1.0, 1e3)]
     worst = max(float(_rel_rows(gi - gj, gj).max())
                 for g_a, g_b in combinations(gs, 2) for gi, gj in zip(g_a, g_b))
@@ -223,8 +212,7 @@ def _synthetic_pair(seed: int) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     a = (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))) / np.sqrt(2.0)
     c = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / np.sqrt(2.0)
-    r = c @ herm(c) + 0.5 * np.eye(4)
-    return a, 0.5 * (r + herm(r))
+    return a, linalg.hermitian_part(c @ herm(c) + 0.5 * np.eye(4))
 
 
 def _synthetic_pool(count: int) -> tuple[np.ndarray, np.ndarray]:

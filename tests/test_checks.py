@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 
 from mimosim import checks, linalg, system
 from mimosim.cli import main
-from mimosim.detection import gen_lse, mmse_irc, qr_mld_linear
+from mimosim.detection import gen_lse, mmse_irc, qr_mld_linear, split_columns
 from mimosim.precoding import mrt_precode, rczf_precode, reduce_ezf
 
 from conftest import scenarios
@@ -144,11 +144,11 @@ def test_each_pool_goes_whole_to_one_detector_call(monkeypatch):
     }
 
 
-def _public_route(pool, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """A pool's users flattened to one stack: links A and covariances R_int + sigma^2 I."""
-    q = pool.interference.shape[-1]
-    return (pool.effective.reshape(-1, *pool.effective.shape[-2:]),
-            (pool.interference + sigma**2 * np.eye(q)).reshape(-1, q, q))
+def _public_route(stack, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """A pooled stack's users flattened: links A and covariances R_int + sigma^2 I."""
+    q = stack.interference.shape[-1]
+    return (stack.effective.reshape(-1, *stack.effective.shape[-2:]),
+            (stack.interference + sigma**2 * np.eye(q)).reshape(-1, q, q))
 
 
 @pytest.mark.parametrize("scheme, lam, sigma, detector", [
@@ -160,23 +160,24 @@ def test_shift_route_equals_public_detectors_bit_for_bit(scheme, lam, sigma, det
     """The suites' `filters` call on the noise-free pool, against the public function on
     the whole covariance: with no shift (or qr-mld's, which adds sigma^2 I as they do),
     both factor the same matrices."""
-    for pool in checks._scenario_pool((1, 2)):
-        g = checks.filters(scheme, lam, pool.users, pool.effective, pool.interference, sigma**2)
-        assert g.shape == pool.reference.shape
+    for stack, g0 in checks._scenario_pool((1, 2)):
+        g = checks.filters(scheme, lam, stack.users, stack.effective, stack.interference,
+                           sigma**2)
+        assert g.shape == g0.shape
         np.testing.assert_array_equal(g.reshape(-1, *g.shape[-2:]),
-                                      detector(*_public_route(pool, sigma)))
+                                      detector(*_public_route(stack, sigma)))
 
 
 def test_shift_route_agrees_with_public_mmse_irc_at_the_rate_suites_sigmas():
     """sigma^2 as an eigenvalue shift of A A^H + R_int, against eigh of the shifted matrix:
     equal up to rounding."""
     sigmas = (1e-2, 1e-3)
-    for pool in checks._scenario_pool((1, 2)):
-        g = checks.filters("mmse-irc", 1.0, pool.users, pool.effective, pool.interference,
+    for stack, _ in checks._scenario_pool((1, 2)):
+        g = checks.filters("mmse-irc", 1.0, stack.users, stack.effective, stack.interference,
                            np.square(sigmas))
         for g_sigma, sigma in zip(g, sigmas):
             np.testing.assert_allclose(g_sigma.reshape(-1, *g.shape[-2:]),
-                                       mmse_irc(*_public_route(pool, sigma)), rtol=1e-12, atol=0)
+                                       mmse_irc(*_public_route(stack, sigma)), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize(
@@ -224,11 +225,12 @@ def test_every_scenario_suite_passes_over_mixed_shapes(monkeypatch, suite):
 @given(scenarios())
 @example((system.Scenario(8, ((4, 2), (2, 1), (4, 2), (3, 1))), (1,)))  # interleaved groups
 def test_pool_fields_equal_numpy_slicing_of_w(case):
-    """Per group and pooled (seed, user k): G0_k A_k and the leak ||G0_k H_k W_j|| over
-    every j != k's columns, against W cut at the cumulative layer counts. Zero-forcing
-    would leave only rounding noise in the leak, so each filter gets a seeded random
-    matrix added first; only a user with p_k = q_k, whose H_k W_j vanish too, keeps
-    noise there, which the 1e-12 floor takes."""
+    """Per group and pooled (seed, user k): the links H_k W and A_k = H_k W_k, G0_k A_k, and
+    the leak ||G0_k H_k W_j|| over every j != k's columns as the identity suite computes it
+    from the pool, against W cut at the cumulative layer counts. Zero-forcing would leave
+    only rounding noise in the leak, so each filter gets a seeded random matrix added
+    first; only a user with p_k = q_k, whose H_k W_j vanish too, keeps noise there, which
+    the 1e-12 floor takes."""
     users, seeds = case[0].users, (1, 2)
     real = checks.reference_ic
 
@@ -245,15 +247,20 @@ def test_pool_fields_equal_numpy_slicing_of_w(case):
         channels = system.generate_channels(system.Scenario(64, users, seed))
         w, _ = rczf_precode(reduce_ezf(channels))
         ws = np.split(w, np.cumsum(channels.scenario.layer_counts)[:-1], axis=1)
-        for pool, group in zip(pools, system.shape_groups(users)):
+        for (stack, g0), group in zip(pools, system.shape_groups(users)):
+            pooled_leak = np.linalg.norm(
+                split_columns(g0 @ stack.links, stack.starts, g0.shape[-2])[1], axis=(-2, -1))
             for i, k in enumerate(group):
-                g0h = pool.reference[s, i] @ channels.matrices[k]
-                np.testing.assert_allclose(pool.reference[s, i] @ pool.effective[s, i],
+                np.testing.assert_allclose(stack.links[s, i], channels.matrices[k] @ w,
+                                           rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(stack.effective[s, i], channels.matrices[k] @ ws[k],
+                                           rtol=1e-12, atol=1e-15)
+                g0h = g0[s, i] @ channels.matrices[k]
+                np.testing.assert_allclose(g0[s, i] @ stack.effective[s, i],
                                            g0h @ ws[k], rtol=1e-12)
                 leak = np.sqrt(sum(np.linalg.norm(g0h @ wj)**2
                                    for j, wj in enumerate(ws) if j != k))
-                np.testing.assert_allclose(pool.reference_leak[s, i], leak,
-                                           rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(pooled_leak[s, i], leak, rtol=1e-12, atol=1e-12)
 
 
 def _scaled_draws(monkeypatch, gain: float) -> None:
