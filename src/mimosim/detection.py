@@ -90,14 +90,17 @@ def build_covariance(channels: ChannelSet, w: np.ndarray) -> tuple[UserStack, ..
 def user_stacks(groups, layer_counts, w: np.ndarray) -> tuple[UserStack, ...]:
     """Stack the users of each (users, H, U, s) group under the stacked precoder W.
 
-    H (..., n, q_k, t) and W (..., t, p = sum p_k), finite (`linalg.as_cmatrix`), may share
-    leading (seed) axes; one H @ W product per group. R_int is built from the other users'
-    columns directly, not as total minus own, so it stays PSD and loses no cross
-    power; a user's covariance under white noise sigma is R_int,k + sigma^2 I.
+    H (..., n, q_k, t) and W (t, p = sum p_k), finite (`linalg.as_cmatrix`); a W with leading
+    axes has one per seed, H's leading axes. One H @ W product per group. R_int is built from
+    the other users' columns directly, not as total minus own, so it stays PSD and loses no
+    cross power; a user's covariance under white noise sigma is R_int,k + sigma^2 I.
     """
     w, offsets = linalg.as_cmatrix(w, "precoder"), np.cumsum((0,) + tuple(layer_counts))
     if w.shape[-2:] != (t := groups[0][1].shape[-1], p := offsets[-1]):
         raise DimensionMismatchError(f"precoder shape {w.shape[-2:]} is not (t={t}, p={p})")
+    if w.ndim > 2 and w.shape[:-2] != (seed_axes := groups[0][1].shape[:-3]):
+        raise DimensionMismatchError(f"precoder seed axes {w.shape[:-2]} are not the "
+                                     f"channels' {seed_axes}")
     w = w[..., np.newaxis, :, :]
     stacks = []
     for users, h, _, _ in groups:
@@ -105,7 +108,7 @@ def user_stacks(groups, layer_counts, w: np.ndarray) -> tuple[UserStack, ...]:
         hw = h @ w
         a, x = split_columns(hw, starts, layer_counts[users[0]])
         r = x @ herm(x)
-        stacks.append(UserStack(users, starts, hw, a, 0.5 * (r + herm(r))))
+        stacks.append(UserStack(users, starts, hw, a, linalg.hermitian_part(r)))
     return tuple(stacks)
 
 
@@ -236,7 +239,7 @@ def qr_mld_parts(
     a guard error, the first failing user of the first failing grid point.
     """
     a, r = _detector_inputs(a, r)
-    r = 0.5 * (r + herm(r))  # as `linalg.eigh` reads R for the other schemes
+    r = linalg.hermitian_part(r)  # as `linalg.eigh` reads R for the other schemes
     # Explicit, as numpy < 2 reads a b one axis short of the stack as vectors.
     a = np.broadcast_to(a, r.shape[:-2] + a.shape[-2:])
     bad = ~(linalg.shifted_condition(e := np.linalg.eigvalsh(r)) < linalg.CONDITION_LIMIT)

@@ -36,6 +36,11 @@ def herm(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M^H) / 2 of each matrix in a stack, halved first so no finite entry overflows."""
+    return 0.5 * m + 0.5 * herm(m)
+
+
 def svd_reduced(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Economy SVD, U: m x k, S: k, Vh: k x n with k = min(m, n)."""
     a = as_cmatrix(m)
@@ -78,12 +83,12 @@ def cholesky(r) -> np.ndarray:
     a = as_cmatrix(r)
     if a.shape[-2] != a.shape[-1]:
         raise DecompositionError(f"Cholesky input must be square, got {a.shape[-2:]}")
-    scale = np.linalg.norm(a, axis=(-2, -1))
+    with np.errstate(over="ignore"):  # an inf scale only loosens the Hermitian test
+        scale = np.linalg.norm(a, axis=(-2, -1))
     if np.any(np.linalg.norm(a - herm(a), axis=(-2, -1)) > 1e-10 * np.maximum(scale, 1e-300)):
         raise DecompositionError("Cholesky input is not Hermitian")
-    sym = 0.5 * (a + herm(a))
     try:
-        return np.linalg.cholesky(sym)
+        return np.linalg.cholesky(hermitian_part(a))
     except np.linalg.LinAlgError as exc:
         raise DecompositionError("matrix is not positive definite (pivot <= 0)") from exc
 
@@ -123,7 +128,7 @@ def eigh(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs (e ascending, U) of the Hermitian part of each matrix in a stack."""
     a = np.asarray(m, dtype=np.complex128)
     try:
-        return np.linalg.eigh(0.5 * (a + herm(a)))
+        return np.linalg.eigh(hermitian_part(a))
     except np.linalg.LinAlgError as exc:  # e.g. a NaN or inf entry
         raise DecompositionError("eigendecomposition did not converge") from exc
 
@@ -132,12 +137,12 @@ def shifted_condition(e: np.ndarray, shift: float = 0.0) -> np.ndarray:
     """Condition number max|e + c| / min|e + c| of each S + cI, from S's eigenvalues.
 
     For Hermitian S these are its singular values, so this is the 2-norm
-    condition number; a singular matrix gives inf, and so does one whose ratio overflows.
+    condition number; a singular matrix gives inf, and so does one whose |e + c| or ratio overflows.
     """
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore"):
         mags = np.abs(e + shift)
-        low = mags.min(axis=-1)
-        return np.divide(mags.max(axis=-1), low, out=np.full(low.shape, np.inf), where=low > 0)
+        low, high = mags.min(axis=-1), mags.max(axis=-1)
+        return np.divide(high, low, out=np.full_like(low, np.inf), where=(low > 0) & (high < np.inf))
 
 
 def solve_shifted(eig, b: np.ndarray, shift: float = 0.0, names=None) -> np.ndarray:

@@ -215,6 +215,15 @@ def test_detectors_read_the_hermitian_part(rng):
         assert np.linalg.norm(g - want) < 1e-12 * np.linalg.norm(want), name
 
 
+def test_huge_finite_covariance_is_read_without_overflow():
+    # Entries near the float maximum: the whitened schemes return [I 0], mmse-irc A^H R^{-1}.
+    d = np.array([1e308, 1.5e308, 1.2e308, 1.1e308])
+    r = np.diag(d)[np.newaxis].astype(complex)
+    for detector in (lse_limit, qr_mld_linear):
+        np.testing.assert_allclose(detector(LINK, r)[0], np.eye(2, 4), atol=1e-12)
+    np.testing.assert_allclose(mmse_irc(LINK, r)[0], np.eye(2, 4) / d, rtol=1e-9)
+
+
 class TestMmseIrc:
     def test_diagonal_two_by_one(self):
         g = mmse_irc(np.array([[1.0], [0.0]])[np.newaxis], np.eye(2)[np.newaxis])

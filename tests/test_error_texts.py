@@ -32,6 +32,7 @@ from mimosim.system import (
     Scenario,
     calibrate_noise,
     generate_channels,
+    generate_groups,
     noise_for_target,
 )
 
@@ -40,7 +41,7 @@ SCENARIO = Scenario(16, ((4, 2),))
 LINK = np.eye(4)[np.newaxis, :, :2]
 TWO_USERS = generate_channels(Scenario(16, ((4, 2), (4, 2))))
 PRECODER_FAULTS = {"1d": np.ones(16), "3-columns": np.ones((16, 3)),
-                   "inf": np.full((16, 4), np.inf)}
+                   "inf": np.full((16, 4), np.inf), "3-seeds": np.ones((3, 16, 4))}
 
 
 def config(old: str, new: str):
@@ -152,8 +153,13 @@ ERRORS = {
        for fault, error, text in (
            ("1d", InvalidInputError, "precoder must be at least 2-D, got ndim=1"),
            ("3-columns", DimensionMismatchError, "precoder shape (16, 3) is not (t=16, p=4)"),
-           ("inf", InvalidInputError, "precoder contains non-finite entries"))
+           ("inf", InvalidInputError, "precoder contains non-finite entries"),
+           ("3-seeds", DimensionMismatchError, "precoder seed axes (3,) are not the channels' ()"))
        for name, call in stacked(fault).items()},
+    "user-stacks-3-seeds-on-2": (lambda: user_stacks(generate_groups(SCENARIO, (1, 2)), (2,),
+                                                     np.ones((3, 16, 2))),
+                                 DimensionMismatchError,
+                                 "precoder seed axes (3,) are not the channels' (2,)"),
     "custom-reduction-nan": (lambda: custom_reduction(TWO_USERS, (np.eye(4)[:2],
                                                                   np.full((2, 4), np.nan))),
                              InvalidInputError, "user 1: reducer contains non-finite entries"),

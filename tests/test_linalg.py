@@ -254,6 +254,22 @@ class TestStacks:
         assert np.isinf(linalg.shifted_condition(np.array([[1e-300, 1e300], [1.0, 2.0]]))[0])
         assert np.isinf(linalg.shifted_condition(np.array([1.0, 1.5e308]), 1.5e308))
 
+    def test_both_extremes_overflowing_give_inf_without_a_warning(self):
+        # |e + c| overflows at both ends: inf / inf would be NaN, and the guard would read it.
+        e = np.array([1e308, 1.5e308])
+        assert np.isinf(linalg.shifted_condition(e, 1.5e308))
+        with pytest.raises(SingularMatrixError, match=r"\(condition number inf\)$"):
+            linalg.solve_shifted(linalg.eigh(np.diag(e)), np.ones((2, 1)), 1.5e308)
+
+    def test_huge_finite_entries_keep_their_hermitian_part(self):
+        # (M + M^H) / 2 would overflow on the sum; cholesky's Frobenius scale overflows too.
+        r = np.diag([1e308, 1.5e308, 1.2e308, 1.1e308]).astype(complex)
+        r[0, 1], r[1, 0] = 1e308j, -1e308j
+        np.testing.assert_array_equal(linalg.hermitian_part(r), r)
+        np.testing.assert_allclose(linalg.eigh(r)[0], np.linalg.eigvalsh(r), rtol=1e-12)
+        l = linalg.cholesky(r)
+        np.testing.assert_allclose(l @ linalg.herm(l), r, rtol=1e-12, atol=1e-12 * 1.5e308)
+
 
 def test_solve_hermitian_rejects_zero_matrix():
     with pytest.raises(SingularMatrixError):
