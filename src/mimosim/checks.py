@@ -98,8 +98,8 @@ def _scenario_pool(seeds) -> tuple[tuple[UserStack, np.ndarray], ...]:
     seeds = tuple(seeds)
 
     def build():
-        stacks, refs = zip(*((stacks, reference_ic(reduced, scales))
-                             for scales, reduced, stacks in _chunks(seeds, "ezf")))
+        stacks, refs = zip(*((chunk, reference_ic(reduced, scales))
+                             for scales, reduced, chunk in _chunks(seeds, "ezf")))
         return tuple((_joined(group), np.concatenate([g0 for _, g0 in ref]))
                      for group, ref in zip(zip(*stacks), zip(*refs)))
 
