@@ -1,7 +1,8 @@
 """Receiver constructions: interference-aware covariance, the MMSE-IRC /
 generalized-LSE family and its whitened least-squares limit, the QR-based
 successive-cancellation detector, and the ideal interference-cancellation
-reference they all converge to under zero-forcing precoding.
+reference they all converge to under zero-forcing precoding. QR-MLD's filter is the same for
+every whitener F F^H = R; `filters` whitens by eigh(R0), the `qr_mld_*` functions by Cholesky.
 """
 
 import math
@@ -152,7 +153,7 @@ def filters(scheme: str, lam: float, users, a: np.ndarray, r0: np.ndarray, s2) -
     - mmse-irc / gen-lse(lam): eigh(A A^H + lam R0), shifted by lam s2;
     - mmse: eigh(A A^H), shifted by s2 (the q_k x q_k guard is kept);
     - lse-limit: eigh(R0), shifted by s2, then the p_k x p_k normal matrix;
-    - qr-mld: Cholesky + positive-diagonal QR of R0 + s2 I (`qr_mld_parts`).
+    - qr-mld: eigh(R0), shifted by s2, whitens by F = U diag(sqrt(e + s2)); QR of F^{-1} A.
 
     A (G,) vector of noise powers gives (G, n, p_k, q_k), and a (G, S) grid on
     a stack with a leading axis of S seeds (G, S, n, p_k, q_k). A guard error
@@ -164,12 +165,12 @@ def filters(scheme: str, lam: float, users, a: np.ndarray, r0: np.ndarray, s2) -
     s2 = np.asarray(s2, dtype=float)
     # (G, [S,] 1, 1) against the stacked eigenvalues ([S,] n, q_k).
     shift = s2.reshape(s2.shape + (1,) * (a.ndim - max(s2.ndim, 1)))
-    if scheme == "qr-mld":
-        g = qr_mld_parts(a, r0 + shift[..., np.newaxis] * np.eye(q), users=users)[3]
-        finite = np.isfinite(g).all(axis=(-2, -1))
-        if not finite.all():  # T^{-1} may overflow (solve_shifted guards the eigen schemes)
-            k = users[int(np.argmin(finite)) % len(users)]
-            raise InvalidInputError(f"user {k}: detector filter has non-finite entries")
+    if scheme == "qr-mld":  # F^{-1} = diag(1 / sqrt(e + s2)) U^H: per s2, a row scaling
+        e, u = linalg.eigh(r0)
+        _whitening_guard(e + shift, users)
+        inv_root = 1.0 / np.sqrt(e + shift)[..., np.newaxis]
+        q_white, t = linalg.qr(inv_root * (herm(u) @ a))
+        g = _finite_filters(np.linalg.solve(t, herm(q_white) @ (inv_root * herm(u))), users)
     else:
         eig = linalg.eigh(r0 if scheme == "lse-limit" else
                           a @ herm(a) if scheme == "mmse" else a @ herm(a) + lam * r0)
@@ -225,6 +226,24 @@ def lse_limit(a: np.ndarray, r: np.ndarray) -> np.ndarray:
     return filters("lse-limit", 1.0, None, a, r, 0.0)
 
 
+def _whitening_guard(e: np.ndarray, users) -> None:
+    """Hold covariances of eigenvalues e positive definite, with condition < CONDITION_LIMIT."""
+    if (bad := ~(linalg.shifted_condition(e) < linalg.CONDITION_LIMIT)).any():
+        who = f"user {users[int(np.argmax(bad)) % len(users)]}: " if users is not None else ""
+        raise NeedsExternalNoiseError(f"{who}covariance is singular; non-zero external noise "
+                                      "is required before whitening")
+    if (e[..., 0] <= 0).any():
+        raise NeedsExternalNoiseError("covariance is not positive definite; add external noise")
+
+
+def _finite_filters(g: np.ndarray, users) -> np.ndarray:
+    """The QR filters g, or an error naming the first user whose filter is non-finite."""
+    if not (finite := np.isfinite(g).all(axis=(-2, -1))).all():
+        raise InvalidInputError(f"user {users[int(np.argmin(finite)) % len(users)]}: "
+                                "detector filter has non-finite entries")
+    return g
+
+
 def qr_mld_parts(
     a: np.ndarray, r: np.ndarray, whitener: np.ndarray | None = None, users=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -234,22 +253,14 @@ def qr_mld_parts(
     with condition number below CONDITION_LIMIT. The whitener F satisfies F F^H = R
     (lower Cholesky by default, but any F U with U unitary yields the same filter); (Q, T)
     is the positive-diagonal QR of F^{-1} A, and G = T^{-1} Q^H F^{-1} is the linear part.
-    `a`, `r` (and `whitener`) may be stacks over leading axes, `r` with a
-    grid axis before the user axis; `users` then names the stack's users in
-    a guard error, the first failing user of the first failing grid point.
+    `a`, `r` (and `whitener`) may be stacks over broadcasting leading axes; `users` then
+    names the stack's users in a guard error, the first failing one.
     """
     a, r = _detector_inputs(a, r)
     r = linalg.hermitian_part(r)  # as `linalg.eigh` reads R for the other schemes
     # Explicit, as numpy < 2 reads a b one axis short of the stack as vectors.
     a = np.broadcast_to(a, r.shape[:-2] + a.shape[-2:])
-    bad = ~(linalg.shifted_condition(e := np.linalg.eigvalsh(r)) < linalg.CONDITION_LIMIT)
-    if bad.any():
-        who = f"user {users[int(np.argmax(bad)) % len(users)]}: " if users is not None else ""
-        raise NeedsExternalNoiseError(
-            f"{who}covariance is singular; non-zero external noise is required before whitening"
-        )
-    if (e[..., 0] <= 0).any():
-        raise NeedsExternalNoiseError("covariance is not positive definite; add external noise")
+    _whitening_guard(np.linalg.eigvalsh(r), users)
     whitener = linalg.cholesky(r) if whitener is None else linalg.as_cmatrix(whitener, "whitener")
     try:
         white_a = np.linalg.solve(whitener, a)
@@ -262,8 +273,9 @@ def qr_mld_parts(
 
 
 def qr_mld_linear(a: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Linear part of the QR detector, G_k = T_k^{-1} Q_k^H F_k^{-1}."""
-    return filters("qr-mld", 1.0, None, a, r, 0.0)
+    """Linear part of the QR detector, G_k = T_k^{-1} Q_k^H F_k^{-1}, F_k the Cholesky factor."""
+    users = range(len(a := _detector_inputs(a, r)[0]))
+    return _finite_filters(qr_mld_parts(a, r, users=users)[3], users)
 
 
 def qr_mld_detect(

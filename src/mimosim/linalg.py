@@ -41,6 +41,12 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * m + 0.5 * herm(m)
 
 
+def _range_exponent(a: np.ndarray) -> int:
+    """Binary exponent k (|k| <= 1000) of a's largest |entry| if out of [2^-100, 2^100], else 0."""
+    m = np.abs(a).max(initial=0.0)
+    return int(np.clip(np.frexp(m)[1], -1000, 1000)) if m > 2**100 or 0 < m < 2**-100 else 0
+
+
 def svd_reduced(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Economy SVD, U: m x k, S: k, Vh: k x n with k = min(m, n)."""
     a = as_cmatrix(m)
@@ -56,10 +62,8 @@ def qr(m) -> tuple[np.ndarray, np.ndarray]:
     """
     a = as_cmatrix(m)
     if a.shape[-2] < a.shape[-1]:
-        raise RankDeficiencyError(
-            f"matrix of shape {a.shape[-2:]} cannot have full column rank"
-        )
-    q, r = np.linalg.qr(a, mode="reduced")
+        raise RankDeficiencyError(f"matrix of shape {a.shape[-2:]} cannot have full column rank")
+    q, r = np.linalg.qr(a * 2.0**-(k := _range_exponent(a)), mode="reduced")  # R(A) = 2^k R
     d = np.diagonal(r, axis1=-2, axis2=-1)
     mags = np.abs(d)
     if mags.size == 0 or np.any(mags.min(axis=-1) <= RANK_RTOL * mags.max(axis=-1)):
@@ -72,7 +76,7 @@ def qr(m) -> tuple[np.ndarray, np.ndarray]:
     # Kill rounding residue on the diagonal's imaginary part.
     n = r.shape[-1]
     r[..., np.arange(n), np.arange(n)] = mags
-    return q, r
+    return q, r * 2.0**k
 
 
 def cholesky(r) -> np.ndarray:
@@ -83,12 +87,11 @@ def cholesky(r) -> np.ndarray:
     a = as_cmatrix(r)
     if a.shape[-2] != a.shape[-1]:
         raise DecompositionError(f"Cholesky input must be square, got {a.shape[-2:]}")
-    with np.errstate(over="ignore"):  # an inf scale only loosens the Hermitian test
-        scale = np.linalg.norm(a, axis=(-2, -1))
-    if np.any(np.linalg.norm(a - herm(a), axis=(-2, -1)) > 1e-10 * np.maximum(scale, 1e-300)):
+    a = a * 4.0**-(j := (_range_exponent(a) + 1) // 2)  # L of R is 2^j L of 4^-j R, exactly
+    if np.any(np.linalg.norm(a - herm(a), axis=(-2, -1)) > 1e-10 * np.linalg.norm(a, axis=(-2, -1))):
         raise DecompositionError("Cholesky input is not Hermitian")
     try:
-        return np.linalg.cholesky(hermitian_part(a))
+        return np.linalg.cholesky(hermitian_part(a)) * 2.0**j
     except np.linalg.LinAlgError as exc:
         raise DecompositionError("matrix is not positive definite (pivot <= 0)") from exc
 

@@ -14,18 +14,20 @@ prints and returns.
 """
 
 import re
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from mimosim import checks, linalg, system
+from mimosim import checks, linalg, metrics, system
 from mimosim.cli import main
 from mimosim.detection import gen_lse, mmse_irc, qr_mld_linear, split_columns
+from mimosim.experiment import parse_config, run_sweep
 from mimosim.precoding import mrt_precode, rczf_precode, reduce_ezf
 
-from conftest import scenarios
+from conftest import CONFIG_DIR, scenarios
 
 EZF_SEEDS = len(checks.DEFAULT_SCENARIO_SEEDS)
 NECESSITY_SEEDS = 20
@@ -151,21 +153,52 @@ def _public_route(stack, sigma: float) -> tuple[np.ndarray, np.ndarray]:
             (stack.interference + sigma**2 * np.eye(q)).reshape(-1, q, q))
 
 
-@pytest.mark.parametrize("scheme, lam, sigma, detector", [
-    ("mmse-irc", 1.0, 0.0, mmse_irc),
-    *(("gen-lse", lam, 0.0, partial(gen_lse, lam=lam)) for lam in (1e-3, 1.0, 1e3)),
-    ("qr-mld", 1.0, checks.QR_MLD_LIMIT_SIGMA, qr_mld_linear),
-], ids=["mmse-irc", "gen-lse-1e-3", "gen-lse-1", "gen-lse-1e3", "qr-mld"])
-def test_shift_route_equals_public_detectors_bit_for_bit(scheme, lam, sigma, detector):
-    """The suites' `filters` call on the noise-free pool, against the public function on
-    the whole covariance: with no shift (or qr-mld's, which adds sigma^2 I as they do),
-    both factor the same matrices."""
+@pytest.mark.parametrize("scheme, lam, detector", [
+    ("mmse-irc", 1.0, mmse_irc),
+    *(("gen-lse", lam, partial(gen_lse, lam=lam)) for lam in (1e-3, 1.0, 1e3)),
+], ids=["mmse-irc", "gen-lse-1e-3", "gen-lse-1", "gen-lse-1e3"])
+def test_shift_route_equals_public_detectors_bit_for_bit(scheme, lam, detector):
+    """The suites' noiseless `filters` call on the pool, against the public function on
+    the whole covariance: with no shift, both factor the same matrices."""
     for stack, g0 in checks._scenario_pool((1, 2)):
-        g = checks.filters(scheme, lam, stack.users, stack.effective, stack.interference,
-                           sigma**2)
+        g = checks.filters(scheme, lam, stack.users, stack.effective, stack.interference, 0.0)
         assert g.shape == g0.shape
         np.testing.assert_array_equal(g.reshape(-1, *g.shape[-2:]),
-                                      detector(*_public_route(stack, sigma)))
+                                      detector(*_public_route(stack, 0.0)))
+
+
+def test_qr_mld_shift_route_agrees_with_qr_mld_linear_over_the_pool():
+    """qr-mld in `filters` whitens R_int + sigma^2 I by U diag(sqrt(e + sigma^2)) from one
+    eigh(R_int), `qr_mld_linear` by the Cholesky factor of the sum. The filter T^{-1} Q^H F^{-1}
+    is the same for every F F^H = R, so the two agree up to rounding: per filter, relative
+    Frobenius deviations up to 1.2e-15 were measured."""
+    sigmas = (1e-5, 1e-4, 1e-2, 1.0)
+    for stack, _ in checks._scenario_pool(checks.DEFAULT_SCENARIO_SEEDS):
+        g = checks.filters("qr-mld", 1.0, stack.users, stack.effective, stack.interference,
+                           np.square(sigmas))
+        for g_sigma, sigma in zip(g, sigmas):
+            want = qr_mld_linear(*_public_route(stack, sigma))
+            assert checks._rel_rows(g_sigma.reshape(want.shape) - want, want).max() < 1e-12
+
+
+def test_qr_mld_sweep_filters_agree_with_qr_mld_linear_on_the_fig3_grid(monkeypatch):
+    """The fig3 sweep's one qr-mld `filters` call at trial 0, over its 0:40:5 dB grid, against
+    `qr_mld_linear` on each grid point's whole covariance."""
+    calls = []
+
+    def spy(scheme, lam, users, a, r0, s2, real=metrics.filters):
+        g = real(scheme, lam, users, a, r0, s2)
+        calls.extend([(a, r0, s2, g)] if scheme == "qr-mld" else [])
+        return g
+
+    monkeypatch.setattr(metrics, "filters", spy)
+    config = parse_config((CONFIG_DIR / "fig3.cfg").read_text())
+    run_sweep(replace(config, trials=1))
+    [(a, r0, s2, g)] = calls
+    assert g.shape[:2] == s2.shape == (9, 1)
+    for g_point, s2_point in zip(g[:, 0], s2[:, 0]):
+        want = qr_mld_linear(a[0], r0[0] + s2_point * np.eye(4))
+        assert checks._rel_rows(g_point - want, want).max() < 1e-12
 
 
 def test_shift_route_agrees_with_public_mmse_irc_at_the_rate_suites_sigmas():

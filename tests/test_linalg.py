@@ -262,13 +262,41 @@ class TestStacks:
             linalg.solve_shifted(linalg.eigh(np.diag(e)), np.ones((2, 1)), 1.5e308)
 
     def test_huge_finite_entries_keep_their_hermitian_part(self):
-        # (M + M^H) / 2 would overflow on the sum; cholesky's Frobenius scale overflows too.
+        # (M + M^H) / 2 would overflow on the sum; cholesky's Frobenius scale would too.
         r = np.diag([1e308, 1.5e308, 1.2e308, 1.1e308]).astype(complex)
         r[0, 1], r[1, 0] = 1e308j, -1e308j
         np.testing.assert_array_equal(linalg.hermitian_part(r), r)
         np.testing.assert_allclose(linalg.eigh(r)[0], np.linalg.eigvalsh(r), rtol=1e-12)
         l = linalg.cholesky(r)
         np.testing.assert_allclose(l @ linalg.herm(l), r, rtol=1e-12, atol=1e-12 * 1.5e308)
+
+
+class TestFloatRange:
+    """Inputs whose largest entry lies outside [2^-100, 2^100] are factored at an exact
+    power-of-two rescale, so no intermediate under- or overflows."""
+
+    def test_cholesky_rejects_a_non_hermitian_matrix_near_the_float_maximum(self):
+        # Unscaled, A - A^H overflows, the Hermitian test reads NaN, and the test passes.
+        with pytest.raises(DecompositionError, match="^Cholesky input is not Hermitian$"):
+            linalg.cholesky(np.array([[1e308, 1.5e308], [-1.5e308, 1e308]]))
+
+    def test_qr_factors_near_the_float_maximum_are_finite(self):
+        q, r = linalg.qr(np.array([[1e308, 1e308], [1e308, -1e308]]))
+        np.testing.assert_allclose(q, np.array([[1, 1], [1, -1]]) / np.sqrt(2), atol=1e-15)
+        np.testing.assert_allclose(r, np.sqrt(2) * 1e308 * np.eye(2), rtol=1e-15, atol=1e293)
+
+    @pytest.mark.parametrize("k", [3, -3])
+    @pytest.mark.parametrize("base", [1.0, 2.0**900, 2.0**-900], ids=["1", "2^900", "2^-900"])
+    def test_factors_of_a_power_of_two_multiple_are_its_factors_rescaled(self, rng, base, k):
+        # QR: Q(2^k A) = Q(A), R(2^k A) = 2^k R(A); Cholesky: L(4^k R) = 2^k L(R), bit for bit.
+        m = base * crandn(rng, 5, 4, 2)
+        c = crandn(rng, 5, 4, 4)
+        h = base * (c @ linalg.herm(c) + np.eye(4))
+        q, r = linalg.qr(m)
+        q_k, r_k = linalg.qr(2.0**k * m)
+        np.testing.assert_array_equal(q_k, q)
+        np.testing.assert_array_equal(r_k, 2.0**k * r)
+        np.testing.assert_array_equal(linalg.cholesky(4.0**k * h), 2.0**k * linalg.cholesky(h))
 
 
 def test_solve_hermitian_rejects_zero_matrix():

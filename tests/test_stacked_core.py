@@ -5,14 +5,20 @@ factors a detector's noise-free matrix once per call and takes every noise
 level as a shift of its eigenvalues. The oracle here rebuilds each user's
 covariance R_k = sum_{j != k} H_k W_j W_j^H H_k^H + sigma^2 I directly and
 solves it per user with `np.linalg.solve`; it uses nothing from
-`mimosim.detection`.
+`mimosim.detection`. The last tests pin that qr-mld factors R0 once per call,
+whatever the grid, and that its guard raises what `qr_mld_parts` on every grid
+point's whole covariance raises.
 """
+
+from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
 
-from mimosim.detection import build_covariance, filters
-from mimosim.errors import SingularMatrixError
+from mimosim import checks, linalg
+from mimosim.detection import build_covariance, filters, qr_mld_parts
+from mimosim.errors import NeedsExternalNoiseError, SingularMatrixError
 from mimosim.metrics import (
     DETECTOR_SCHEMES,
     effective_links,
@@ -147,3 +153,61 @@ def test_guard_reports_the_failing_grid_points_noise_power():
     a, _ = _later_seed_singular()
     with pytest.raises(SingularMatrixError, match=r"^user 3: .* and sigma\^2=0 is too small"):
         filters("mmse", 1.0, [3, 5], a, None, np.array([1e-2, 0.0]))
+
+
+def test_qr_mld_factors_once_per_call_not_per_grid_point(monkeypatch):
+    # One eigendecomposition of R0 and one QR of the stacked whitened links serve all nine
+    # grid points; no Cholesky factor, eigvalsh or inverse is taken.
+    channels = generate_channels(SCENARIO)
+    stack = build_covariance(channels, PRECODERS["ezf"](channels)[0])[0]
+    counts = Counter()
+    for owner, name in ((linalg, "eigh"), (linalg, "qr"), (np.linalg, "cholesky"),
+                        (np.linalg, "eigvalsh"), (np.linalg, "inv")):
+
+        def spy(*args, real=getattr(owner, name), name=name, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+    g = filters("qr-mld", 1.0, stack.users, stack.effective, stack.interference,
+                np.logspace(-4, 0, 9))
+    assert g.shape[0] == 9
+    assert counts == {"eigh": 1, "qr": 1}
+
+
+def _per_point_qr_mld(users, a, r0, s2):
+    """qr-mld as `filters` once took it: `qr_mld_parts` on every grid point's R0 + s2 I."""
+    return qr_mld_parts(a, r0 + s2[..., np.newaxis, np.newaxis, np.newaxis] * np.eye(4),
+                        users=users)[3]
+
+
+def _noiseless_pool(indefinite: bool):
+    """The EZF check pool of seeds 1 and 2 (R_int: rank 2 in 4 dimensions) with unit noise
+    on users 0-2 of seed 0 and 0-4 of seed 1; `indefinite` adds it once more to every user
+    and negates seed 1's covariances, which then fail positive definiteness only."""
+    stack, _ = checks._scenario_pool((1, 2))[0]
+    r0 = stack.interference.copy()
+    r0[0, :3] += np.eye(4)
+    r0[1, :5] += np.eye(4)
+    if indefinite:
+        r0 = r0 + np.eye(4)
+        r0[1] *= -1.0
+    return stack.users, stack.effective, r0
+
+
+@pytest.mark.parametrize("indefinite", [False, True], ids=["singular", "indefinite"])
+def test_qr_mld_guard_matches_the_per_point_route(indefinite):
+    # Over a (G, S) grid, both routes raise the same class and text, naming the same user:
+    # in (grid, seed, user) order, seed 1's user 5 at the first point fails before seed 0's
+    # user 3 at the second.
+    users, a, r0 = _noiseless_pool(indefinite)
+    s2 = np.array([[1e-2, 0.0], [0.0, 0.0]])
+    errors = []
+    for route in (partial(filters, "qr-mld", 1.0), _per_point_qr_mld):
+        with pytest.raises(NeedsExternalNoiseError) as info:
+            route(users, a, r0, s2)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == ("covariance is not positive definite; add external noise" if indefinite
+                            else "user 5: covariance is singular; non-zero external noise is "
+                            "required before whitening")
